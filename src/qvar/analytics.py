@@ -24,11 +24,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import isfinite
 
-from .errors import ConfigError, InvalidRateError, UnstableError
+from .errors import ConfigError, UnstableError
 from .simulate import Discipline, SimConfig, run_simulation
 from .stats import DEFAULT_WARMUP, WaitStats, compute_stats
+from .variates import _check_rate
 
 __all__ = [
     "MM1Prediction",
@@ -90,11 +90,8 @@ def mm1_predict(arrival_rate: float, service_rate: float) -> MM1Prediction:
     Requires both rates positive and ``arrival_rate < service_rate``; the
     stationary law does not exist otherwise.
     """
-    for name, rate in (("arrival_rate", arrival_rate), ("service_rate", service_rate)):
-        if not isfinite(rate) or rate <= 0:
-            raise InvalidRateError(
-                f"{name} must be a positive finite number, got {rate!r}"
-            )
+    _check_rate("arrival_rate", arrival_rate)
+    _check_rate("service_rate", service_rate)
     if arrival_rate >= service_rate:
         raise UnstableError(
             f"unstable configuration: arrival rate {arrival_rate!r} is not "
@@ -251,18 +248,20 @@ class ComparisonTable:
 
     def to_csv(self) -> str:
         """Spec'd columns; floats at 17 significant digits, None as blank."""
-        def cell(v: object) -> str:
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return format(v, ".17g")
-            return str(v)
-
         lines = [",".join(COMPARISON_CSV_COLUMNS)]
         for r in self.rows:
             d = r.to_dict()
-            lines.append(",".join(cell(d[c]) for c in COMPARISON_CSV_COLUMNS))
+            lines.append(",".join(_csv_cell(d[c]) for c in COMPARISON_CSV_COLUMNS))
         return "\n".join(lines) + "\n"
+
+
+def _csv_cell(v: object) -> str:
+    """One CSV cell: floats at 17 significant digits, None as blank."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
 
 
 def _pooled_se(errors: list[float | None]) -> float | None:

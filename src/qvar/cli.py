@@ -38,7 +38,7 @@ from .errors import (
     UnstableError,
     ValidationError,
 )
-from .analytics import compare_disciplines
+from .analytics import _csv_cell, compare_disciplines
 from .instances import random_busy_period, random_realizable_permutation
 from .permutations import check_extremality, descent_to_lcfs, fcfs_permutation
 from .simulate import (
@@ -49,24 +49,22 @@ from .simulate import (
     write_trace_jsonl,
 )
 from .stats import DEFAULT_WARMUP, WaitStats, compute_stats
-from .variates import parse_distribution
+from .variates import _check_seed, parse_distribution
 
 __all__ = ["main", "build_parser"]
 
 
 def _stats_csv(stats: WaitStats) -> str:
     d = stats.to_dict()
-
-    def cell(v: object) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return format(v, ".17g")
-        return str(v)
-
     return (
-        ",".join(d.keys()) + "\n" + ",".join(cell(v) for v in d.values()) + "\n"
+        ",".join(d.keys()) + "\n" + ",".join(_csv_cell(v) for v in d.values()) + "\n"
     )
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """The generator behind ``enumerate --random`` and ``descent --start random``."""
+    seq = np.random.SeedSequence(_check_seed(seed))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _write_manifest(
@@ -234,7 +232,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             raise ConfigError(f"--random must be >= 1, got {args.random}")
         if args.max_n < 2:
             raise ConfigError("--max-n must be >= 2 for random instances")
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
+        rng = _rng(args.seed)
         sizes = rng.integers(2, args.max_n + 1, size=args.random)
         instances = [random_busy_period(rng, int(k)) for k in sizes]
     lines = []
@@ -262,8 +260,7 @@ def _cmd_descent(args: argparse.Namespace) -> int:
     if args.start == "identity":
         start = fcfs_permutation(bp)
     else:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
-        start = random_realizable_permutation(rng, bp)
+        start = random_realizable_permutation(_rng(args.seed), bp)
     trace = descent_to_lcfs(bp, start)
     payload = trace.to_jsonl()
     if payload:

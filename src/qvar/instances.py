@@ -15,6 +15,7 @@ import numpy as np
 
 from .busy_period import BusyPeriod, Permutation
 from .errors import ConfigError
+from .permutations import _slot_floors
 
 __all__ = ["random_busy_period", "random_realizable_permutation"]
 
@@ -64,14 +65,7 @@ def random_realizable_permutation(
     n = bp.n
     if n == 1:
         return Permutation.identity(1)
-    a, b = bp.arrivals, bp.service_starts
-    # floors[i]: smallest 0-based slot customer i may take (suffix structure).
-    floors = [0] * n
-    j = 1
-    for i in range(1, n):
-        while b[j] <= a[i]:
-            j += 1
-        floors[i] = j
+    floors = _slot_floors(bp)
     free = sorted(range(1, n))  # 0-based slots still unassigned
     mapping = [1] + [0] * (n - 1)
     for i in range(1, n):

@@ -216,6 +216,13 @@ def _find_swap_site(
         return inv[l - 1], k, removed
 
 
+def _swap(perm: Permutation, i: int, k: int) -> Permutation:
+    """``perm`` with the slots of customers ``i`` and ``k`` (1-based) exchanged."""
+    m = list(perm.mapping)
+    m[i - 1], m[k - 1] = m[k - 1], m[i - 1]
+    return Permutation(tuple(m))
+
+
 def descent_swap(
     bp: BusyPeriod, perm: Permutation
 ) -> tuple[Permutation, tuple[int, int]]:
@@ -231,9 +238,7 @@ def descent_swap(
             "the order has no bad pairs; it is already the stack order"
         )
     i, k, _ = _find_swap_site(bp, perm)
-    m = list(perm.mapping)
-    m[i - 1], m[k - 1] = m[k - 1], m[i - 1]
-    return Permutation(tuple(m)), (i, k)
+    return _swap(perm, i, k), (i, k)
 
 
 @dataclass(frozen=True)
@@ -316,9 +321,7 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
                     bad_pairs_after=nbad,
                 )
             )
-        m = list(current.mapping)
-        m[i - 1], m[k - 1] = m[k - 1], m[i - 1]
-        swapped = Permutation(tuple(m))
+        swapped = _swap(current, i, k)
         new_obj = pairing_objective(bp, swapped)
         new_bad = len(bad_pairs(bp, swapped))
         steps.append(

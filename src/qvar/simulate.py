@@ -1,25 +1,27 @@
 """Single-server queue simulator with pluggable service disciplines.
 
-The event loop tracks exactly two candidate events -- the next arrival and
-the completion of the customer in service -- so no event calendar is
-needed.  Ties (completion at the instant of an arrival) process the
-completion first; the arriving customer then finds either a free server or
-the freshly started successor, never a stale state.
+A work-conserving server fixes the service-start slots of every busy
+period; the discipline only picks which waiting customer takes the next
+slot.  The simulator is one loop over those slots.  Slot ``k`` opens at the
+completion ``t`` of slot ``k-1``, after every customer who arrived strictly
+before ``t`` has joined the waiting room; if nobody is waiting, the next
+arrival opens a busy period at its own arrival instant.  So a completion
+wins a tie with an arrival: the customer arriving at that instant finds a
+free server or the freshly started successor, never a stale state.
 
-Disciplines choose who enters service when the server frees up with
-customers waiting: first-come takes the oldest waiter, last-come the
-newest, random-order a uniform pick driven by the dedicated decision
-stream.  Arrivals, service durations, and decisions come from three
-independent streams (see :mod:`qvar.variates`), so switching discipline
-changes *only* who waits how long, never the workload itself.
+First-come takes the oldest waiter, last-come the newest, random-order a
+uniform pick driven by the dedicated decision stream.  Arrivals, service
+durations, and decisions come from three independent streams (see
+:mod:`qvar.variates`), so switching discipline changes *only* who waits
+how long, never the workload itself.
 
 Service-time coupling decides which pre-drawn duration a service uses:
 
-* ``position``: the k-th service started (in time order) uses draw k.  All
-  disciplines then share one server-busy trajectory path by path -- the
-  same busy periods, the same multiset of service-start times -- which is
-  the coupling under which the variance comparison is a per-busy-period
-  statement.
+* ``position``: slot k (the k-th service started, in time order) uses
+  draw k.  All disciplines then share one server-busy trajectory path by
+  path -- the same busy periods, the same multiset of service-start times
+  -- which is the coupling under which the variance comparison is a
+  per-busy-period statement.
 * ``customer``: customer i carries draw i regardless of when it is served.
   Marginal per-discipline laws are unchanged; the path-by-path coupling is
   deliberately broken.
@@ -31,19 +33,21 @@ import json
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from math import inf, isfinite
+from math import inf
 from pathlib import Path
 
 import numpy as np
 
 from .busy_period import BusyPeriod, Permutation, is_realizable, validate_busy_period
-from .errors import (
-    ConfigError,
-    InvalidRateError,
-    MalformedInputError,
-    MalformedTraceError,
+from .errors import ConfigError, MalformedInputError, MalformedTraceError
+from .variates import (
+    Distribution,
+    _check_mean,
+    _check_rate,
+    _check_seed,
+    draw_variates,
+    make_streams,
 )
-from .variates import Distribution, draw_variates, make_streams
 
 __all__ = [
     "Discipline",
@@ -69,9 +73,6 @@ class Coupling(str, Enum):
     CUSTOMER = "customer"
 
 
-_MEAN_MATCH_RTOL = 1e-9
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Immutable description of one simulation run.
@@ -93,22 +94,13 @@ class SimConfig:
     service_dist: Distribution | None = None
 
     def __post_init__(self) -> None:
-        for name, rate in (
-            ("arrival_rate", self.arrival_rate),
-            ("service_rate", self.service_rate),
-        ):
-            if not isinstance(rate, (int, float)) or not isfinite(rate) or rate <= 0:
-                raise InvalidRateError(
-                    f"{name} must be a positive finite number, got {rate!r}"
-                )
+        _check_rate("arrival_rate", self.arrival_rate)
+        _check_rate("service_rate", self.service_rate)
         if not isinstance(self.num_arrivals, int) or self.num_arrivals < 1:
             raise ConfigError(
                 f"num_arrivals must be a positive int, got {self.num_arrivals!r}"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ConfigError(
-                f"seed must be an unsigned 64-bit int, got {self.seed!r}"
-            )
+        _check_seed(self.seed)
         object.__setattr__(self, "discipline", Discipline(self.discipline))
         object.__setattr__(self, "coupling", Coupling(self.coupling))
         if self.arrival_dist is None:
@@ -124,12 +116,7 @@ class SimConfig:
             ("service_dist", self.service_dist, self.service_rate),
         ):
             assert dist is not None
-            target = 1.0 / rate
-            if abs(dist.mean - target) > _MEAN_MATCH_RTOL * target:
-                raise ConfigError(
-                    f"{name} has mean {dist.mean!r} but the configured rate "
-                    f"{rate!r} requires mean {target!r}"
-                )
+            _check_mean(name, dist.mean, rate)
 
     @property
     def utilization(self) -> float:
@@ -224,9 +211,10 @@ class SimTrace:
 def run_simulation(config: SimConfig) -> SimTrace:
     """Simulate ``config.num_arrivals`` customers and return the full trace.
 
-    Deterministic: equal configs give bitwise-equal traces.  The decision
-    stream is consumed only when the configured discipline is random-order,
-    and then only when a completion finds waiters to choose from.
+    One iteration per service slot ``k``, as described in the module
+    docstring.  Deterministic: equal configs give bitwise-equal traces.  The
+    decision stream is consumed only when the configured discipline is
+    random-order, and then only when a slot finds waiters to choose from.
     """
     arrival_rng, service_rng, decision_rng = make_streams(config.seed)
     n = config.num_arrivals
@@ -243,6 +231,7 @@ def run_simulation(config: SimConfig) -> SimTrace:
         else None
     )
     arr = arrivals.tolist()
+    arr.append(inf)  # sentinel: never earlier than a completion
 
     by_position = config.coupling is Coupling.POSITION
     fcfs = config.discipline is Discipline.FCFS
@@ -253,45 +242,29 @@ def run_simulation(config: SimConfig) -> SimTrace:
     period_heads: list[int] = []
     waiting: deque[int] | list[int] = deque() if fcfs else []
 
-    next_arrival = 0  # index of the next customer to arrive
-    started = 0  # services begun so far == index into the position stream
-    served = 0
-    busy = False
-    completion = inf
-    while served < n:
-        t_arr = arr[next_arrival] if next_arrival < n else inf
-        if busy and completion <= t_arr:
-            served += 1
-            if waiting:
-                if fcfs:
-                    cust = waiting.popleft()  # type: ignore[union-attr]
-                elif lcfs:
-                    cust = waiting.pop()
-                else:
-                    pick = int(decisions[started] * len(waiting))  # type: ignore[index]
-                    waiting[pick], waiting[-1] = waiting[-1], waiting[pick]
-                    cust = waiting.pop()
-                service_starts[cust] = completion
-                dur = durations[started if by_position else cust]
-                completion = completion + dur
-                departures[cust] = completion
-                started += 1
-            else:
-                busy = False
-                completion = inf
+    t = -inf  # completion instant of the previous slot
+    nxt = 0  # index of the next customer to arrive
+    for k in range(n):
+        # Strict: an arrival tied with the completion is not yet waiting.
+        while arr[nxt] < t:
+            waiting.append(nxt)
+            nxt += 1
+        if not waiting:
+            cust = nxt
+            nxt += 1
+            period_heads.append(cust)
+            t = arr[cust]
+        elif fcfs:
+            cust = waiting.popleft()  # type: ignore[union-attr]
+        elif lcfs:
+            cust = waiting.pop()
         else:
-            cust = next_arrival
-            next_arrival += 1
-            if busy:
-                waiting.append(cust)
-            else:
-                period_heads.append(cust)
-                service_starts[cust] = t_arr
-                dur = durations[started if by_position else cust]
-                completion = t_arr + dur
-                departures[cust] = completion
-                busy = True
-                started += 1
+            pick = int(decisions[k] * len(waiting))  # type: ignore[index]
+            waiting[pick], waiting[-1] = waiting[-1], waiting[pick]
+            cust = waiting.pop()
+        service_starts[cust] = t
+        t = t + durations[k if by_position else cust]
+        departures[cust] = t
 
     return SimTrace(
         arrivals=arrivals,

@@ -23,6 +23,8 @@ result is always finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
+from numbers import Real
 
 import numpy as np
 
@@ -36,7 +38,32 @@ __all__ = [
     "make_streams",
 ]
 
-_MEAN_MATCH_RTOL = 1e-9  # explicit uniform bounds must reproduce 1/rate
+_MEAN_MATCH_RTOL = 1e-9  # a distribution's mean must reproduce 1/rate
+
+
+def _check_rate(what: str, rate: object) -> None:
+    """Raise :class:`InvalidRateError` unless ``rate`` is a positive finite number."""
+    if not isinstance(rate, Real) or not isfinite(rate) or rate <= 0:
+        raise InvalidRateError(f"{what} must be a positive finite number, got {rate!r}")
+
+
+def _check_mean(what: str, mean: float, rate: float) -> None:
+    """Raise :class:`ConfigError` unless ``mean`` is ``1/rate`` to one part in 1e9."""
+    target = 1.0 / rate
+    if abs(mean - target) > _MEAN_MATCH_RTOL * target:
+        raise ConfigError(
+            f"{what} has mean {mean!r} but the configured rate {rate!r} "
+            f"requires mean {target!r}"
+        )
+
+
+def _check_seed(seed: object) -> int:
+    """``seed`` if it is an unsigned 64-bit int, else :class:`ConfigError`."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError(f"seed must be an int, got {type(seed).__name__}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must fit in an unsigned 64-bit int, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -58,11 +85,7 @@ class Distribution:
 
     def __post_init__(self) -> None:
         if self.kind == "exponential":
-            if self.rate is None or not np.isfinite(self.rate) or self.rate <= 0:
-                raise InvalidRateError(
-                    f"exponential rate must be a positive finite number, "
-                    f"got {self.rate!r}"
-                )
+            _check_rate("exponential rate", self.rate)
         elif self.kind == "deterministic":
             if self.value is None or not np.isfinite(self.value) or self.value <= 0:
                 raise ConfigError(
@@ -130,8 +153,7 @@ def parse_distribution(spec: str, rate: float) -> Distribution:
     uniform on ``(0, 2/rate)``), and ``uniform:lo,hi`` with explicit bounds,
     which must reproduce the mean ``1/rate`` to within one part in 1e9.
     """
-    if not np.isfinite(rate) or rate <= 0:
-        raise InvalidRateError(f"rate must be a positive finite number, got {rate!r}")
+    _check_rate("rate", rate)
     word, _, tail = spec.partition(":")
     if word == "exponential":
         if tail:
@@ -152,12 +174,7 @@ def parse_distribution(spec: str, rate: float) -> Distribution:
                 f"uniform bounds must look like 'uniform:lo,hi', got {spec!r}"
             ) from None
         dist = Distribution.uniform(lo, hi)
-        target = 1.0 / rate
-        if abs(dist.mean - target) > _MEAN_MATCH_RTOL * target:
-            raise ConfigError(
-                f"uniform bounds ({lo!r}, {hi!r}) give mean {dist.mean!r} but the "
-                f"configured rate {rate!r} requires mean {target!r}"
-            )
+        _check_mean(dist.describe(), dist.mean, rate)
         return dist
     raise ConfigError(
         f"unknown distribution {spec!r}; choose exponential, deterministic, "
@@ -204,10 +221,6 @@ def make_streams(
     ``SeedSequence(seed)`` in a fixed order, so equal seeds give equal
     streams regardless of platform or discipline.
     """
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an int, got {type(seed).__name__}")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must fit in an unsigned 64-bit int, got {seed}")
-    children = np.random.SeedSequence(seed).spawn(3)
+    children = np.random.SeedSequence(_check_seed(seed)).spawn(3)
     arrival, service, decision = (np.random.Generator(np.random.PCG64(c)) for c in children)
     return arrival, service, decision

@@ -330,3 +330,16 @@ def test_descent_malformed(tmp_path, capsys):
     path.write_text(json.dumps([BP_JSON]))
     code, _, err = run(capsys, "descent", "--input", str(path))
     assert code == 2
+
+
+def test_seed_out_of_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "bp.json"
+    path.write_text(json.dumps(BP_JSON))
+    for argv in (
+        ("enumerate", "--random", "3", "--seed", "-1"),
+        ("enumerate", "--random", "3", "--seed", str(2**64)),
+        ("descent", "--input", str(path), "--start", "random", "--seed", "-1"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "seed" in err

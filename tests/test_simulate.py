@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -96,6 +97,11 @@ def test_completion_processed_before_tied_arrival():
     trace = run_simulation(det_config(1.0, 1.0, 4))
     assert trace.waits().tolist() == [0.0, 0.0, 0.0, 0.0]
     assert trace.num_periods == 4
+    # Overloaded (service 2.0): customer 5 arrives at t=4 exactly when the
+    # second service ends, so the last-come rule picks customer 4, who is
+    # already waiting; customer 5 only joins the queue afterwards.
+    trace = run_simulation(det_config(1.0, 2.0, 5, discipline="lcfs"))
+    assert trace.waits().tolist() == [0.0, 1.0, 6.0, 1.0, 2.0]
 
 
 def test_determinism_bitwise():
@@ -241,8 +247,10 @@ def test_config_validation():
         SimConfig(arrival_rate=0.5, service_rate=-1.0, num_arrivals=1, seed=0)
     with pytest.raises(ConfigError):
         SimConfig(arrival_rate=0.5, service_rate=1.0, num_arrivals=0, seed=0)
-    with pytest.raises(ConfigError):
-        SimConfig(arrival_rate=0.5, service_rate=1.0, num_arrivals=1, seed=-1)
+    # the seed rule is make_streams' rule: no bools, unsigned 64-bit range
+    for seed in (-1, True, 2**64):
+        with pytest.raises(ConfigError):
+            SimConfig(arrival_rate=0.5, service_rate=1.0, num_arrivals=1, seed=seed)
     with pytest.raises(ValueError):
         SimConfig(
             arrival_rate=0.5, service_rate=1.0, num_arrivals=1, seed=0,
@@ -268,3 +276,67 @@ def test_trace_arrays_read_only():
     trace = run_simulation(det_config(2.0, 1.0, 2))
     with pytest.raises(ValueError):
         trace.arrivals[0] = 5.0
+
+
+# Traces pinned across versions: sha256 over the four trace arrays (float64
+# and int64, little-endian, in field order).  Only deterministic and uniform
+# variates, which involve no transcendental functions, so the digests do not
+# depend on the CPU or the libm.
+GOLDEN_RUNS = {
+    "dd1-overload": det_config(1.0, 2.0, 12),
+    "uniform-rho90": SimConfig(
+        arrival_rate=0.9,
+        service_rate=1.0,
+        num_arrivals=5000,
+        seed=3,
+        arrival_dist=Distribution.uniform(0.0, 2.0 / 0.9),
+        service_dist=Distribution.uniform(0.5, 1.5),
+    ),
+    "det-uniform-rho100": SimConfig(
+        arrival_rate=1.0,
+        service_rate=1.0,
+        num_arrivals=2000,
+        seed=4,
+        arrival_dist=Distribution.deterministic(1.0),
+        service_dist=Distribution.uniform(0.0, 2.0),
+    ),
+}
+
+GOLDEN_DIGESTS = {
+    ("dd1-overload", "fcfs", "position"): "0db295e7cc4eae0bda26dcf138048471413186626b627c6d275ed1595bfbd445",
+    ("dd1-overload", "fcfs", "customer"): "0db295e7cc4eae0bda26dcf138048471413186626b627c6d275ed1595bfbd445",
+    ("dd1-overload", "lcfs", "position"): "a3b5f20e6ccb23dec5d1a50de79143391f744ca52b5c51a81622ea82a066c01f",
+    ("dd1-overload", "lcfs", "customer"): "a3b5f20e6ccb23dec5d1a50de79143391f744ca52b5c51a81622ea82a066c01f",
+    ("dd1-overload", "random", "position"): "d6682861be83c067c4495291069f741452eb34ba37b914d3987a170d99848e45",
+    ("dd1-overload", "random", "customer"): "d6682861be83c067c4495291069f741452eb34ba37b914d3987a170d99848e45",
+    ("uniform-rho90", "fcfs", "position"): "989c0ac8556cc5f4e79fac6fa22ac93eedf7d6631a6e1a3c7e87c8f27c1840da",
+    ("uniform-rho90", "fcfs", "customer"): "989c0ac8556cc5f4e79fac6fa22ac93eedf7d6631a6e1a3c7e87c8f27c1840da",
+    ("uniform-rho90", "lcfs", "position"): "9d6bebf80bb19ff616b143af5f384dcf24b8f0859c2f47c01e9a59d99140db68",
+    ("uniform-rho90", "lcfs", "customer"): "8c7ed06b3b8f12584eb2e7a2cc6824ad716ef1ef26426eca77a76d3e461a3dd1",
+    ("uniform-rho90", "random", "position"): "171bd95590f488446893abe7684077bb79176a18d518342ccad77fc876c2061d",
+    ("uniform-rho90", "random", "customer"): "d773a9311f485cd5ac7f25774f490b313735f7b2bb521106c0f51a1d6215d0ce",
+    ("det-uniform-rho100", "fcfs", "position"): "97aabd019b5b7c9d5961bc81385fa3aeb1411b216ee4ec4b15b7f34c96c35362",
+    ("det-uniform-rho100", "fcfs", "customer"): "97aabd019b5b7c9d5961bc81385fa3aeb1411b216ee4ec4b15b7f34c96c35362",
+    ("det-uniform-rho100", "lcfs", "position"): "9f857ac9df12a0159addffd3863573cbba9b431f771e4ee32231b45b26fc61ed",
+    ("det-uniform-rho100", "lcfs", "customer"): "94939b667477c96c12e9dd8fbc9318dd57441e6a648c3f66097e0918e25a4f29",
+    ("det-uniform-rho100", "random", "position"): "6ff08cbbc8ff18600663d795a93923a62e21ff89ae0279c6f37d223a19703737",
+    ("det-uniform-rho100", "random", "customer"): "8dd2571d476a7c6469e39165f57eb4058635a67bd1bc80c6c8d06d0c25e4b974",
+}
+
+
+def trace_digest(trace):
+    h = hashlib.sha256()
+    for name, dtype in (
+        ("arrivals", "<f8"),
+        ("service_starts", "<f8"),
+        ("departures", "<f8"),
+        ("period_starts", "<i8"),
+    ):
+        h.update(np.ascontiguousarray(getattr(trace, name), dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("run, discipline, coupling", sorted(GOLDEN_DIGESTS))
+def test_golden_trace_digests(run, discipline, coupling):
+    cfg = GOLDEN_RUNS[run].with_(discipline=discipline, coupling=coupling)
+    assert trace_digest(run_simulation(cfg)) == GOLDEN_DIGESTS[run, discipline, coupling]
