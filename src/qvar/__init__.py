@@ -70,6 +70,7 @@ from .analytics import (
     mm1_predict,
 )
 from .simulate import (
+    BusyPeriodView,
     Coupling,
     Discipline,
     SimConfig,
@@ -127,6 +128,7 @@ __all__ = [
     "Coupling",
     "SimConfig",
     "SimTrace",
+    "BusyPeriodView",
     "run_simulation",
     "extract_busy_periods",
     "per_period_wait_sums",

@@ -119,6 +119,21 @@ class BusyPeriod:
             if not a[i] < b[i]:
                 raise InfeasibleError(i + 1, a[i], b[i])
 
+    @classmethod
+    def _trusted(
+        cls, arrivals: tuple[float, ...], service_starts: tuple[float, ...]
+    ) -> "BusyPeriod":
+        """Build without running the checks above.
+
+        Only for a caller that has already proved every invariant on the
+        same values, as :func:`qvar.simulate.extract_busy_periods` does on
+        arrays; anything else goes through the constructor.
+        """
+        bp = object.__new__(cls)
+        object.__setattr__(bp, "arrivals", arrivals)
+        object.__setattr__(bp, "service_starts", service_starts)
+        return bp
+
     @property
     def n(self) -> int:
         return len(self.arrivals)
@@ -190,6 +205,14 @@ class Permutation:
             if seen[v - 1]:
                 raise ValidationError(f"permutation repeats the value {v}")
             seen[v - 1] = True
+
+    @classmethod
+    def _trusted(cls, mapping: tuple[int, ...]) -> "Permutation":
+        """Build without checking that ``mapping`` is a bijection on ``1..n``;
+        same contract as :meth:`BusyPeriod._trusted`."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "mapping", mapping)
+        return perm
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":

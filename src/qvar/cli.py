@@ -40,7 +40,12 @@ from .errors import (
 )
 from .analytics import _csv_cell, compare_disciplines
 from .instances import random_busy_period, random_realizable_permutation
-from .permutations import check_extremality, descent_to_lcfs, fcfs_permutation
+from .permutations import (
+    DEFAULT_MAX_N,
+    check_extremality,
+    descent_to_lcfs,
+    fcfs_permutation,
+)
 from .simulate import (
     Coupling,
     Discipline,
@@ -49,7 +54,7 @@ from .simulate import (
     write_trace_jsonl,
 )
 from .stats import DEFAULT_WARMUP, WaitStats, compute_stats
-from .variates import _check_seed, parse_distribution
+from .variates import _check_rate, _check_seed, parse_distribution
 
 __all__ = ["main", "build_parser"]
 
@@ -95,23 +100,23 @@ def _read_json(path: str) -> object:
         raise MalformedInputError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _sim_config(args: argparse.Namespace) -> SimConfig:
-    cfg = SimConfig(
+def _sim_config(
+    args: argparse.Namespace, seed: int, discipline: Discipline | str
+) -> SimConfig:
+    """The run configuration given by the shared run flags."""
+    # Checked before the distributions are parsed, so the error names the flag.
+    _check_rate("--lambda", args.arrival_rate)
+    _check_rate("--mu", args.service_rate)
+    return SimConfig(
         arrival_rate=args.arrival_rate,
         service_rate=args.service_rate,
         num_arrivals=args.arrivals,
-        seed=args.seed,
-        discipline=args.discipline,
+        seed=seed,
+        discipline=discipline,
         coupling=args.coupling,
         arrival_dist=parse_distribution(args.arrival_dist, args.arrival_rate),
         service_dist=parse_distribution(args.service_dist, args.service_rate),
     )
-    if not cfg.is_stable:
-        raise UnstableError(
-            f"unstable configuration: --lambda {cfg.arrival_rate!r} is not "
-            f"below --mu {cfg.service_rate!r}"
-        )
-    return cfg
 
 
 def _emit(args: argparse.Namespace, payload: str, config: dict, extra_outputs: list[str]) -> None:
@@ -131,7 +136,12 @@ def _emit(args: argparse.Namespace, payload: str, config: dict, extra_outputs: l
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _sim_config(args)
+    cfg = _sim_config(args, args.seed, args.discipline)
+    if not cfg.is_stable:
+        raise UnstableError(
+            f"unstable configuration: --lambda {cfg.arrival_rate!r} is not "
+            f"below --mu {cfg.service_rate!r}"
+        )
     trace = run_simulation(cfg)
     stats = compute_stats(trace, args.warmup)
     extra: list[str] = []
@@ -178,16 +188,7 @@ def _parse_disciplines(text: str) -> tuple[Discipline, ...]:
 def _cmd_compare(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
     disciplines = _parse_disciplines(args.disciplines)
-    base = SimConfig(
-        arrival_rate=args.arrival_rate,
-        service_rate=args.service_rate,
-        num_arrivals=args.arrivals,
-        seed=seeds[0],
-        discipline=disciplines[0],
-        coupling=args.coupling,
-        arrival_dist=parse_distribution(args.arrival_dist, args.arrival_rate),
-        service_dist=parse_distribution(args.service_dist, args.service_rate),
-    )
+    base = _sim_config(args, seeds[0], disciplines[0])
     table = compare_disciplines(
         base,
         seeds,
@@ -230,8 +231,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         if args.random < 1:
             raise ConfigError(f"--random must be >= 1, got {args.random}")
-        if args.max_n < 2:
-            raise ConfigError("--max-n must be >= 2 for random instances")
+        # Random sizes reach --max-n, and every order of each period is listed.
+        if not 2 <= args.max_n <= DEFAULT_MAX_N:
+            raise ConfigError(
+                f"--max-n must be between 2 and {DEFAULT_MAX_N} for random "
+                f"instances, got {args.max_n}"
+            )
         rng = _rng(args.seed)
         sizes = rng.integers(2, args.max_n + 1, size=args.random)
         instances = [random_busy_period(rng, int(k)) for k in sizes]
@@ -397,9 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument(
         "--max-n",
         type=int,
-        default=10,
+        default=DEFAULT_MAX_N,
         metavar="K",
-        help="largest busy period to enumerate (random sizes are 2..K)",
+        help=(
+            f"largest busy period to enumerate (random sizes are 2..K, "
+            f"K at most {DEFAULT_MAX_N})"
+        ),
     )
     enum.add_argument("--seed", type=int, default=0, help="seed for --random")
     enum.add_argument("--out", metavar="PATH", help="write reports here instead of stdout")

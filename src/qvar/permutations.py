@@ -99,7 +99,14 @@ def _slot_floors(bp: BusyPeriod) -> list[int]:
     return floors
 
 
-def enumerate_realizable(bp: BusyPeriod, max_n: int = 10) -> list[Permutation]:
+# Largest period enumerated unless the caller raises the limit: 10
+# customers have at most 9! = 362,880 realizable orders.
+DEFAULT_MAX_N = 10
+
+
+def enumerate_realizable(
+    bp: BusyPeriod, max_n: int = DEFAULT_MAX_N
+) -> list[Permutation]:
     """Every realizable service order, in lexicographic mapping order.
 
     Backtracking over customers in arrival order; customer ``i``'s candidate
@@ -365,7 +372,9 @@ class ExtremalityReport:
         }
 
 
-def check_extremality(bp: BusyPeriod, max_n: int = 10) -> ExtremalityReport:
+def check_extremality(
+    bp: BusyPeriod, max_n: int = DEFAULT_MAX_N
+) -> ExtremalityReport:
     """Brute-force one period and verify both closed-form extremes.
 
     Enumerates every realizable order, computes each pairing objective, and

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import inf
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .busy_period import BusyPeriod, Permutation, is_realizable, validate_busy_period
+from .busy_period import BusyPeriod, Permutation, validate_busy_period
 from .errors import ConfigError, MalformedInputError, MalformedTraceError
 from .variates import (
     Distribution,
@@ -54,6 +55,7 @@ __all__ = [
     "Coupling",
     "SimConfig",
     "SimTrace",
+    "BusyPeriodView",
     "run_simulation",
     "extract_busy_periods",
     "per_period_wait_sums",
@@ -182,8 +184,14 @@ class SimTrace:
             raise MalformedTraceError("trace arrays must have equal lengths")
         if n == 0:
             raise MalformedTraceError("a trace must contain at least one customer")
-        if len(self.period_starts) == 0 or self.period_starts[0] != 0:
+        heads = self.period_starts
+        if len(heads) == 0 or heads[0] != 0:
             raise MalformedTraceError("the first customer must open a busy period")
+        if np.any(heads[1:] <= heads[:-1]) or heads[-1] >= n:
+            raise MalformedTraceError(
+                "period starts must be strictly increasing customer indices "
+                f"below {n}"
+            )
 
     @property
     def n(self) -> int:
@@ -275,53 +283,199 @@ def run_simulation(config: SimConfig) -> SimTrace:
     )
 
 
-def extract_busy_periods(trace: SimTrace) -> list[tuple[BusyPeriod, Permutation]]:
+# Customers per block of the extraction pass and of iteration over its
+# result.  Blocks hold whole periods (a longer period gets one block to
+# itself), so a block's temporary arrays stay a few MB at any trace length.
+_BLOCK = 1 << 16
+
+
+def _period_blocks(bounds: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges ``[p, q)`` of period indices, about ``_BLOCK``
+    customers each; ``bounds`` holds every period's first customer and then
+    the number of customers."""
+    p, last = 0, len(bounds) - 1
+    while p < last:
+        q = int(np.searchsorted(bounds, bounds[p] + _BLOCK, side="right")) - 1
+        q = max(q, p + 1)
+        yield p, q
+        p = q
+
+
+class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
+    """Read-only sequence of the ``(BusyPeriod, Permutation)`` pairs of a
+    checked trace, built on access.
+
+    Holds the trace's arrivals (a view), the service starts sorted into slot
+    order within each period, each customer's 1-based slot rank, and the
+    period bounds (each period's first customer, then the number of
+    customers).  A pair's objects live only as long as the caller keeps them.
+    """
+
+    # A plain class: a dataclass would add about 1 ms to importing qvar.
+    __slots__ = ("arrivals", "slots", "ranks", "bounds")
+
+    def __init__(
+        self,
+        arrivals: np.ndarray,
+        slots: np.ndarray,
+        ranks: np.ndarray,
+        bounds: np.ndarray,
+    ) -> None:
+        self.arrivals = arrivals
+        self.slots = slots
+        self.ranks = ranks
+        self.bounds = bounds
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[p] for p in range(len(self))[index]]
+        p = range(len(self))[index]
+        lo, hi = self.bounds[p], self.bounds[p + 1]
+        return _pair(
+            self.arrivals[lo:hi].tolist(),
+            self.slots[lo:hi].tolist(),
+            self.ranks[lo:hi].tolist(),
+        )
+
+    def __iter__(self) -> Iterator[tuple[BusyPeriod, Permutation]]:
+        for p, q in _period_blocks(self.bounds):
+            lo, hi = self.bounds[p], self.bounds[q]
+            a = self.arrivals[lo:hi].tolist()
+            slots = self.slots[lo:hi].tolist()
+            ranks = self.ranks[lo:hi].tolist()
+            cuts = (self.bounds[p : q + 1] - lo).tolist()
+            for i, j in zip(cuts, cuts[1:]):
+                yield _pair(a[i:j], slots[i:j], ranks[i:j])
+
+
+def _pair(
+    arrivals: list[float], slots: list[float], ranks: list[int]
+) -> tuple[BusyPeriod, Permutation]:
+    return (
+        BusyPeriod._trusted(tuple(arrivals), tuple(slots)),
+        Permutation._trusted(tuple(ranks)),
+    )
+
+
+def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
     """Split a trace into validated busy periods with their service orders.
 
-    For each period the service starts are sorted into slot order and each
-    customer is assigned the rank of its own start.  Work conservation is
-    verified exactly: the first slot coincides with the period-opening
-    arrival, every later slot equals the previous departure, and periods do
-    not overlap.  Violations raise :class:`MalformedTraceError`.
+    Within each period the service starts are sorted into slot order, and
+    each customer is assigned the rank of its own start.  The checks run as
+    element-wise array comparisons over blocks of whole periods:
+
+    * work conservation, exactly: a period opens no earlier than the
+      previous one ended, its first slot coincides with its opening
+      arrival, and every later slot equals the previous departure;
+    * every :class:`BusyPeriod` invariant on the arrivals and slots;
+    * realizability: every customer but the first arrives before its own
+      service starts.
+
+    The first offending period, in period order, raises.  Within it the
+    checks apply in the order above: overlap, first slot and idling raise
+    :class:`MalformedTraceError`; a broken invariant raises the
+    :class:`~qvar.errors.ValidationError` subclass of
+    :func:`validate_busy_period`; an unrealizable order raises
+    :class:`MalformedTraceError`.
+
+    The result is a lazy :class:`BusyPeriodView`: it keeps the sorted slots
+    and ranks as arrays (16 bytes per customer) and builds each pair only
+    when it is indexed or iterated.
     """
-    out: list[tuple[BusyPeriod, Permutation]] = []
+    bounds = np.append(trace.period_starts, trace.n)
+    slots = np.empty(trace.n)
+    ranks = np.empty(trace.n, dtype=np.int64)
     prev_end = -inf
-    for lo, hi in trace.period_bounds():
-        a = trace.arrivals[lo:hi]
-        starts = trace.service_starts[lo:hi]
-        deps = trace.departures[lo:hi]
-        if a[0] < prev_end:
+    for p, q in _period_blocks(bounds):
+        lo, hi = bounds[p], bounds[q]
+        slots[lo:hi], ranks[lo:hi], prev_end = _check_block(
+            trace, bounds[p : q + 1], prev_end
+        )
+    slots.flags.writeable = False
+    ranks.flags.writeable = False
+    return BusyPeriodView(trace.arrivals, slots, ranks, bounds)
+
+
+def _check_block(
+    trace: SimTrace, bounds: np.ndarray, prev_end: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Check the periods with bounds ``bounds`` as described in
+    :func:`extract_busy_periods`, given the end of the period before them;
+    return their slots, their customers' ranks and the end of the last one."""
+    lo, hi = int(bounds[0]), int(bounds[-1])
+    m = hi - lo
+    heads = bounds[:-1] - lo
+    sizes = np.diff(bounds)
+    a = trace.arrivals[lo:hi]
+    s = trace.service_starts[lo:hi]
+    period = np.repeat(np.arange(len(heads)), sizes)
+    # Arrivals and starts in one sort, by period, then time, then index, so
+    # the starts come out in slot order with ties kept in customer order.
+    times = np.concatenate((a, s))
+    order = np.lexsort((times, np.concatenate((period, period))))
+    by_slot = order[order >= m] - m
+    slots = s[by_slot]
+    deps = trace.departures[lo:hi][by_slot]
+    offset = np.arange(m) - np.repeat(heads, sizes)  # position in the period
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[by_slot] = offset + 1
+    later = offset > 0
+
+    prev = np.concatenate(([prev_end], deps[heads[1:] - 1]))
+    overlap = a[heads] < prev
+    first = slots[heads] != a[heads]
+    idle = later.copy()
+    idle[1:] &= slots[1:] != deps[:-1]
+    # BusyPeriod invariants on arrivals and slots: finite, both strictly
+    # rising, each arrival before the slot of its rank (ties come below).
+    broken = ~(np.isfinite(a) & np.isfinite(slots))
+    broken[1:] |= later[1:] & ~((a[1:] > a[:-1]) & (slots[1:] > slots[:-1]))
+    broken |= later & ~(a < slots)
+    unrealizable = later & ~(a < s)  # served before arriving
+    # In the merged order an arrival equal to a later slot of its own period
+    # is a tie of neighbours.  Ties at a period's first two positions are
+    # not counted: one pairs it with the previous period, the other is its
+    # first arrival with its first slot.
+    merged = times[order]
+    tie = np.zeros(2 * m, dtype=bool)
+    tie[1:] = merged[1:] == merged[:-1]
+    tie[2 * heads] = tie[2 * heads + 1] = False
+    bad = (
+        overlap
+        | first
+        | np.logical_or.reduceat(idle | broken | unrealizable, heads)
+        | np.logical_or.reduceat(tie, 2 * heads)
+    )
+    if bad.any():
+        p = int(bad.argmax())
+        i, j = heads[p], heads[p] + sizes[p]
+        if overlap[p]:
             raise MalformedTraceError(
-                f"busy period opening at t={a[0]!r} overlaps the previous "
-                f"period ending at t={prev_end!r}"
+                f"busy period opening at t={a[i]!r} overlaps the previous "
+                f"period ending at t={float(prev[p])!r}"
             )
-        order = np.argsort(starts)
-        slots = starts[order]
-        if slots[0] != a[0]:
+        if first[p]:
             raise MalformedTraceError(
-                f"first service of the period at t={slots[0]!r} does not "
-                f"coincide with the opening arrival at t={a[0]!r}"
+                f"first service of the period at t={slots[i]!r} does not "
+                f"coincide with the opening arrival at t={a[i]!r}"
             )
-        deps_in_slot_order = deps[order]
-        for k in range(1, len(slots)):
-            if slots[k] != deps_in_slot_order[k - 1]:
-                raise MalformedTraceError(
-                    f"service slot {k + 1} opens at t={slots[k]!r} but the "
-                    f"previous service ended at t={deps_in_slot_order[k - 1]!r}; "
-                    f"the server idled inside a busy period"
-                )
-        prev_end = float(deps_in_slot_order[-1])
-        ranks = np.empty(len(order), dtype=np.int64)
-        ranks[order] = np.arange(1, len(order) + 1)
-        bp = validate_busy_period(a.tolist(), slots.tolist())
-        perm = Permutation(tuple(int(r) for r in ranks))
-        if not is_realizable(bp, perm):
+        if idle[i:j].any():
+            k = i + int(idle[i:j].argmax())
             raise MalformedTraceError(
-                f"period opening at t={a[0]!r} serves a customer before it "
-                f"arrives under the recorded order {perm.mapping}"
+                f"service slot {k - i + 1} opens at t={slots[k]!r} but the "
+                f"previous service ended at t={deps[k - 1]!r}; "
+                f"the server idled inside a busy period"
             )
-        out.append((bp, perm))
-    return out
+        # Raises the broken invariant's own error, if there is one.
+        validate_busy_period(a[i:j].tolist(), slots[i:j].tolist())
+        raise MalformedTraceError(
+            f"period opening at t={a[i]!r} serves a customer before it "
+            f"arrives under the recorded order {tuple(ranks[i:j].tolist())}"
+        )
+    return slots, ranks, float(deps[-1])
 
 
 def per_period_wait_sums(trace: SimTrace) -> np.ndarray:

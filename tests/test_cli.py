@@ -343,3 +343,28 @@ def test_seed_out_of_range_exits_2(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "seed" in err
+
+
+def test_rate_errors_name_the_flag(capsys):
+    for argv, flag in (
+        (("simulate", "--lambda", "nan", "--mu", "1", "--arrivals", "100"), "--lambda"),
+        (
+            ("compare", "--lambda", "0.5", "--mu", "nan", "--arrivals", "100", "--seeds", "1"),
+            "--mu",
+        ),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert f"error: {flag} must be a positive finite number, got nan" in err
+
+
+def test_enumerate_random_max_n_capped(tmp_path, capsys):
+    # Refused before any period is drawn: every order of each period is listed.
+    for k in ("1", "11", "100"):
+        code, out, err = run(capsys, "enumerate", "--random", "2", "--max-n", k, "--seed", "1")
+        assert code == 2, k
+        assert "--max-n" in err and out == ""
+    path = tmp_path / "bp.json"
+    path.write_text(json.dumps(BP_JSON))
+    code, _, err = run(capsys, "enumerate", "--input", str(path), "--max-n", "11")
+    assert code == 0, err

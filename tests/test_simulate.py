@@ -7,19 +7,27 @@ import pytest
 from qvar import (
     ConfigError,
     Distribution,
+    DuplicateTimestampError,
+    InfeasibleError,
     InvalidRateError,
     MalformedInputError,
     MalformedTraceError,
+    NotSortedError,
+    Permutation,
     SimConfig,
     SimTrace,
+    ValidationError,
     extract_busy_periods,
     fcfs_permutation,
+    is_realizable,
     lcfs_permutation,
     per_period_wait_sums,
     read_trace_jsonl,
     run_simulation,
+    validate_busy_period,
     write_trace_jsonl,
 )
+from qvar import simulate
 
 
 def det_config(interarrival, service, n, discipline="fcfs", **kw):
@@ -340,3 +348,115 @@ def trace_digest(trace):
 def test_golden_trace_digests(run, discipline, coupling):
     cfg = GOLDEN_RUNS[run].with_(discipline=discipline, coupling=coupling)
     assert trace_digest(run_simulation(cfg)) == GOLDEN_DIGESTS[run, discipline, coupling]
+
+
+def hand_trace(arrivals, starts, departures, period_starts=(0,)):
+    return SimTrace(
+        arrivals=np.array(arrivals, dtype=float),
+        service_starts=np.array(starts, dtype=float),
+        departures=np.array(departures, dtype=float),
+        period_starts=np.array(period_starts),
+    )
+
+
+# One hand-built trace per way extraction can fail, in the order the checks
+# apply within a period; each trace is (arrivals, service starts,
+# departures[, period starts]).
+TAMPERED = {
+    "overlap": (([0, 1], [0, 1], [2, 3], [0, 1]), MalformedTraceError, "overlaps"),
+    "first-slot": (([0, 1], [0.5, 2], [2, 3]), MalformedTraceError, "does not coincide"),
+    "idle": (([0, 1], [0, 2.5], [2, 3.5]), MalformedTraceError, "idled"),
+    "non-finite": (([0, math.nan], [0, 2], [2, 3]), ValidationError, "non-finite"),
+    "not-sorted": (([0, 1.5, 1], [0, 2, 3], [2, 3, 4]), NotSortedError, "arrivals"),
+    "duplicate": (([0, 1, 2], [0, 2, 3], [2, 3, 4]), DuplicateTimestampError, "2.0"),
+    "infeasible": (([0, 1, 3.5], [0, 2, 3], [2, 3, 4]), InfeasibleError, "arrival 3"),
+    "unrealizable": (
+        ([0, 1, 2], [0, 2.5, 1.5], [1.5, 3.5, 2.5]),
+        MalformedTraceError,
+        r"before it arrives under the recorded order \(1, 3, 2\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED))
+def test_extract_rejects_tampered_trace(case):
+    arrays, cls, match = TAMPERED[case]
+    with pytest.raises(cls, match=match) as info:
+        extract_busy_periods(hand_trace(*arrays))
+    assert type(info.value) is cls
+
+
+def test_extract_first_offending_period_raises():
+    # Period 2 is unrealizable, the last check; period 3 overlaps it, the
+    # first check.  Period order decides.
+    trace = hand_trace(
+        [0, 10, 11, 12, 13],
+        [0, 10, 12.5, 11.5, 13],
+        [1, 11.5, 13.5, 12.5, 14],
+        [0, 1, 4],
+    )
+    with pytest.raises(MalformedTraceError, match="before it arrives"):
+        extract_busy_periods(trace)
+
+
+def test_trace_rejects_bad_period_starts():
+    # Extraction slices the trace at these indices, so an empty or
+    # out-of-range period must not get that far.
+    for heads in ([0, 2, 1], [0, 2, 2], [0, 4]):
+        with pytest.raises(MalformedTraceError, match="period starts"):
+            hand_trace([0, 1, 2, 3], [0, 1, 2, 3], [0.5, 1.5, 2.5, 3.5], heads)
+
+
+def pair_tuples(periods):
+    return [(bp.arrivals, bp.service_starts, perm.mapping) for bp, perm in periods]
+
+
+def test_extract_blocks_do_not_change_the_result(monkeypatch):
+    trace = run_simulation(mm1(0.9, 3_000, seed=4, discipline="lcfs"))
+    whole = pair_tuples(extract_busy_periods(trace))
+    assert max(len(a) for a, _, _ in whole) > 5
+    for block in (1, 3, 7):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        assert pair_tuples(extract_busy_periods(trace)) == whole
+
+
+def test_extract_overlap_found_across_blocks(monkeypatch):
+    # Ten one-customer periods; customer 5 is still in service when 6 arrives.
+    trace = run_simulation(det_config(2.0, 1.0, 10))
+    deps = trace.departures.copy()
+    deps[4] = trace.arrivals[5] + 0.5
+    tampered = hand_trace(trace.arrivals, trace.service_starts, deps, trace.period_starts)
+    for block in (1, 2, 5, 10):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        with pytest.raises(MalformedTraceError, match="overlaps"):
+            extract_busy_periods(tampered)
+
+
+def test_extract_view_is_a_sequence():
+    periods = extract_busy_periods(run_simulation(mm1(0.8, 2_000, seed=6, discipline="lcfs")))
+    pairs = list(periods)
+    assert len(periods) == len(pairs) > 3
+    assert periods[-1] == pairs[-1]
+    assert periods[-len(pairs)] == periods[0] == pairs[0]
+    assert periods[1:4] == pairs[1:4]
+    assert periods[::-2] == pairs[::-2]
+    assert list(periods) == pairs
+    for index in (len(pairs), -len(pairs) - 1):
+        with pytest.raises(IndexError):
+            periods[index]
+    ((bp, perm),) = extract_busy_periods(run_simulation(det_config(1.0, 1.5, 3)))
+    assert bp.n == 3 and perm.is_identity()
+
+
+@pytest.mark.parametrize("coupling", ["position", "customer"])
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random"])
+def test_extracted_pairs_pass_public_constructors(discipline, coupling):
+    for cfg in (
+        mm1(0.9, 3_000, seed=8, discipline=discipline, coupling=coupling),
+        # completions tie the next arrival: every customer opens a period
+        det_config(1.0, 1.0, 20, discipline=discipline, coupling=coupling),
+    ):
+        for bp, perm in extract_busy_periods(run_simulation(cfg)):
+            assert validate_busy_period(bp.arrivals, bp.service_starts) == bp
+            assert Permutation(perm.mapping) == perm
+            assert is_realizable(bp, perm)
