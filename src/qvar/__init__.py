@@ -75,6 +75,7 @@ from .simulate import (
     Discipline,
     SimConfig,
     SimTrace,
+    Trajectory,
     extract_busy_periods,
     per_period_wait_sums,
     read_trace_jsonl,
@@ -129,6 +130,7 @@ __all__ = [
     "SimConfig",
     "SimTrace",
     "BusyPeriodView",
+    "Trajectory",
     "run_simulation",
     "extract_busy_periods",
     "per_period_wait_sums",

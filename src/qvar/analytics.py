@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ConfigError, UnstableError
-from .simulate import Discipline, SimConfig, run_simulation
+from .simulate import Discipline, SimConfig, Trajectory, run_simulation
 from .stats import DEFAULT_WARMUP, WaitStats, compute_stats
 from .variates import _check_rate
 
@@ -274,9 +274,15 @@ def _pooled_se(errors: list[float | None]) -> float | None:
     return total**0.5 / len(errors)
 
 
-def _stats_for(job: tuple[SimConfig, float]) -> WaitStats:
-    cfg, warmup = job
-    return compute_stats(run_simulation(cfg), warmup)
+def _stats_for(
+    job: tuple[SimConfig, tuple[Discipline, ...], float]
+) -> list[WaitStats]:
+    cfg, disciplines, warmup = job
+    shared = Trajectory(cfg)
+    return [
+        compute_stats(run_simulation(cfg.with_(discipline=d), shared), warmup)
+        for d in disciplines
+    ]
 
 
 def _resolve_workers(max_workers: int | None) -> int:
@@ -312,15 +318,19 @@ def compare_disciplines(
     """Run every discipline on every seed and aggregate the wait statistics.
 
     All runs share ``base`` except for discipline and seed, so matched seeds
-    share their arrival and service draws exactly.  With ``oracle=True`` the
-    closed-form variances are attached where they exist, which requires
-    exponential arrival and service distributions.  Runs may fan out across
-    processes (``max_workers``, else the ``QVAR_THREADS`` environment
-    variable, else serial); results reduce in (discipline, seed) order
-    either way.
+    share their arrival and service draws exactly; each seed's draws and
+    trajectory are computed once for all its disciplines.  Seeds and
+    disciplines must not repeat.  With ``oracle=True`` the closed-form
+    variances are attached where they exist, which requires exponential
+    arrival and service distributions.  Seeds may fan out across processes
+    (``max_workers``, else the ``QVAR_THREADS`` environment variable, else
+    serial); results reduce in (discipline, seed) order either way.
     """
     if not seeds:
         raise ConfigError("at least one seed is required")
+    for what, values in (("seed", seeds), ("discipline", disciplines)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"each {what} may be given only once, got {list(values)}")
     if not base.is_stable:
         raise UnstableError(
             f"unstable configuration: arrival rate {base.arrival_rate!r} is "
@@ -340,23 +350,19 @@ def compare_disciplines(
             )
         prediction = mm1_predict(base.arrival_rate, base.service_rate)
 
-    jobs = [
-        (base.with_(discipline=d, seed=int(s)), warmup_fraction)
-        for d in disciplines
-        for s in seeds
-    ]
+    jobs = [(base.with_(seed=int(s)), disciplines, warmup_fraction) for s in seeds]
     workers = _resolve_workers(max_workers)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_stats_for, jobs))
+            by_seed = list(pool.map(_stats_for, jobs))
     else:
-        results = [_stats_for(j) for j in jobs]
+        by_seed = [_stats_for(j) for j in jobs]
 
     rows = []
     per_seed: dict[str, tuple[WaitStats, ...]] = {}
     count = len(seeds)
     for idx, d in enumerate(disciplines):
-        chunk = results[idx * count : (idx + 1) * count]
+        chunk = [stats[idx] for stats in by_seed]
         per_seed[d.value] = tuple(chunk)
         rows.append(
             DisciplineSummary(

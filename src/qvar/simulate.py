@@ -1,13 +1,13 @@
 """Single-server queue simulator with pluggable service disciplines.
 
 A work-conserving server fixes the service-start slots of every busy
-period; the discipline only picks which waiting customer takes the next
-slot.  The simulator is one loop over those slots.  Slot ``k`` opens at the
-completion ``t`` of slot ``k-1``, after every customer who arrived strictly
-before ``t`` has joined the waiting room; if nobody is waiting, the next
-arrival opens a busy period at its own arrival instant.  So a completion
-wins a tie with an arrival: the customer arriving at that instant finds a
-free server or the freshly started successor, never a stale state.
+period; the discipline only picks which waiting customer takes each slot.
+Slot ``k`` opens at the completion ``t`` of slot ``k-1``, after every
+customer who arrived strictly before ``t`` has joined the waiting room; if
+nobody is waiting, the next arrival opens a busy period at its own arrival
+instant.  So a completion wins a tie with an arrival: the customer arriving
+at that instant finds a free server or the freshly started successor, never
+a stale state.
 
 First-come takes the oldest waiter, last-come the newest, random-order a
 uniform pick driven by the dedicated decision stream.  Arrivals, service
@@ -25,16 +25,27 @@ Service-time coupling decides which pre-drawn duration a service uses:
 * ``customer``: customer i carries draw i regardless of when it is served.
   Marginal per-discipline laws are unchanged; the path-by-path coupling is
   deliberately broken.
+
+A run takes three steps.  The trajectory (each slot's start and end, and
+the busy periods) is computed once with array operations, bitwise equal to
+adding the durations slot by slot.  The discipline then assigns customers
+to slots: first-come is the identity, last-come is bracket matching of
+arrivals against slots, and random order walks only the runs of slots
+that find two or more waiters.  The trace places each slot's times at the
+customer it serves.  Under customer coupling a slot's length depends on
+who is served, so last-come and random order are simulated slot by slot;
+first-come serves customer k in slot k, so both couplings agree.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from enum import Enum
 from math import inf
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +67,7 @@ __all__ = [
     "SimConfig",
     "SimTrace",
     "BusyPeriodView",
+    "Trajectory",
     "run_simulation",
     "extract_busy_periods",
     "per_period_wait_sums",
@@ -98,10 +110,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         _check_rate("arrival_rate", self.arrival_rate)
         _check_rate("service_rate", self.service_rate)
-        if not isinstance(self.num_arrivals, int) or self.num_arrivals < 1:
-            raise ConfigError(
-                f"num_arrivals must be a positive int, got {self.num_arrivals!r}"
-            )
+        n = self.num_arrivals
+        if not isinstance(n, Integral) or isinstance(n, bool) or n < 1:
+            raise ConfigError(f"num_arrivals must be a positive int, got {n!r}")
+        object.__setattr__(self, "num_arrivals", int(n))
         _check_seed(self.seed)
         object.__setattr__(self, "discipline", Discipline(self.discipline))
         object.__setattr__(self, "coupling", Coupling(self.coupling))
@@ -216,39 +228,224 @@ class SimTrace:
         return list(zip(starts, starts[1:] + [self.n]))
 
 
-def run_simulation(config: SimConfig) -> SimTrace:
+class Trajectory:
+    """The variates of one run and the server trajectory they give under
+    position coupling: each slot's start and end, and the busy periods.
+
+    Runs that differ only in discipline share one (see
+    :func:`run_simulation`).  The decision stream is drawn, and the
+    trajectory computed, on first use.
+    """
+
+    def __init__(self, config: SimConfig) -> None:
+        assert config.arrival_dist is not None and config.service_dist is not None
+        arrival_rng, service_rng, self._decision_rng = make_streams(config.seed)
+        n = config.num_arrivals
+        self.config = config
+        self.arrivals = np.zeros(n, dtype=np.float64)
+        if n > 1:
+            gaps = draw_variates(config.arrival_dist, arrival_rng, n - 1)
+            np.cumsum(gaps, out=self.arrivals[1:])
+        self.durations = draw_variates(config.service_dist, service_rng, n)
+
+    @cached_property
+    def decisions(self) -> np.ndarray:
+        return self._decision_rng.random(self.config.num_arrivals)
+
+    @cached_property
+    def slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Slot starts, slot ends and the period heads."""
+        return _compute_slots(self.arrivals, self.durations)
+
+
+def run_simulation(
+    config: SimConfig, trajectory: Trajectory | None = None
+) -> SimTrace:
     """Simulate ``config.num_arrivals`` customers and return the full trace.
 
-    One iteration per service slot ``k``, as described in the module
-    docstring.  Deterministic: equal configs give bitwise-equal traces.  The
-    decision stream is consumed only when the configured discipline is
-    random-order, and then only when a slot finds waiters to choose from.
+    ``trajectory`` may come from a config that differs from ``config`` only
+    in discipline; its draws and slots are then reused, not recomputed.
+    Deterministic: equal configs give bitwise-equal traces.  The decision
+    stream is consumed only when the discipline is random-order.
     """
-    arrival_rng, service_rng, decision_rng = make_streams(config.seed)
-    n = config.num_arrivals
-    assert config.arrival_dist is not None and config.service_dist is not None
+    if trajectory is None:
+        trajectory = Trajectory(config)
+    elif replace(trajectory.config, discipline=config.discipline) != config:
+        raise ConfigError("the trajectory was drawn for another configuration")
+    d = config.discipline
+    picks = trajectory.decisions if d is Discipline.RANDOM_ORDER else None
+    if d is not Discipline.FCFS and config.coupling is Coupling.CUSTOMER:
+        return _slot_loop(config, trajectory.arrivals, trajectory.durations, picks)
+    slot_starts, slot_ends, heads = trajectory.slots
+    starts, ends = slot_starts, slot_ends
+    if d is not Discipline.FCFS:
+        n = config.num_arrivals
+        served = _slot_customers(trajectory.arrivals, slot_starts, heads, picks)
+        starts, ends = np.empty(n), np.empty(n)
+        starts[served], ends[served] = slot_starts, slot_ends
+    return SimTrace(trajectory.arrivals, starts, ends, heads, config)
 
-    arrivals = np.zeros(n, dtype=np.float64)
-    if n > 1:
-        gaps = draw_variates(config.arrival_dist, arrival_rng, n - 1)
-        np.cumsum(gaps, out=arrivals[1:])
-    durations = draw_variates(config.service_dist, service_rng, n).tolist()
-    decisions = (
-        decision_rng.random(n).tolist()
-        if config.discipline is Discipline.RANDOM_ORDER
-        else None
+
+def _compute_slots(
+    arrivals: np.ndarray, durations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slot starts, slot ends and period heads under position coupling.
+
+    Slot ``k`` lasts ``durations[k]`` from ``max(D[k-1], a[k])`` and opens a
+    busy period when ``a[k] >= D[k-1]``.  Lindley's max-plus form guesses
+    the heads: in exact arithmetic ``k`` opens a period when ``a[k] - C[k-1]``
+    reaches the running maximum of that quantity, ``C`` being the prefix
+    sums of the durations.  The ends are then summed as the recursion sums
+    them and every head is re-checked exactly against them until the guess
+    holds.  Each pass corrects at least the first wrong head.
+    """
+    n = len(arrivals)
+    x = arrivals.copy()
+    x[1:] -= np.cumsum(durations[:-1])
+    guess = np.empty(n, dtype=bool)
+    guess[0] = True
+    np.greater_equal(x[1:], np.maximum.accumulate(x)[:-1], out=guess[1:])
+    del x
+    while True:
+        heads = np.flatnonzero(guess)
+        ends = _period_sums(arrivals, durations, heads)
+        exact = np.empty(n, dtype=bool)
+        exact[0] = True
+        np.greater_equal(arrivals[1:], ends[:-1], out=exact[1:])
+        if np.array_equal(exact, guess):
+            break
+        guess = exact
+    starts = np.empty(n)
+    starts[1:] = ends[:-1]
+    starts[heads] = arrivals[heads]
+    return starts, ends, heads
+
+
+def _period_sums(
+    arrivals: np.ndarray, durations: np.ndarray, heads: np.ndarray
+) -> np.ndarray:
+    """Slot ends for periods opening at ``heads``: each period's opening
+    arrival plus its durations, added left to right like the recursion
+    (``np.cumsum`` along a row is that sequential sum)."""
+    n = len(durations)
+    ends = durations.copy()
+    ends[heads] += arrivals[heads]
+    bounds = np.append(heads, n)
+    for p, q in _period_blocks(bounds):
+        first = bounds[p:q]
+        sizes = np.diff(bounds[p : q + 1])
+        # Periods of sizes in (w/2, w] are summed as rows of width w.  What a
+        # row reads past its period's end never flows back into the period.
+        widths = 1 << np.ceil(np.log2(sizes)).astype(np.int64)
+        for w in np.unique(widths[sizes > 1]).tolist():
+            rows = widths == w
+            idx = np.minimum(first[rows, None] + np.arange(w), n - 1)
+            keep = np.arange(w) < sizes[rows, None]
+            ends[idx[keep]] = np.cumsum(ends[idx], axis=1)[keep]
+    return ends
+
+
+def _slot_customers(
+    arrivals: np.ndarray,
+    starts: np.ndarray,
+    heads: np.ndarray,
+    decisions: np.ndarray | None,
+) -> np.ndarray:
+    """The customer each slot serves: last come first when ``decisions`` is
+    None, else random order."""
+    n = len(arrivals)
+    served = np.empty(n, dtype=np.int64)
+    bounds = np.append(heads, n)
+    for p, q in _period_blocks(bounds):
+        lo, hi = bounds[p], bounds[q]
+        a, s, h = arrivals[lo:hi], starts[lo:hi], bounds[p:q] - lo
+        # Customers arrived when each slot opens: a completion wins a tie,
+        # and a period's head is the only one it finds.
+        arrived = np.searchsorted(a, s, side="left")
+        arrived[h] = h + 1
+        queue = arrived - np.arange(hi - lo)
+        if decisions is None:
+            served[lo:hi] = lo + _stack_match(arrived, queue)
+        else:
+            served[lo:hi] = lo + _random_pick(arrived, queue, decisions[lo:hi])
+    return served
+
+
+def _stack_match(arrived: np.ndarray, queue: np.ndarray) -> np.ndarray:
+    """Last come first as bracket matching: in time order an arrival pushes
+    and a slot pops.  Slot ``k`` pops at depth ``queue[k]``.  Arrival ``i``
+    comes before slot ``k`` iff ``i < arrived[k]``, so it pushes to depth
+    ``i + 1`` minus the slots with ``arrived[k] <= i``.  A pop takes the
+    latest push to its own depth, so the j-th pop at a depth serves the j-th
+    push to it."""
+    m = len(arrived)
+    opened = np.cumsum(np.bincount(arrived, minlength=m + 1)[:m])
+    depth = np.arange(1, m + 1) - opened
+    # Depths are at most m; 16-bit keys get numpy's radix sort.
+    key = np.uint16 if m < 1 << 16 else np.int64
+    served = np.empty(m, dtype=np.int64)
+    served[np.argsort(queue.astype(key), kind="stable")] = np.argsort(
+        depth.astype(key), kind="stable"
     )
+    return served
+
+
+def _random_pick(
+    arrived: np.ndarray, queue: np.ndarray, decisions: np.ndarray
+) -> np.ndarray:
+    """Random order: slot ``k`` swaps the waiter at ``int(decisions[k] *
+    len(waiting))`` to the end of the waiting list and serves it.
+
+    A slot that finds one waiter leaves the list empty, so the slots split
+    into runs that each serve their own customers.  A lone slot serves its
+    own customer; only the runs of slots that find two or more waiters, each
+    with the slot that empties the list after it, are walked.
+    """
+    contested = queue >= 2
+    contested[1:] |= queue[:-1] >= 2
+    slots = np.flatnonzero(contested)
+    # Numbered consecutively, the walked customers join the waiting list in
+    # turn: ``joins[j]`` of them when the j-th walked slot opens.  That slot
+    # finds ``queue`` waiters, which fixes its pick in advance.
+    joins = np.diff(arrived[slots] - np.cumsum(~contested)[slots], prepend=0)
+    picks = (decisions[slots] * queue[slots]).astype(np.int64)
+    waiting: list[int] = []
+    picked: list[int] = []
+    nxt = 0
+    for j, pick in zip(joins.tolist(), picks.tolist()):
+        if j == 1:
+            waiting.append(nxt)
+            nxt += 1
+        elif j:
+            waiting.extend(range(nxt, nxt + j))
+            nxt += j
+        cust = waiting[pick]
+        waiting[pick] = waiting[-1]  # the swap-pop
+        waiting.pop()
+        picked.append(cust)
+    served = np.arange(len(arrived))
+    served[slots] = slots[picked]
+    return served
+
+
+def _slot_loop(
+    config: SimConfig,
+    arrivals: np.ndarray,
+    durations: np.ndarray,
+    decisions: np.ndarray | None,
+) -> SimTrace:
+    """Customer coupling, last come first (``decisions`` None) or random
+    order: a slot lasts the duration of the customer it serves, so the
+    trajectory depends on the discipline and is simulated slot by slot."""
+    n = len(arrivals)
     arr = arrivals.tolist()
     arr.append(inf)  # sentinel: never earlier than a completion
-
-    by_position = config.coupling is Coupling.POSITION
-    fcfs = config.discipline is Discipline.FCFS
-    lcfs = config.discipline is Discipline.LCFS
-
+    dur = durations.tolist()
+    picks = None if decisions is None else decisions.tolist()
     service_starts = [0.0] * n
     departures = [0.0] * n
     period_heads: list[int] = []
-    waiting: deque[int] | list[int] = deque() if fcfs else []
+    waiting: list[int] = []
 
     t = -inf  # completion instant of the previous slot
     nxt = 0  # index of the next customer to arrive
@@ -262,16 +459,14 @@ def run_simulation(config: SimConfig) -> SimTrace:
             nxt += 1
             period_heads.append(cust)
             t = arr[cust]
-        elif fcfs:
-            cust = waiting.popleft()  # type: ignore[union-attr]
-        elif lcfs:
+        elif picks is None:
             cust = waiting.pop()
         else:
-            pick = int(decisions[k] * len(waiting))  # type: ignore[index]
+            pick = int(picks[k] * len(waiting))
             waiting[pick], waiting[-1] = waiting[-1], waiting[pick]
             cust = waiting.pop()
         service_starts[cust] = t
-        t = t + durations[k if by_position else cust]
+        t = t + dur[cust]
         departures[cust] = t
 
     return SimTrace(
@@ -283,9 +478,10 @@ def run_simulation(config: SimConfig) -> SimTrace:
     )
 
 
-# Customers per block of the extraction pass and of iteration over its
-# result.  Blocks hold whole periods (a longer period gets one block to
-# itself), so a block's temporary arrays stay a few MB at any trace length.
+# Customers per block of the trajectory sums, the slot assignment, the
+# extraction pass and iteration over its result.  Blocks hold whole periods
+# (a longer period gets one block to itself), so a block's temporary arrays
+# stay a few MB at any trace length.
 _BLOCK = 1 << 16
 
 

@@ -8,9 +8,11 @@ from qvar import (
     UnstableError,
     WaitStats,
     compare_disciplines,
+    compute_stats,
     consistency_check,
     little_check,
     mm1_predict,
+    run_simulation,
 )
 from qvar.analytics import COMPARISON_CSV_COLUMNS, _resolve_workers
 
@@ -206,3 +208,14 @@ def test_parallel_matches_serial():
     serial = compare_disciplines(cfg, [1, 2], max_workers=1)
     parallel = compare_disciplines(cfg, [1, 2], max_workers=2)
     assert serial.rows == parallel.rows
+
+
+@pytest.mark.parametrize("coupling", ["position", "customer"])
+def test_compare_matches_separate_runs(coupling):
+    # Each seed's draws and trajectory are shared by its disciplines; the
+    # statistics must equal those of one run per (discipline, seed).
+    cfg = BASE.with_(num_arrivals=3_000, coupling=coupling)
+    table = compare_disciplines(cfg, [4, 5])
+    for d, stats in table.per_seed.items():
+        for seed, s in zip(table.seeds, stats):
+            assert s == compute_stats(run_simulation(cfg.with_(discipline=d, seed=seed)))

@@ -200,6 +200,18 @@ def test_compare_flag_errors(capsys):
     assert code == 2
 
 
+def test_compare_refuses_repeats(capsys):
+    # A repeated seed would pool one sample path twice into the standard
+    # errors; a repeated discipline would print its row twice.
+    for flags in (["--seeds", "1,2,1"], ["--seeds", "1", "--disciplines", "lcfs,fcfs,lcfs"]):
+        code, out, err = run(
+            capsys,
+            "compare", "--lambda", "0.5", "--mu", "1", "--arrivals", "2000", *flags,
+        )
+        assert code == 2 and out == ""
+        assert "only once" in err
+
+
 def test_enumerate_file(tmp_path, capsys):
     path = tmp_path / "bp.json"
     path.write_text(json.dumps(BP_JSON))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qvar import (
     ConfigError,
@@ -16,11 +18,15 @@ from qvar import (
     Permutation,
     SimConfig,
     SimTrace,
+    Trajectory,
     ValidationError,
+    draw_variates,
     extract_busy_periods,
     fcfs_permutation,
     is_realizable,
     lcfs_permutation,
+    make_streams,
+    parse_distribution,
     per_period_wait_sums,
     read_trace_jsonl,
     run_simulation,
@@ -253,8 +259,12 @@ def test_config_validation():
         SimConfig(arrival_rate=0.0, service_rate=1.0, num_arrivals=1, seed=0)
     with pytest.raises(InvalidRateError):
         SimConfig(arrival_rate=0.5, service_rate=-1.0, num_arrivals=1, seed=0)
-    with pytest.raises(ConfigError):
-        SimConfig(arrival_rate=0.5, service_rate=1.0, num_arrivals=0, seed=0)
+    for n in (0, True, 1.0, np.int64(0)):
+        with pytest.raises(ConfigError):
+            SimConfig(arrival_rate=0.5, service_rate=1.0, num_arrivals=n, seed=0)
+    # numpy integers are counts like any other, and are stored as int
+    cfg = SimConfig(arrival_rate=0.5, service_rate=1.0, num_arrivals=np.int64(5), seed=0)
+    assert type(cfg.num_arrivals) is int and run_simulation(cfg).n == 5
     # the seed rule is make_streams' rule: no bools, unsigned 64-bit range
     for seed in (-1, True, 2**64):
         with pytest.raises(ConfigError):
@@ -460,3 +470,91 @@ def test_extracted_pairs_pass_public_constructors(discipline, coupling):
             assert validate_busy_period(bp.arrivals, bp.service_starts) == bp
             assert Permutation(perm.mapping) == perm
             assert is_realizable(bp, perm)
+
+
+def slot_loop_reference(cfg):
+    """Every discipline and coupling as one loop over service slots: slot k
+    opens at the previous completion after every arrival strictly before it
+    has joined the waiting list, or at the next arrival when nobody waits."""
+    arrival_rng, service_rng, decision_rng = make_streams(cfg.seed)
+    n = cfg.num_arrivals
+    arrivals = np.zeros(n)
+    if n > 1:
+        np.cumsum(draw_variates(cfg.arrival_dist, arrival_rng, n - 1), out=arrivals[1:])
+    durations = draw_variates(cfg.service_dist, service_rng, n).tolist()
+    decisions = decision_rng.random(n).tolist()
+    arr = arrivals.tolist() + [math.inf]
+    starts, departures, heads, waiting = [0.0] * n, [0.0] * n, [], []
+    t, nxt = -math.inf, 0
+    for k in range(n):
+        while arr[nxt] < t:
+            waiting.append(nxt)
+            nxt += 1
+        if not waiting:
+            cust = nxt
+            nxt += 1
+            heads.append(cust)
+            t = arr[cust]
+        elif cfg.discipline == "fcfs":
+            cust = waiting.pop(0)
+        elif cfg.discipline == "lcfs":
+            cust = waiting.pop()
+        else:
+            pick = int(decisions[k] * len(waiting))
+            waiting[pick], waiting[-1] = waiting[-1], waiting[pick]
+            cust = waiting.pop()
+        starts[cust] = t
+        t = t + durations[k if cfg.coupling == "position" else cust]
+        departures[cust] = t
+    return SimTrace(arrivals, np.array(starts), np.array(departures), np.array(heads))
+
+
+KINDS = ("exponential", "uniform", "deterministic")
+
+
+# Means of 0.5, 1 and 2 make deterministic runs tie completions with
+# arrivals exactly, at loads below, at and above 1.
+@pytest.mark.parametrize("block", [None, 7])
+@given(
+    n=st.integers(1, 80),
+    arrival=st.sampled_from(KINDS),
+    service=st.sampled_from(KINDS),
+    gap=st.sampled_from([0.5, 1.0, 2.0]),
+    service_mean=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+    coupling=st.sampled_from(["position", "customer"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_traces_equal_slot_loop(
+    monkeypatch, block, n, arrival, service, gap, service_mean, coupling, seed
+):
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+    cfg = SimConfig(
+        arrival_rate=1 / gap,
+        service_rate=1 / service_mean,
+        num_arrivals=n,
+        seed=seed,
+        coupling=coupling,
+        arrival_dist=parse_distribution(arrival, 1 / gap),
+        service_dist=parse_distribution(service, 1 / service_mean),
+    )
+    shared = Trajectory(cfg)
+    for d in ("fcfs", "lcfs", "random"):
+        one = cfg.with_(discipline=d)
+        expected = trace_digest(slot_loop_reference(one))
+        assert trace_digest(run_simulation(one)) == expected, d
+        assert trace_digest(run_simulation(one, shared)) == expected, d
+
+
+def test_shared_trajectory_must_match_config():
+    cfg = mm1(0.5, 100, seed=1)
+    shared = Trajectory(cfg)
+    assert run_simulation(cfg.with_(discipline="lcfs"), shared).config.discipline == "lcfs"
+    for other in (cfg.with_(seed=2), cfg.with_(num_arrivals=99), cfg.with_(coupling="customer")):
+        with pytest.raises(ConfigError, match="another configuration"):
+            run_simulation(other, shared)
