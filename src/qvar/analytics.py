@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import ConfigError, UnstableError
+from .errors import ConfigError
 from .simulate import Discipline, SimConfig, Trajectory, run_simulation
 from .stats import DEFAULT_WARMUP, WaitStats, compute_stats
-from .variates import _check_rate
+from .variates import _check_rate, _check_stable
 
 __all__ = [
     "MM1Prediction",
@@ -92,11 +92,7 @@ def mm1_predict(arrival_rate: float, service_rate: float) -> MM1Prediction:
     """
     _check_rate("arrival_rate", arrival_rate)
     _check_rate("service_rate", service_rate)
-    if arrival_rate >= service_rate:
-        raise UnstableError(
-            f"unstable configuration: arrival rate {arrival_rate!r} is not "
-            f"below service rate {service_rate!r}, so no stationary law exists"
-        )
+    _check_stable("arrival rate", arrival_rate, "service rate", service_rate)
     rho = arrival_rate / service_rate
     one = 1.0 - rho
     scale = 1.0 / service_rate
@@ -280,7 +276,7 @@ def _stats_for(
     cfg, disciplines, warmup = job
     shared = Trajectory(cfg)
     return [
-        compute_stats(run_simulation(cfg.with_(discipline=d), shared), warmup)
+        compute_stats(run_simulation(replace(cfg, discipline=d), shared), warmup)
         for d in disciplines
     ]
 
@@ -331,18 +327,10 @@ def compare_disciplines(
     for what, values in (("seed", seeds), ("discipline", disciplines)):
         if len(set(values)) != len(values):
             raise ConfigError(f"each {what} may be given only once, got {list(values)}")
-    if not base.is_stable:
-        raise UnstableError(
-            f"unstable configuration: arrival rate {base.arrival_rate!r} is "
-            f"not below service rate {base.service_rate!r}"
-        )
+    _check_stable("arrival rate", base.arrival_rate, "service rate", base.service_rate)
     prediction: MM1Prediction | None = None
     if oracle:
-        assert base.arrival_dist is not None and base.service_dist is not None
-        if (
-            base.arrival_dist.kind != "exponential"
-            or base.service_dist.kind != "exponential"
-        ):
+        if (base.arrival_dist, base.service_dist) != ("exponential", "exponential"):
             raise ConfigError(
                 "closed-form predictions exist only for exponential arrivals "
                 "and exponential service; drop the oracle or the custom "
@@ -350,7 +338,7 @@ def compare_disciplines(
             )
         prediction = mm1_predict(base.arrival_rate, base.service_rate)
 
-    jobs = [(base.with_(seed=int(s)), disciplines, warmup_fraction) for s in seeds]
+    jobs = [(replace(base, seed=int(s)), disciplines, warmup_fraction) for s in seeds]
     workers = _resolve_workers(max_workers)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -35,7 +35,6 @@ from .errors import (
     ExtremalityViolationError,
     MalformedInputError,
     QvarError,
-    UnstableError,
     ValidationError,
 )
 from .analytics import _csv_cell, compare_disciplines
@@ -54,7 +53,7 @@ from .simulate import (
     write_trace_jsonl,
 )
 from .stats import DEFAULT_WARMUP, WaitStats, compute_stats
-from .variates import _check_rate, _check_seed, parse_distribution
+from .variates import _check_rate, _check_seed, _check_stable
 
 __all__ = ["main", "build_parser"]
 
@@ -103,10 +102,12 @@ def _read_json(path: str) -> object:
 def _sim_config(
     args: argparse.Namespace, seed: int, discipline: Discipline | str
 ) -> SimConfig:
-    """The run configuration given by the shared run flags."""
-    # Checked before the distributions are parsed, so the error names the flag.
+    """The run configuration given by the shared run flags; ``simulate`` and
+    ``compare`` refuse an unstable one."""
+    # Checked before the config is built, so the error names the flag.
     _check_rate("--lambda", args.arrival_rate)
     _check_rate("--mu", args.service_rate)
+    _check_stable("--lambda", args.arrival_rate, "--mu", args.service_rate)
     return SimConfig(
         arrival_rate=args.arrival_rate,
         service_rate=args.service_rate,
@@ -114,8 +115,8 @@ def _sim_config(
         seed=seed,
         discipline=discipline,
         coupling=args.coupling,
-        arrival_dist=parse_distribution(args.arrival_dist, args.arrival_rate),
-        service_dist=parse_distribution(args.service_dist, args.service_rate),
+        arrival_dist=args.arrival_dist,
+        service_dist=args.service_dist,
     )
 
 
@@ -137,11 +138,6 @@ def _emit(args: argparse.Namespace, payload: str, config: dict, extra_outputs: l
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _sim_config(args, args.seed, args.discipline)
-    if not cfg.is_stable:
-        raise UnstableError(
-            f"unstable configuration: --lambda {cfg.arrival_rate!r} is not "
-            f"below --mu {cfg.service_rate!r}"
-        )
     trace = run_simulation(cfg)
     stats = compute_stats(trace, args.warmup)
     extra: list[str] = []
@@ -215,6 +211,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _load_instances(path: str) -> list[BusyPeriod]:
     data = _read_json(path)
     if isinstance(data, list):
+        if not data:
+            raise MalformedInputError(f"{path}: the array holds no busy periods")
         return [BusyPeriod.from_dict(d) for d in data]
     if isinstance(data, dict):
         return [BusyPeriod.from_dict(data)]
@@ -328,7 +326,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format",
         choices=["json", "csv"],
-        default=None,
         help="report format (simulate defaults to json, compare to csv)",
     )
 
@@ -361,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also dump the per-customer trace as JSON lines",
     )
-    sim.set_defaults(func=_cmd_simulate)
+    sim.set_defaults(func=_cmd_simulate, format="json")
 
     cmp_ = sub.add_parser(
         "compare", help="run several disciplines over shared seeds and tabulate"
@@ -384,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="attach closed-form variance predictions (exponential/exponential only)",
     )
-    cmp_.set_defaults(func=_cmd_compare)
+    cmp_.set_defaults(func=_cmd_compare, format="csv")
 
     enum = sub.add_parser(
         "enumerate",
@@ -444,9 +441,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     args.raw_argv = raw
-    if not hasattr(args, "format") or args.format is None:
-        defaults = {"simulate": "json", "compare": "csv"}
-        args.format = defaults.get(args.command, "json")
     try:
         return int(args.func(args))
     except ExtremalityViolationError as exc:

@@ -54,11 +54,11 @@ from .busy_period import BusyPeriod, Permutation, validate_busy_period
 from .errors import ConfigError, MalformedInputError, MalformedTraceError
 from .variates import (
     Distribution,
-    _check_mean,
     _check_rate,
     _check_seed,
     draw_variates,
     make_streams,
+    parse_distribution,
 )
 
 __all__ = [
@@ -91,11 +91,15 @@ class Coupling(str, Enum):
 class SimConfig:
     """Immutable description of one simulation run.
 
-    ``arrival_rate``/``service_rate`` are authoritative: any explicitly
-    supplied distribution must have mean ``1/rate`` (checked to one part in
-    1e9), defaulting to exponentials at those rates.  The first customer
-    arrives at t=0; ``num_arrivals`` customers are generated and all are
-    served to completion, so unstable configurations still terminate.
+    ``arrival_rate``/``service_rate`` set the time scale; ``arrival_dist``/
+    ``service_dist`` are distribution shapes, the words
+    :func:`~qvar.variates.parse_distribution` reads: ``exponential`` (the
+    default), ``deterministic``, ``uniform`` or ``uniform:lo,hi`` (bounds
+    whose mean must be ``1/rate``).  :meth:`distributions` gives each shape
+    at its rate, so ``dataclasses.replace`` with a new rate rescales it.
+    The first customer arrives at t=0; ``num_arrivals`` customers are
+    generated and all are served to completion, so unstable configurations
+    still terminate.
     """
 
     arrival_rate: float
@@ -104,8 +108,8 @@ class SimConfig:
     seed: int
     discipline: Discipline = Discipline.FCFS
     coupling: Coupling = Coupling.POSITION
-    arrival_dist: Distribution | None = None
-    service_dist: Distribution | None = None
+    arrival_dist: str = "exponential"
+    service_dist: str = "exponential"
 
     def __post_init__(self) -> None:
         _check_rate("arrival_rate", self.arrival_rate)
@@ -114,23 +118,17 @@ class SimConfig:
         if not isinstance(n, Integral) or isinstance(n, bool) or n < 1:
             raise ConfigError(f"num_arrivals must be a positive int, got {n!r}")
         object.__setattr__(self, "num_arrivals", int(n))
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "discipline", Discipline(self.discipline))
         object.__setattr__(self, "coupling", Coupling(self.coupling))
-        if self.arrival_dist is None:
-            object.__setattr__(
-                self, "arrival_dist", Distribution.exponential(self.arrival_rate)
-            )
-        if self.service_dist is None:
-            object.__setattr__(
-                self, "service_dist", Distribution.exponential(self.service_rate)
-            )
-        for name, dist, rate in (
-            ("arrival_dist", self.arrival_dist, self.arrival_rate),
-            ("service_dist", self.service_dist, self.service_rate),
-        ):
-            assert dist is not None
-            _check_mean(name, dist.mean, rate)
+        self.distributions()
+
+    def distributions(self) -> tuple[Distribution, Distribution]:
+        """The arrival (inter-arrival) and service laws: each shape at its rate."""
+        return (
+            parse_distribution(self.arrival_dist, self.arrival_rate),
+            parse_distribution(self.service_dist, self.service_rate),
+        )
 
     @property
     def utilization(self) -> float:
@@ -140,19 +138,8 @@ class SimConfig:
     def is_stable(self) -> bool:
         return self.arrival_rate < self.service_rate
 
-    def with_(self, **changes: object) -> "SimConfig":
-        # A rate change invalidates the auto-filled exponential default for
-        # that rate; drop it so __post_init__ refills at the new rate.
-        for side in ("arrival", "service"):
-            rate_key, dist_key = f"{side}_rate", f"{side}_dist"
-            if rate_key in changes and dist_key not in changes:
-                dist = getattr(self, dist_key)
-                if dist is not None and dist.kind == "exponential" and dist.rate == getattr(self, rate_key):
-                    changes[dist_key] = None
-        return replace(self, **changes)
-
     def to_dict(self) -> dict[str, object]:
-        assert self.arrival_dist is not None and self.service_dist is not None
+        arrival, service = self.distributions()
         return {
             "arrival_rate": self.arrival_rate,
             "service_rate": self.service_rate,
@@ -160,8 +147,8 @@ class SimConfig:
             "seed": self.seed,
             "discipline": self.discipline.value,
             "coupling": self.coupling.value,
-            "arrival_dist": self.arrival_dist.to_dict(),
-            "service_dist": self.service_dist.to_dict(),
+            "arrival_dist": arrival.to_dict(),
+            "service_dist": service.to_dict(),
         }
 
 
@@ -238,15 +225,15 @@ class Trajectory:
     """
 
     def __init__(self, config: SimConfig) -> None:
-        assert config.arrival_dist is not None and config.service_dist is not None
+        arrival, service = config.distributions()
         arrival_rng, service_rng, self._decision_rng = make_streams(config.seed)
         n = config.num_arrivals
         self.config = config
         self.arrivals = np.zeros(n, dtype=np.float64)
         if n > 1:
-            gaps = draw_variates(config.arrival_dist, arrival_rng, n - 1)
+            gaps = draw_variates(arrival, arrival_rng, n - 1)
             np.cumsum(gaps, out=self.arrivals[1:])
-        self.durations = draw_variates(config.service_dist, service_rng, n)
+        self.durations = draw_variates(service, service_rng, n)
 
     @cached_property
     def decisions(self) -> np.ndarray:

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ConfigError, InvalidRateError
+from .errors import ConfigError, InvalidRateError, UnstableError
 
 __all__ = [
     "Distribution",
@@ -47,20 +47,24 @@ def _check_rate(what: str, rate: object) -> None:
         raise InvalidRateError(f"{what} must be a positive finite number, got {rate!r}")
 
 
-def _check_mean(what: str, mean: float, rate: float) -> None:
-    """Raise :class:`ConfigError` unless ``mean`` is ``1/rate`` to one part in 1e9."""
-    target = 1.0 / rate
-    if abs(mean - target) > _MEAN_MATCH_RTOL * target:
-        raise ConfigError(
-            f"{what} has mean {mean!r} but the configured rate {rate!r} "
-            f"requires mean {target!r}"
+def _check_stable(
+    arrival: str, arrival_rate: float, service: str, service_rate: float
+) -> None:
+    """Raise :class:`UnstableError` unless the arrival rate is below the
+    service rate; ``arrival``/``service`` name the two rates in the message."""
+    if not arrival_rate < service_rate:
+        raise UnstableError(
+            f"unstable configuration: {arrival} {arrival_rate!r} is not below "
+            f"{service} {service_rate!r}"
         )
 
 
 def _check_seed(seed: object) -> int:
-    """``seed`` if it is an unsigned 64-bit int, else :class:`ConfigError`."""
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    """``seed`` as an int if it is an unsigned 64-bit integer (numpy integers
+    included, bools not), else :class:`ConfigError`."""
+    if not isinstance(seed, Integral) or isinstance(seed, bool):
         raise ConfigError(f"seed must be an int, got {type(seed).__name__}")
+    seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must fit in an unsigned 64-bit int, got {seed}")
     return seed
@@ -147,13 +151,18 @@ class Distribution:
 
 
 def parse_distribution(spec: str, rate: float) -> Distribution:
-    """Turn a CLI distribution word into a :class:`Distribution` with mean 1/rate.
+    """Turn a distribution shape into the :class:`Distribution` with mean 1/rate.
 
-    Accepted forms: ``exponential``, ``deterministic``, ``uniform`` (meaning
+    Accepted shapes: ``exponential``, ``deterministic``, ``uniform`` (meaning
     uniform on ``(0, 2/rate)``), and ``uniform:lo,hi`` with explicit bounds,
     which must reproduce the mean ``1/rate`` to within one part in 1e9.
     """
     _check_rate("rate", rate)
+    if not isinstance(spec, str):
+        raise ConfigError(
+            f"a distribution shape must be a str such as 'exponential', "
+            f"got {type(spec).__name__}"
+        )
     word, _, tail = spec.partition(":")
     if word == "exponential":
         if tail:
@@ -174,7 +183,12 @@ def parse_distribution(spec: str, rate: float) -> Distribution:
                 f"uniform bounds must look like 'uniform:lo,hi', got {spec!r}"
             ) from None
         dist = Distribution.uniform(lo, hi)
-        _check_mean(dist.describe(), dist.mean, rate)
+        target = 1.0 / rate
+        if abs(dist.mean - target) > _MEAN_MATCH_RTOL * target:
+            raise ConfigError(
+                f"{dist.describe()} has mean {dist.mean!r} but the configured "
+                f"rate {rate!r} requires mean {target!r}"
+            )
         return dist
     raise ConfigError(
         f"unknown distribution {spec!r}; choose exponential, deterministic, "

@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from qvar import (
-    Distribution,
     ExtremalityViolationError,
     MM1Prediction,
     SimConfig,
@@ -182,8 +181,8 @@ def test_criterion_8_ordering_beyond_exponential(capsys):
     parts = []
     ok = True
     services = (
-        (Distribution.deterministic(1.0), "M/D/1"),
-        (Distribution.uniform(0.0, 2.0), "M/U/1"),
+        ("deterministic", "M/D/1"),
+        ("uniform", "M/U/1"),
     )
     for service, label in services:
         for lam in (0.5, 0.8):

@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from qvar import (
     ConfigError,
-    Distribution,
     InvalidRateError,
     SimConfig,
     UnstableError,
@@ -134,7 +135,7 @@ def test_compare_single_discipline_row():
     from qvar import Discipline
 
     table = compare_disciplines(
-        BASE.with_(num_arrivals=5_000), [3], disciplines=(Discipline.FCFS,)
+        replace(BASE, num_arrivals=5_000), [3], disciplines=(Discipline.FCFS,)
     )
     assert len(table.rows) == 1
     assert table.rows[0].discipline == "fcfs"
@@ -144,7 +145,7 @@ def test_compare_single_discipline_row():
 
 def test_compare_requires_stability():
     with pytest.raises(UnstableError):
-        compare_disciplines(BASE.with_(arrival_rate=2.0), [1])
+        compare_disciplines(replace(BASE, arrival_rate=2.0), [1])
 
 
 def test_compare_requires_seeds():
@@ -153,16 +154,16 @@ def test_compare_requires_seeds():
 
 
 def test_oracle_requires_exponential():
-    mdi = BASE.with_(service_dist=Distribution.deterministic(1.0))
+    mdi = replace(BASE, service_dist="deterministic")
     with pytest.raises(ConfigError):
         compare_disciplines(mdi, [1], oracle=True)
     # without the oracle the comparison runs and leaves predictions blank
-    table = compare_disciplines(mdi.with_(num_arrivals=5_000), [1])
+    table = compare_disciplines(replace(mdi, num_arrivals=5_000), [1])
     assert all(r.predicted_var is None for r in table.rows)
 
 
 def test_csv_output():
-    table = compare_disciplines(BASE.with_(num_arrivals=5_000), [1, 2], oracle=True)
+    table = compare_disciplines(replace(BASE, num_arrivals=5_000), [1, 2], oracle=True)
     text = table.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(COMPARISON_CSV_COLUMNS)
@@ -180,7 +181,7 @@ def test_csv_output():
 
 
 def test_json_output():
-    table = compare_disciplines(BASE.with_(num_arrivals=5_000), [1])
+    table = compare_disciplines(replace(BASE, num_arrivals=5_000), [1])
     d = table.to_dict()
     assert d["seeds"] == [1]
     assert {row["discipline"] for row in d["rows"]} == {"fcfs", "lcfs", "random"}
@@ -204,7 +205,7 @@ def test_workers_resolution(monkeypatch):
 
 
 def test_parallel_matches_serial():
-    cfg = BASE.with_(num_arrivals=2_000)
+    cfg = replace(BASE, num_arrivals=2_000)
     serial = compare_disciplines(cfg, [1, 2], max_workers=1)
     parallel = compare_disciplines(cfg, [1, 2], max_workers=2)
     assert serial.rows == parallel.rows
@@ -214,8 +215,8 @@ def test_parallel_matches_serial():
 def test_compare_matches_separate_runs(coupling):
     # Each seed's draws and trajectory are shared by its disciplines; the
     # statistics must equal those of one run per (discipline, seed).
-    cfg = BASE.with_(num_arrivals=3_000, coupling=coupling)
+    cfg = replace(BASE, num_arrivals=3_000, coupling=coupling)
     table = compare_disciplines(cfg, [4, 5])
     for d, stats in table.per_seed.items():
         for seed, s in zip(table.seeds, stats):
-            assert s == compute_stats(run_simulation(cfg.with_(discipline=d, seed=seed)))
+            assert s == compute_stats(run_simulation(replace(cfg, discipline=d, seed=seed)))

@@ -235,6 +235,25 @@ def test_enumerate_array_input(tmp_path, capsys):
     assert json.loads(lines[1])["num_realizable"] == 1
 
 
+def test_enumerate_empty_array_refused(tmp_path, capsys):
+    path = tmp_path / "none.json"
+    path.write_text("[]")
+    out_path = tmp_path / "reports.jsonl"
+    code, out, err = run(capsys, "enumerate", "--input", str(path), "--out", str(out_path))
+    assert code == 2
+    assert out == "" and "no busy periods" in err
+    assert not out_path.exists()
+
+
+def test_compare_unstable_names_the_flags(capsys):
+    code, _, err = run(
+        capsys,
+        "compare", "--lambda", "1", "--mu", "1", "--arrivals", "100", "--seeds", "1",
+    )
+    assert code == 2
+    assert "--lambda 1.0 is not below --mu 1.0" in err
+
+
 def test_enumerate_random(capsys):
     code, out, _ = run(capsys, "enumerate", "--random", "50", "--max-n", "5", "--seed", "9")
     assert code == 0

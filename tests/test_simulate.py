@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from qvar import (
     is_realizable,
     lcfs_permutation,
     make_streams,
-    parse_distribution,
     per_period_wait_sums,
     read_trace_jsonl,
     run_simulation,
@@ -43,8 +43,8 @@ def det_config(interarrival, service, n, discipline="fcfs", **kw):
         num_arrivals=n,
         seed=0,
         discipline=discipline,
-        arrival_dist=Distribution.deterministic(interarrival),
-        service_dist=Distribution.deterministic(service),
+        arrival_dist="deterministic",
+        service_dist="deterministic",
         **kw,
     )
 
@@ -266,7 +266,7 @@ def test_config_validation():
     cfg = SimConfig(arrival_rate=0.5, service_rate=1.0, num_arrivals=np.int64(5), seed=0)
     assert type(cfg.num_arrivals) is int and run_simulation(cfg).n == 5
     # the seed rule is make_streams' rule: no bools, unsigned 64-bit range
-    for seed in (-1, True, 2**64):
+    for seed in (-1, True, 2**64, np.int64(-1), 1.0):
         with pytest.raises(ConfigError):
             SimConfig(arrival_rate=0.5, service_rate=1.0, num_arrivals=1, seed=seed)
     with pytest.raises(ValueError):
@@ -275,17 +275,53 @@ def test_config_validation():
             discipline="sjf",
         )
     with pytest.raises(ConfigError):
-        # distribution mean contradicts the declared rate
+        # explicit uniform bounds whose mean contradicts the declared rate
         SimConfig(
             arrival_rate=0.5, service_rate=1.0, num_arrivals=1, seed=0,
-            service_dist=Distribution.deterministic(2.0),
+            service_dist="uniform:1.5,2.5",
         )
+    for shape in (Distribution.deterministic(1.0), None, 1.0):
+        # a shape is a word, not a distribution object
+        with pytest.raises(ConfigError, match="must be a str"):
+            SimConfig(
+                arrival_rate=0.5, service_rate=1.0, num_arrivals=1, seed=0,
+                service_dist=shape,
+            )
+
+
+def test_numpy_integer_seeds():
+    cfg = mm1(0.5, 50, seed=np.int64(1))
+    assert type(cfg.seed) is int and cfg == mm1(0.5, 50, seed=1)
+    assert trace_digest(run_simulation(cfg)) == trace_digest(
+        run_simulation(mm1(0.5, 50, seed=1))
+    )
+    assert mm1(0.5, 5, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("shape", ["deterministic", "uniform"])
+def test_replace_rescales_shape(shape):
+    cfg = SimConfig(0.5, 1.0, 1_000, 3, arrival_dist=shape, service_dist=shape)
+    fast = replace(cfg, service_rate=2.0)
+    assert fast.service_dist == shape
+    assert fast.distributions()[1].mean == 0.5
+    assert fast.distributions()[0] == cfg.distributions()[0]
+    assert run_simulation(fast).service_times().mean() < 0.6
+
+
+def test_replace_contradicting_uniform_bounds_refused():
+    cfg = SimConfig(0.5, 1.0, 10, 3, service_dist="uniform:0.5,1.5")
+    assert replace(cfg, arrival_rate=0.25).service_dist == "uniform:0.5,1.5"
+    with pytest.raises(ConfigError, match="requires mean 0.5"):
+        replace(cfg, service_rate=2.0)
 
 
 def test_config_fills_exponential_defaults():
     cfg = SimConfig(arrival_rate=0.5, service_rate=1.0, num_arrivals=10, seed=0)
-    assert cfg.arrival_dist == Distribution.exponential(0.5)
-    assert cfg.service_dist == Distribution.exponential(1.0)
+    assert (cfg.arrival_dist, cfg.service_dist) == ("exponential", "exponential")
+    assert cfg.distributions() == (
+        Distribution.exponential(0.5),
+        Distribution.exponential(1.0),
+    )
     assert cfg.utilization == 0.5
     assert cfg.is_stable
 
@@ -307,16 +343,16 @@ GOLDEN_RUNS = {
         service_rate=1.0,
         num_arrivals=5000,
         seed=3,
-        arrival_dist=Distribution.uniform(0.0, 2.0 / 0.9),
-        service_dist=Distribution.uniform(0.5, 1.5),
+        arrival_dist="uniform",
+        service_dist="uniform:0.5,1.5",
     ),
     "det-uniform-rho100": SimConfig(
         arrival_rate=1.0,
         service_rate=1.0,
         num_arrivals=2000,
         seed=4,
-        arrival_dist=Distribution.deterministic(1.0),
-        service_dist=Distribution.uniform(0.0, 2.0),
+        arrival_dist="deterministic",
+        service_dist="uniform",
     ),
 }
 
@@ -356,7 +392,7 @@ def trace_digest(trace):
 
 @pytest.mark.parametrize("run, discipline, coupling", sorted(GOLDEN_DIGESTS))
 def test_golden_trace_digests(run, discipline, coupling):
-    cfg = GOLDEN_RUNS[run].with_(discipline=discipline, coupling=coupling)
+    cfg = replace(GOLDEN_RUNS[run], discipline=discipline, coupling=coupling)
     assert trace_digest(run_simulation(cfg)) == GOLDEN_DIGESTS[run, discipline, coupling]
 
 
@@ -477,11 +513,12 @@ def slot_loop_reference(cfg):
     opens at the previous completion after every arrival strictly before it
     has joined the waiting list, or at the next arrival when nobody waits."""
     arrival_rng, service_rng, decision_rng = make_streams(cfg.seed)
+    arrival, service = cfg.distributions()
     n = cfg.num_arrivals
     arrivals = np.zeros(n)
     if n > 1:
-        np.cumsum(draw_variates(cfg.arrival_dist, arrival_rng, n - 1), out=arrivals[1:])
-    durations = draw_variates(cfg.service_dist, service_rng, n).tolist()
+        np.cumsum(draw_variates(arrival, arrival_rng, n - 1), out=arrivals[1:])
+    durations = draw_variates(service, service_rng, n).tolist()
     decisions = decision_rng.random(n).tolist()
     arr = arrivals.tolist() + [math.inf]
     starts, departures, heads, waiting = [0.0] * n, [0.0] * n, [], []
@@ -540,12 +577,12 @@ def test_traces_equal_slot_loop(
         num_arrivals=n,
         seed=seed,
         coupling=coupling,
-        arrival_dist=parse_distribution(arrival, 1 / gap),
-        service_dist=parse_distribution(service, 1 / service_mean),
+        arrival_dist=arrival,
+        service_dist=service,
     )
     shared = Trajectory(cfg)
     for d in ("fcfs", "lcfs", "random"):
-        one = cfg.with_(discipline=d)
+        one = replace(cfg, discipline=d)
         expected = trace_digest(slot_loop_reference(one))
         assert trace_digest(run_simulation(one)) == expected, d
         assert trace_digest(run_simulation(one, shared)) == expected, d
@@ -554,7 +591,7 @@ def test_traces_equal_slot_loop(
 def test_shared_trajectory_must_match_config():
     cfg = mm1(0.5, 100, seed=1)
     shared = Trajectory(cfg)
-    assert run_simulation(cfg.with_(discipline="lcfs"), shared).config.discipline == "lcfs"
-    for other in (cfg.with_(seed=2), cfg.with_(num_arrivals=99), cfg.with_(coupling="customer")):
+    assert run_simulation(replace(cfg, discipline="lcfs"), shared).config.discipline == "lcfs"
+    for other in (replace(cfg, seed=2), replace(cfg, num_arrivals=99), replace(cfg, coupling="customer")):
         with pytest.raises(ConfigError, match="another configuration"):
             run_simulation(other, shared)

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qvar import ConfigError, Distribution, SimConfig, compute_stats, run_simulation
+from qvar import ConfigError, SimConfig, compute_stats, run_simulation
 
 
 def det_trace(interarrival, service, n, discipline="fcfs"):
@@ -12,8 +14,8 @@ def det_trace(interarrival, service, n, discipline="fcfs"):
             num_arrivals=n,
             seed=0,
             discipline=discipline,
-            arrival_dist=Distribution.deterministic(interarrival),
-            service_dist=Distribution.deterministic(service),
+            arrival_dist="deterministic",
+            service_dist="deterministic",
         )
     )
 
@@ -74,7 +76,7 @@ def test_warmup_validation():
 def test_batch_errors_shrink_with_sample_size():
     cfg = SimConfig(arrival_rate=0.5, service_rate=1.0, num_arrivals=4_000, seed=21)
     small = compute_stats(run_simulation(cfg))
-    big = compute_stats(run_simulation(cfg.with_(num_arrivals=64_000)))
+    big = compute_stats(run_simulation(replace(cfg, num_arrivals=64_000)))
     assert small.se_mean_wait is not None and big.se_mean_wait is not None
     assert big.se_mean_wait < small.se_mean_wait
     assert big.se_var_wait < small.se_var_wait
