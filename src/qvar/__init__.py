@@ -7,9 +7,9 @@ package lets you see that from three independent directions --
 
 * a discrete-event simulator with first-come, last-come, and random-order
   disciplines sharing identical arrival/service randomness,
-* exact combinatorics on extracted busy periods (exhaustive enumeration of
-  realizable service orders, a swap-by-swap descent from any order to the
-  stack order), and
+* exact combinatorics on extracted busy periods (the extremes over every
+  realizable service order in exact arithmetic, a swap-by-swap descent from
+  any order to the stack order), and
 * closed-form formulas for the memoryless queue to calibrate against.
 
 See the ``qvar`` command-line tool or import the pieces directly.

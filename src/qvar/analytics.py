@@ -315,15 +315,18 @@ def compare_disciplines(
 
     All runs share ``base`` except for discipline and seed, so matched seeds
     share their arrival and service draws exactly; each seed's draws and
-    trajectory are computed once for all its disciplines.  Seeds and
-    disciplines must not repeat.  With ``oracle=True`` the closed-form
-    variances are attached where they exist, which requires exponential
-    arrival and service distributions.  Seeds may fan out across processes
-    (``max_workers``, else the ``QVAR_THREADS`` environment variable, else
-    serial); results reduce in (discipline, seed) order either way.
+    trajectory are computed once for all its disciplines.  Each seed must
+    pass :class:`SimConfig`'s seed rule, and seeds and disciplines must not
+    repeat.  With ``oracle=True`` the closed-form variances are attached
+    where they exist, which requires exponential arrival and service
+    distributions.  Seeds may fan out across processes (``max_workers``,
+    else the ``QVAR_THREADS`` environment variable, else serial); results
+    reduce in (discipline, seed) order either way.
     """
     if not seeds:
         raise ConfigError("at least one seed is required")
+    configs = [replace(base, seed=s) for s in seeds]
+    seeds = [c.seed for c in configs]
     for what, values in (("seed", seeds), ("discipline", disciplines)):
         if len(set(values)) != len(values):
             raise ConfigError(f"each {what} may be given only once, got {list(values)}")
@@ -338,7 +341,7 @@ def compare_disciplines(
             )
         prediction = mm1_predict(base.arrival_rate, base.service_rate)
 
-    jobs = [(replace(base, seed=int(s)), disciplines, warmup_fraction) for s in seeds]
+    jobs = [(c, disciplines, warmup_fraction) for c in configs]
     workers = _resolve_workers(max_workers)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -366,4 +369,4 @@ def compare_disciplines(
                 ),
             )
         )
-    return ComparisonTable(rows=tuple(rows), per_seed=per_seed, seeds=tuple(int(s) for s in seeds))
+    return ComparisonTable(rows=tuple(rows), per_seed=per_seed, seeds=tuple(seeds))

@@ -10,8 +10,10 @@ provides
 * the *bad pair* certificate and a descent that removes one bad pair per
   swap, walking any order down to the stack order while the objective
   strictly falls, and
-* :func:`check_extremality`, which brute-forces a period and raises if the
-  two closed forms fail to bracket every other order.
+* :func:`check_extremality`, which finds the exact minimum and maximum of
+  the objective over every realizable order with a dynamic program over
+  sets of used slots, and raises if the two closed forms do not attain
+  them.
 
 The stack order is computed by bracket matching: interleave the arrival and
 service-start timestamps on the time axis, read arrivals as ``(`` and
@@ -23,6 +25,7 @@ would pull from the waiting room.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .busy_period import (
@@ -99,9 +102,17 @@ def _slot_floors(bp: BusyPeriod) -> list[int]:
     return floors
 
 
-# Largest period enumerated unless the caller raises the limit: 10
-# customers have at most 9! = 362,880 realizable orders.
+# Largest period enumerated or checked unless the caller raises the limit:
+# 10 customers have at most 9! = 362,880 realizable orders.
 DEFAULT_MAX_N = 10
+
+
+def _check_size(bp: BusyPeriod, max_n: int) -> None:
+    if bp.n > max_n:
+        raise TooLargeError(
+            f"refusing exhaustive enumeration for {bp.n} customers "
+            f"(limit {max_n}); raise max_n explicitly if you mean it"
+        )
 
 
 def enumerate_realizable(
@@ -113,11 +124,7 @@ def enumerate_realizable(
     slots are the still-free ones at or above its floor.  Refuses periods
     with more than ``max_n`` customers (the count can grow factorially).
     """
-    if bp.n > max_n:
-        raise TooLargeError(
-            f"refusing exhaustive enumeration for {bp.n} customers "
-            f"(limit {max_n}); raise max_n explicitly if you mean it"
-        )
+    _check_size(bp, max_n)
     n = bp.n
     floors = _slot_floors(bp)
     free = [True] * n  # slot availability, 0-based
@@ -349,11 +356,12 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
 
 @dataclass(frozen=True)
 class ExtremalityReport:
-    """Result of brute-forcing one busy period.
+    """Result of checking one busy period exhaustively.
 
-    ``argmin``/``argmax`` are the orders attaining the extreme objectives
-    (first in lexicographic order if ties were possible; they are not for
-    distinct timestamps).
+    ``argmin``/``argmax`` are the lexicographically first orders attaining
+    the exact extreme objectives (for distinct timestamps each extreme is
+    attained once).  ``min_objective``/``max_objective`` are their float
+    :func:`~qvar.busy_period.pairing_objective`.
     """
 
     num_realizable: int
@@ -372,48 +380,119 @@ class ExtremalityReport:
         }
 
 
+def _exact_times(bp: BusyPeriod) -> tuple[list[int], list[int]]:
+    """The period's timestamps as ints over one common power of two.
+
+    Every float is a dyadic rational ``num / 2**k``; multiplying all of them
+    by the largest such denominator keeps each one exact, so integer
+    objectives compare exactly.  The period is not shifted to start at 0:
+    float subtraction rounds and can create ties.
+    """
+    ratios = [t.as_integer_ratio() for t in bp.arrivals + bp.service_starts]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    return ints[: bp.n], ints[bp.n :]
+
+
+def _extreme_orders(
+    floors: list[int], a: list[int], b: list[int]
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """Exact min and max of ``sum(a[i] * b[p(i)])`` over realizable orders.
+
+    Customers take slots in arrival order, so after customers ``0..i`` the
+    state is the set of slots they used, a bitmask.  A forward pass lists
+    the masks that customers can reach, dropping those that leave a slot
+    below the next customer's floor free (no later customer could take it).
+    A backward pass then gives each mask the min and max objective of its
+    completions, and the smallest slot that attains each; a mask with no
+    completion gets no entry.  Following those slots forward from the
+    start yields the lexicographically first optimal orders.  Returns
+    ``(min, max, argmin, argmax)`` with 1-based mappings.
+    """
+    n = len(floors)
+    full = (1 << n) - 1
+    terms = [[x * y for y in b] for x in a]
+    layers = [[1]]  # customer 0 holds slot 0
+    for i in range(1, n):
+        need = (1 << floors[i + 1]) - 1 if i + 1 < n else full
+        reached: dict[int, None] = {}
+        for m in layers[-1]:
+            for j in range(floors[i], n):
+                nm = m | 1 << j
+                if nm != m and nm & need == need:
+                    reached[nm] = None
+        layers.append(list(reached))
+    # Per mask: the optimal completion value and the smallest slot that
+    # attains it (the scan takes slots in increasing order, strict <).
+    lo, hi = {full: 0}, {full: 0}
+    lo_slot, hi_slot = {}, {}
+    for i in range(n - 1, 0, -1):
+        row, f = terms[i], floors[i]
+        for m in layers[i - 1]:
+            best_lo = best_hi = None
+            for j in range(f, n):
+                nm = m | 1 << j
+                if nm != m and nm in lo:
+                    x, y = row[j] + lo[nm], row[j] + hi[nm]
+                    if best_lo is None or x < best_lo:
+                        best_lo, lo_slot[m] = x, j
+                    if best_hi is None or y > best_hi:
+                        best_hi, hi_slot[m] = y, j
+            if best_lo is not None:
+                lo[m], hi[m] = best_lo, best_hi
+
+    def walk(slot: dict[int, int]) -> tuple[int, ...]:
+        m, mapping = 1, [1]
+        for _ in range(1, n):
+            j = slot[m]
+            m |= 1 << j
+            mapping.append(j + 1)
+        return tuple(mapping)
+
+    head = terms[0][0]
+    return head + lo[1], head + hi[1], walk(lo_slot), walk(hi_slot)
+
+
 def check_extremality(
     bp: BusyPeriod, max_n: int = DEFAULT_MAX_N
 ) -> ExtremalityReport:
-    """Brute-force one period and verify both closed-form extremes.
+    """Verify exactly that the closed forms attain both extremes of a period.
 
-    Enumerates every realizable order, computes each pairing objective, and
-    confirms that arrival order attains the maximum and the stack order the
-    minimum.  The comparisons are exact: the extremes are recomputed by the
-    same summation as every enumerated candidate.  Raises
-    :class:`ExtremalityViolationError` on any strict violation -- which
-    would be a counterexample to the theorem, not a data problem.
+    Finds the minimum and maximum pairing objective over every realizable
+    order by an O(n * 2**n) dynamic program over sets of used slots
+    (:func:`_extreme_orders`), without listing the orders, in integer
+    arithmetic (:func:`_exact_times`), and confirms that arrival order
+    attains the maximum and the stack order the minimum.  The program does
+    not use the bracket matching it audits.  ``num_realizable`` is the
+    product formula: customer ``i`` (0-based) has ``i + 1 - floor_i``
+    choices once every later customer holds a slot.  Refuses periods of
+    more than ``max_n`` customers like :func:`enumerate_realizable`.
+    Raises :class:`ExtremalityViolationError` on any strict violation --
+    which would be a counterexample to the theorem, not a data problem.
     """
-    perms = enumerate_realizable(bp, max_n=max_n)
-    best = worst = None
-    argmin = argmax = None
-    for p in perms:
-        v = pairing_objective(bp, p)
-        if best is None or v > best:
-            best, argmax = v, p
-        if worst is None or v < worst:
-            worst, argmin = v, p
-    assert best is not None and worst is not None and argmin and argmax
-    ident = fcfs_permutation(bp)
-    stack = lcfs_permutation(bp)
-    v_ident = pairing_objective(bp, ident)
-    v_stack = pairing_objective(bp, stack)
-    if v_ident != best:
+    _check_size(bp, max_n)
+    floors = _slot_floors(bp)
+    a, b = _exact_times(bp)
+    worst, best, argmin, argmax = _extreme_orders(floors, a, b)
+    v_min = pairing_objective(bp, Permutation._trusted(argmin))
+    v_max = pairing_objective(bp, Permutation._trusted(argmax))
+    if sum(x * y for x, y in zip(a, b)) != best:
         raise ExtremalityViolationError(
-            f"arrival order scores {v_ident!r} but {argmax.mapping} scores "
-            f"{best!r}; arrival order is not the maximizer on "
-            f"{bp.to_dict()}"
+            f"arrival order scores {pairing_objective(bp, fcfs_permutation(bp))!r} "
+            f"but {argmax} scores {v_max!r}; arrival order is not the "
+            f"maximizer on {bp.to_dict()}"
         )
-    if v_stack != worst:
+    stack = lcfs_permutation(bp)
+    if sum(x * b[m - 1] for x, m in zip(a, stack.mapping)) != worst:
         raise ExtremalityViolationError(
-            f"stack order scores {v_stack!r} but {argmin.mapping} scores "
-            f"{worst!r}; stack order is not the minimizer on "
+            f"stack order scores {pairing_objective(bp, stack)!r} but {argmin} "
+            f"scores {v_min!r}; stack order is not the minimizer on "
             f"{bp.to_dict()}"
         )
     return ExtremalityReport(
-        num_realizable=len(perms),
-        min_objective=worst,
-        max_objective=best,
-        argmin=argmin.mapping,
-        argmax=argmax.mapping,
+        num_realizable=math.prod(i + 1 - floors[i] for i in range(1, bp.n)),
+        min_objective=v_min,
+        max_objective=v_max,
+        argmin=argmin,
+        argmax=argmax,
     )

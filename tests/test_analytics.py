@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qvar import (
@@ -151,6 +152,16 @@ def test_compare_requires_stability():
 def test_compare_requires_seeds():
     with pytest.raises(ConfigError):
         compare_disciplines(BASE, [])
+
+
+def test_compare_seeds_follow_the_config_seed_rule():
+    with pytest.raises(ConfigError):
+        compare_disciplines(BASE, [1.7])
+    table = compare_disciplines(replace(BASE, num_arrivals=2_000), [np.int64(3)])
+    assert table.seeds == (3,) and type(table.seeds[0]) is int
+    assert table.per_seed["fcfs"] == compare_disciplines(
+        replace(BASE, num_arrivals=2_000), [3]
+    ).per_seed["fcfs"]
 
 
 def test_oracle_requires_exponential():

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvar import (
+    BusyPeriod,
+    ExtremalityViolationError,
     NoBadPairsError,
     Permutation,
     TooLargeError,
@@ -22,6 +26,7 @@ from qvar import (
     random_realizable_permutation,
     validate_busy_period,
 )
+from qvar import permutations
 
 BP = validate_busy_period([0.0, 1.0, 2.0], [0.0, 2.5, 3.0])
 # Fully nested instance: everyone arrives before the second slot opens.
@@ -173,6 +178,144 @@ def test_check_extremality_report():
     assert report.argmax == (1, 2, 3)
     d = report.to_dict()
     assert d["min_objective"] == 8.0 and d["argmax"] == [1, 2, 3]
+
+
+def test_check_extremality_has_no_false_violation_on_large_timestamps():
+    # From a rho=0.95 run: the float objectives of (1, 2, 3) and (1, 3, 2)
+    # round so that the stack order seems to beat arrival order.
+    bp = validate_busy_period(
+        [854161.3166161182, 854161.8127211194, 854161.8357921556],
+        [854161.3166161182, 854162.5797050659, 854162.5807999901],
+    )
+    report = check_extremality(bp)
+    assert report.num_realizable == 2
+    assert report.argmax == (1, 2, 3)
+    assert report.argmin == (1, 3, 2)
+
+
+def test_check_extremality_argmin_is_exact_under_float_ties():
+    # The float objectives of arrival order and the stack order tie here;
+    # exactly, the stack order is the minimizer.
+    bp = validate_busy_period(
+        [586360.3692564073, 586361.2092514129, 586361.3618100923, 586361.3623465378],
+        [586360.3692564073, 586361.2131367783, 586361.3744880493, 586361.5077665654],
+    )
+    report = check_extremality(bp)
+    assert report.argmin == (1, 2, 4, 3) == lcfs_permutation(bp).mapping
+    assert report.argmax == (1, 2, 3, 4)
+    assert report.min_objective == pairing_objective(bp, Permutation((1, 2, 4, 3)))
+
+
+def test_check_extremality_reaches_n12_without_listing(monkeypatch):
+    # Everyone arrives before slot 2 opens, so all 11! orders are realizable.
+    bp = validate_busy_period(
+        [float(k) for k in range(12)], [0.0] + [11.5 + k for k in range(11)]
+    )
+
+    def listing(*args, **kwargs):
+        raise AssertionError("check_extremality listed the orders")
+
+    monkeypatch.setattr(permutations, "enumerate_realizable", listing)
+    report = check_extremality(bp, max_n=12)
+    assert report.num_realizable == math.factorial(11) == 39916800
+    assert report.argmax == tuple(range(1, 13))
+    assert report.argmin == (1,) + tuple(range(12, 1, -1))
+    for limit in (10, 11):
+        with pytest.raises(TooLargeError):
+            check_extremality(bp, max_n=limit)
+
+
+def test_check_extremality_audits_the_stack_order(monkeypatch):
+    # The search does not use the bracket matching, so a wrong stack order
+    # is caught rather than reproduced.
+    monkeypatch.setattr(permutations, "lcfs_permutation", fcfs_permutation)
+    with pytest.raises(
+        ExtremalityViolationError,
+        match=r"stack order scores 8.5 but \(1, 3, 2\) scores 8.0; stack order",
+    ):
+        check_extremality(BP)
+
+
+@st.composite
+def busy_periods(draw, lattice: bool):
+    """A busy period of 2..8 customers at distinct timestamps.
+
+    The 2n - 2 instants after the opening one are labelled arrival or
+    service start so that the k-th start follows the k-th arrival; the
+    instants are floats near a drawn origin, or distinct points of a k/4
+    grid.
+    """
+    n = draw(st.integers(2, 8))
+    labels = []
+    arrived = started = 0
+    while started < n - 1:
+        if arrived < n - 1 and (started == arrived or draw(st.booleans())):
+            arrived += 1
+            labels.append(False)
+        else:
+            started += 1
+            labels.append(True)
+    size = 2 * n - 1
+    if lattice:
+        grid = st.integers(0, 4 * size)
+        points = draw(st.lists(grid, min_size=size, max_size=size, unique=True))
+        times = [k / 4 for k in sorted(points)]
+    else:
+        origin = draw(st.sampled_from([0.0, 1.0, 1e3, 586360.0, 854161.0, 1e7]))
+        values = st.floats(origin, origin + size, allow_nan=False, allow_infinity=False)
+        times = sorted(
+            draw(st.lists(values, min_size=size, max_size=size, unique=True))
+        )
+    arrivals, starts = [times[0]], [times[0]]
+    for t, is_start in zip(times[1:], labels):
+        (starts if is_start else arrivals).append(t)
+    return BusyPeriod(tuple(arrivals), tuple(starts))
+
+
+def _exhaustive_reference(bp):
+    """Exact extremes over every listed order: (min, max, argmin, argmax)."""
+    a = [Fraction(t) for t in bp.arrivals]
+    b = [Fraction(t) for t in bp.service_starts]
+    scored = [
+        (sum(a[i] * b[m - 1] for i, m in enumerate(p.mapping)), p.mapping)
+        for p in enumerate_realizable(bp)
+    ]
+    # Listing is lexicographic and min/max keep the first of equal keys.
+    lo = min(scored, key=lambda s: s[0])
+    hi = max(scored, key=lambda s: s[0])
+    return lo[0], hi[0], lo[1], hi[1]
+
+
+def _assert_matches_reference(bp):
+    report = check_extremality(bp)
+    a, b = permutations._exact_times(bp)
+    lo, hi, argmin, argmax = permutations._extreme_orders(
+        permutations._slot_floors(bp), a, b
+    )
+    scale = max(Fraction(t).denominator for t in bp.arrivals + bp.service_starts)
+    ref = _exhaustive_reference(bp)
+    assert (Fraction(lo, scale**2), Fraction(hi, scale**2), argmin, argmax) == ref
+    assert (report.argmin, report.argmax) == (argmin, argmax)
+    assert report.num_realizable == len(enumerate_realizable(bp))
+
+
+@given(busy_periods(lattice=False))
+@settings(max_examples=100, deadline=None)
+def test_extreme_orders_match_exact_exhaustive_reference(bp):
+    _assert_matches_reference(bp)
+
+
+@given(busy_periods(lattice=True))
+@settings(max_examples=100, deadline=None)
+def test_extreme_orders_match_reference_on_a_lattice(bp):
+    _assert_matches_reference(bp)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 9))
+@settings(max_examples=60, deadline=None)
+def test_product_formula_counts_the_listed_orders(seed, n):
+    bp = random_busy_period(np.random.default_rng(seed), n)
+    assert check_extremality(bp).num_realizable == len(enumerate_realizable(bp))
 
 
 def test_uniqueness_of_stack_order_small():
