@@ -71,7 +71,6 @@ from .analytics import (
 )
 from .simulate import (
     BusyPeriodView,
-    Coupling,
     Discipline,
     SimConfig,
     SimTrace,
@@ -88,7 +87,6 @@ from .variates import (
     draw_variates,
     make_streams,
     parse_distribution,
-    sample_variate,
 )
 
 __version__ = "0.1.0"
@@ -121,12 +119,10 @@ __all__ = [
     # variates and streams
     "Distribution",
     "parse_distribution",
-    "sample_variate",
     "draw_variates",
     "make_streams",
     # simulation
     "Discipline",
-    "Coupling",
     "SimConfig",
     "SimTrace",
     "BusyPeriodView",

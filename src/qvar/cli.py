@@ -46,7 +46,6 @@ from .permutations import (
     fcfs_permutation,
 )
 from .simulate import (
-    Coupling,
     Discipline,
     SimConfig,
     run_simulation,
@@ -114,7 +113,6 @@ def _sim_config(
         num_arrivals=args.arrivals,
         seed=seed,
         discipline=discipline,
-        coupling=args.coupling,
         arrival_dist=args.arrival_dist,
         service_dist=args.service_dist,
     )
@@ -229,7 +227,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         if args.random < 1:
             raise ConfigError(f"--random must be >= 1, got {args.random}")
-        # Random sizes reach --max-n, and every order of each period is listed.
+        # Random sizes reach --max-n, which bounds the O(n * 2**n) extremality
+        # program run on each period.
         if not 2 <= args.max_n <= DEFAULT_MAX_N:
             raise ConfigError(
                 f"--max-n must be between 2 and {DEFAULT_MAX_N} for random "
@@ -308,12 +307,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         default="exponential",
         metavar="DIST",
         help="exponential | deterministic | uniform[:lo,hi] (mean fixed at 1/mu)",
-    )
-    p.add_argument(
-        "--coupling",
-        choices=[c.value for c in Coupling],
-        default=Coupling.POSITION.value,
-        help="attach each service draw to a service position (default) or to a customer",
     )
     p.add_argument(
         "--warmup",

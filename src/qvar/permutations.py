@@ -360,8 +360,9 @@ class ExtremalityReport:
 
     ``argmin``/``argmax`` are the lexicographically first orders attaining
     the exact extreme objectives (for distinct timestamps each extreme is
-    attained once).  ``min_objective``/``max_objective`` are their float
-    :func:`~qvar.busy_period.pairing_objective`.
+    attained once).  ``min_objective``/``max_objective`` are the exact
+    extremes of :func:`~qvar.busy_period.pairing_objective`, each rounded
+    once to the nearest float, so ``min_objective <= max_objective``.
     """
 
     num_realizable: int
@@ -380,8 +381,9 @@ class ExtremalityReport:
         }
 
 
-def _exact_times(bp: BusyPeriod) -> tuple[list[int], list[int]]:
-    """The period's timestamps as ints over one common power of two.
+def _exact_times(bp: BusyPeriod) -> tuple[list[int], list[int], int]:
+    """The period's timestamps as ints over one common power of two, and
+    that power.
 
     Every float is a dyadic rational ``num / 2**k``; multiplying all of them
     by the largest such denominator keeps each one exact, so integer
@@ -391,7 +393,7 @@ def _exact_times(bp: BusyPeriod) -> tuple[list[int], list[int]]:
     ratios = [t.as_integer_ratio() for t in bp.arrivals + bp.service_starts]
     scale = max(den for _, den in ratios)
     ints = [num * (scale // den) for num, den in ratios]
-    return ints[: bp.n], ints[bp.n :]
+    return ints[: bp.n], ints[bp.n :], scale
 
 
 def _extreme_orders(
@@ -472,22 +474,23 @@ def check_extremality(
     """
     _check_size(bp, max_n)
     floors = _slot_floors(bp)
-    a, b = _exact_times(bp)
+    a, b, scale = _exact_times(bp)
     worst, best, argmin, argmax = _extreme_orders(floors, a, b)
-    v_min = pairing_objective(bp, Permutation._trusted(argmin))
-    v_max = pairing_objective(bp, Permutation._trusted(argmax))
-    if sum(x * y for x, y in zip(a, b)) != best:
+    # int / int is correctly rounded, so the two floats keep their order.
+    unit = scale * scale
+    v_min, v_max = worst / unit, best / unit
+    arrival = sum(x * y for x, y in zip(a, b))
+    if arrival != best:
         raise ExtremalityViolationError(
-            f"arrival order scores {pairing_objective(bp, fcfs_permutation(bp))!r} "
-            f"but {argmax} scores {v_max!r}; arrival order is not the "
-            f"maximizer on {bp.to_dict()}"
+            f"arrival order scores {arrival / unit!r} but {argmax} scores "
+            f"{v_max!r}; arrival order is not the maximizer on {bp.to_dict()}"
         )
     stack = lcfs_permutation(bp)
-    if sum(x * b[m - 1] for x, m in zip(a, stack.mapping)) != worst:
+    stacked = sum(x * b[m - 1] for x, m in zip(a, stack.mapping))
+    if stacked != worst:
         raise ExtremalityViolationError(
-            f"stack order scores {pairing_objective(bp, stack)!r} but {argmin} "
-            f"scores {v_min!r}; stack order is not the minimizer on "
-            f"{bp.to_dict()}"
+            f"stack order scores {stacked / unit!r} but {argmin} scores "
+            f"{v_min!r}; stack order is not the minimizer on {bp.to_dict()}"
         )
     return ExtremalityReport(
         num_realizable=math.prod(i + 1 - floors[i] for i in range(1, bp.n)),

@@ -15,16 +15,12 @@ durations, and decisions come from three independent streams (see
 :mod:`qvar.variates`), so switching discipline changes *only* who waits
 how long, never the workload itself.
 
-Service-time coupling decides which pre-drawn duration a service uses:
-
-* ``position``: slot k (the k-th service started, in time order) uses
-  draw k.  All disciplines then share one server-busy trajectory path by
-  path -- the same busy periods, the same multiset of service-start times
-  -- which is the coupling under which the variance comparison is a
-  per-busy-period statement.
-* ``customer``: customer i carries draw i regardless of when it is served.
-  Marginal per-discipline laws are unchanged; the path-by-path coupling is
-  deliberately broken.
+Slot k, the k-th service to start in time order, lasts service draw k,
+whoever it serves.  Service times are i.i.d. and no discipline reads them,
+so this fixes each discipline's law, and all disciplines share one
+server-busy trajectory path by path: the same busy periods and the same
+service-start times.  The variance comparison is then a per-busy-period
+statement.
 
 A run takes three steps.  The trajectory (each slot's start and end, and
 the busy periods) is computed once with array operations, bitwise equal to
@@ -32,9 +28,7 @@ adding the durations slot by slot.  The discipline then assigns customers
 to slots: first-come is the identity, last-come is bracket matching of
 arrivals against slots, and random order walks only the runs of slots
 that find two or more waiters.  The trace places each slot's times at the
-customer it serves.  Under customer coupling a slot's length depends on
-who is served, so last-come and random order are simulated slot by slot;
-first-come serves customer k in slot k, so both couplings agree.
+customer it serves.
 """
 
 from __future__ import annotations
@@ -63,7 +57,6 @@ from .variates import (
 
 __all__ = [
     "Discipline",
-    "Coupling",
     "SimConfig",
     "SimTrace",
     "BusyPeriodView",
@@ -80,11 +73,6 @@ class Discipline(str, Enum):
     FCFS = "fcfs"
     LCFS = "lcfs"
     RANDOM_ORDER = "random"
-
-
-class Coupling(str, Enum):
-    POSITION = "position"
-    CUSTOMER = "customer"
 
 
 @dataclass(frozen=True)
@@ -107,7 +95,6 @@ class SimConfig:
     num_arrivals: int
     seed: int
     discipline: Discipline = Discipline.FCFS
-    coupling: Coupling = Coupling.POSITION
     arrival_dist: str = "exponential"
     service_dist: str = "exponential"
 
@@ -120,7 +107,6 @@ class SimConfig:
         object.__setattr__(self, "num_arrivals", int(n))
         object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "discipline", Discipline(self.discipline))
-        object.__setattr__(self, "coupling", Coupling(self.coupling))
         self.distributions()
 
     def distributions(self) -> tuple[Distribution, Distribution]:
@@ -146,7 +132,7 @@ class SimConfig:
             "num_arrivals": self.num_arrivals,
             "seed": self.seed,
             "discipline": self.discipline.value,
-            "coupling": self.coupling.value,
+            "coupling": "position",  # constant: every slot k lasts draw k
             "arrival_dist": arrival.to_dict(),
             "service_dist": service.to_dict(),
         }
@@ -209,15 +195,10 @@ class SimTrace:
     def service_times(self) -> np.ndarray:
         return self.departures - self.service_starts
 
-    def period_bounds(self) -> list[tuple[int, int]]:
-        """Half-open customer-index ranges [lo, hi) of each busy period."""
-        starts = self.period_starts.tolist()
-        return list(zip(starts, starts[1:] + [self.n]))
-
 
 class Trajectory:
-    """The variates of one run and the server trajectory they give under
-    position coupling: each slot's start and end, and the busy periods.
+    """The variates of one run and the server trajectory they give: each
+    slot's start and end, and the busy periods.
 
     Runs that differ only in discipline share one (see
     :func:`run_simulation`).  The decision stream is drawn, and the
@@ -261,8 +242,6 @@ def run_simulation(
         raise ConfigError("the trajectory was drawn for another configuration")
     d = config.discipline
     picks = trajectory.decisions if d is Discipline.RANDOM_ORDER else None
-    if d is not Discipline.FCFS and config.coupling is Coupling.CUSTOMER:
-        return _slot_loop(config, trajectory.arrivals, trajectory.durations, picks)
     slot_starts, slot_ends, heads = trajectory.slots
     starts, ends = slot_starts, slot_ends
     if d is not Discipline.FCFS:
@@ -276,7 +255,7 @@ def run_simulation(
 def _compute_slots(
     arrivals: np.ndarray, durations: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot starts, slot ends and period heads under position coupling.
+    """Slot starts, slot ends and period heads.
 
     Slot ``k`` lasts ``durations[k]`` from ``max(D[k-1], a[k])`` and opens a
     busy period when ``a[k] >= D[k-1]``.  Lindley's max-plus form guesses
@@ -413,56 +392,6 @@ def _random_pick(
     served = np.arange(len(arrived))
     served[slots] = slots[picked]
     return served
-
-
-def _slot_loop(
-    config: SimConfig,
-    arrivals: np.ndarray,
-    durations: np.ndarray,
-    decisions: np.ndarray | None,
-) -> SimTrace:
-    """Customer coupling, last come first (``decisions`` None) or random
-    order: a slot lasts the duration of the customer it serves, so the
-    trajectory depends on the discipline and is simulated slot by slot."""
-    n = len(arrivals)
-    arr = arrivals.tolist()
-    arr.append(inf)  # sentinel: never earlier than a completion
-    dur = durations.tolist()
-    picks = None if decisions is None else decisions.tolist()
-    service_starts = [0.0] * n
-    departures = [0.0] * n
-    period_heads: list[int] = []
-    waiting: list[int] = []
-
-    t = -inf  # completion instant of the previous slot
-    nxt = 0  # index of the next customer to arrive
-    for k in range(n):
-        # Strict: an arrival tied with the completion is not yet waiting.
-        while arr[nxt] < t:
-            waiting.append(nxt)
-            nxt += 1
-        if not waiting:
-            cust = nxt
-            nxt += 1
-            period_heads.append(cust)
-            t = arr[cust]
-        elif picks is None:
-            cust = waiting.pop()
-        else:
-            pick = int(picks[k] * len(waiting))
-            waiting[pick], waiting[-1] = waiting[-1], waiting[pick]
-            cust = waiting.pop()
-        service_starts[cust] = t
-        t = t + dur[cust]
-        departures[cust] = t
-
-    return SimTrace(
-        arrivals=arrivals,
-        service_starts=np.asarray(service_starts),
-        departures=np.asarray(departures),
-        period_starts=np.asarray(period_heads, dtype=np.int64),
-        config=config,
-    )
 
 
 # Customers per block of the trajectory sums, the slot assignment, the

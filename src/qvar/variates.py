@@ -10,10 +10,10 @@ order -- each powering a PCG64 generator.  Consequences worth relying on:
 * Changing the service discipline never perturbs the arrival or service
   streams: disciplines that need no randomness simply leave the decision
   stream untouched.
-* Drawing a variate one at a time and drawing the same count as one block
+* Drawing a count in consecutive chunks and drawing it as one block
   produce bitwise-identical values (``Generator.random`` consumes the
   underlying bit stream identically either way, and the transforms below
-  apply the same scalar operations).
+  are element-wise).
 
 Exponential variates use the inverse transform ``-log(1 - U) / rate`` with
 ``U`` uniform on [0, 1), so the argument of the log lives in (0, 1] and the
@@ -33,7 +33,6 @@ from .errors import ConfigError, InvalidRateError, UnstableError
 __all__ = [
     "Distribution",
     "parse_distribution",
-    "sample_variate",
     "draw_variates",
     "make_streams",
 ]
@@ -196,23 +195,11 @@ def parse_distribution(spec: str, rate: float) -> Distribution:
     )
 
 
-def sample_variate(dist: Distribution, rng: np.random.Generator) -> float:
-    """One draw from ``dist``, consuming ``rng`` exactly as the block path does."""
-    if dist.kind == "exponential":
-        u = rng.random()
-        return float(-np.log(1.0 - u) / dist.rate)
-    if dist.kind == "deterministic":
-        assert dist.value is not None
-        return dist.value
-    u = rng.random()
-    assert dist.lo is not None and dist.hi is not None
-    return float(dist.lo + (dist.hi - dist.lo) * u)
-
-
 def draw_variates(
     dist: Distribution, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """``size`` draws as a float64 array, bitwise equal to repeated single draws."""
+    """``size`` draws as a float64 array, bitwise equal to the same count
+    drawn in consecutive chunks from ``rng``."""
     if size < 0:
         raise ConfigError(f"size must be >= 0, got {size}")
     if dist.kind == "exponential":

@@ -122,6 +122,38 @@ def test_simulate_out_and_manifest(tmp_path, capsys):
     assert "--seed" in manifest["argv"]
 
 
+RUN_KEYS = {"arrival_rate", "service_rate", "num_arrivals", "coupling",
+            "arrival_dist", "service_dist", "warmup_fraction"}
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["simulate", "--seed", "3"], RUN_KEYS | {"seed", "discipline"}),
+        (["compare", "--seeds", "1,2"], RUN_KEYS | {"seeds", "disciplines", "oracle"}),
+    ],
+    ids=["simulate", "compare"],
+)
+def test_manifest_config_format(tmp_path, capsys, argv, keys):
+    # Every run shares the server trajectory (slot k lasts service draw k);
+    # the manifest keeps recording that as a constant "coupling" entry.
+    out_path = tmp_path / "report"
+    code, _, err = run(
+        capsys, *argv, "--lambda", "0.5", "--mu", "1", "--arrivals", "200",
+        "--out", str(out_path),
+    )
+    assert code == 0, err
+    config = json.loads((tmp_path / "report.manifest.json").read_text())["config"]
+    assert set(config) == keys
+    assert config["coupling"] == "position"
+    code, _, err = run(
+        capsys, *argv, "--lambda", "0.5", "--mu", "1", "--arrivals", "200",
+        "--coupling", "customer",
+    )
+    assert code == 2
+    assert "--coupling" in err
+
+
 def test_simulate_uniform_service(capsys):
     code, out, _ = run(
         capsys,

@@ -191,6 +191,7 @@ def test_check_extremality_has_no_false_violation_on_large_timestamps():
     assert report.num_realizable == 2
     assert report.argmax == (1, 2, 3)
     assert report.argmin == (1, 3, 2)
+    assert report.min_objective <= report.max_objective
 
 
 def test_check_extremality_argmin_is_exact_under_float_ties():
@@ -288,14 +289,16 @@ def _exhaustive_reference(bp):
 
 def _assert_matches_reference(bp):
     report = check_extremality(bp)
-    a, b = permutations._exact_times(bp)
+    a, b, scale = permutations._exact_times(bp)
     lo, hi, argmin, argmax = permutations._extreme_orders(
         permutations._slot_floors(bp), a, b
     )
-    scale = max(Fraction(t).denominator for t in bp.arrivals + bp.service_starts)
+    assert scale == max(Fraction(t).denominator for t in bp.arrivals + bp.service_starts)
     ref = _exhaustive_reference(bp)
     assert (Fraction(lo, scale**2), Fraction(hi, scale**2), argmin, argmax) == ref
     assert (report.argmin, report.argmax) == (argmin, argmax)
+    # Each reported objective is its exact value rounded once.
+    assert (report.min_objective, report.max_objective) == (float(ref[0]), float(ref[1]))
     assert report.num_realizable == len(enumerate_realizable(bp))
 
 

@@ -143,21 +143,6 @@ def test_position_coupling_shares_slots_across_disciplines():
         assert np.array_equal(np.sort(base.departures), np.sort(other.departures))
 
 
-def test_customer_coupling_breaks_slot_sharing():
-    f = run_simulation(mm1(0.8, 20_000, seed=3, coupling="customer"))
-    l = run_simulation(mm1(0.8, 20_000, seed=3, discipline="lcfs", coupling="customer"))
-    assert np.array_equal(f.arrivals, l.arrivals)
-    assert not np.array_equal(np.sort(f.service_starts), np.sort(l.service_starts))
-
-
-def test_fcfs_couplings_agree():
-    # under first-come service the k-th start belongs to customer k, so the
-    # two couplings label the same draws identically
-    a = run_simulation(mm1(0.5, 5_000, seed=11, coupling="position"))
-    b = run_simulation(mm1(0.5, 5_000, seed=11, coupling="customer"))
-    assert np.array_equal(a.departures, b.departures)
-
-
 def test_extracted_orders_match_disciplines():
     for d, expect in (("fcfs", fcfs_permutation), ("lcfs", lcfs_permutation)):
         trace = run_simulation(mm1(0.8, 10_000, seed=5, discipline=d))
@@ -173,7 +158,8 @@ def test_per_period_wait_sums_match_direct_sums():
     sums = per_period_wait_sums(trace)
     assert len(sums) == trace.num_periods
     waits = trace.waits()
-    for (lo, hi), s in zip(trace.period_bounds(), sums):
+    bounds = trace.period_starts.tolist() + [trace.n]
+    for lo, hi, s in zip(bounds, bounds[1:], sums):
         assert s == pytest.approx(math.fsum(waits[lo:hi]), rel=1e-12, abs=1e-12)
 
 
@@ -357,24 +343,15 @@ GOLDEN_RUNS = {
 }
 
 GOLDEN_DIGESTS = {
-    ("dd1-overload", "fcfs", "position"): "0db295e7cc4eae0bda26dcf138048471413186626b627c6d275ed1595bfbd445",
-    ("dd1-overload", "fcfs", "customer"): "0db295e7cc4eae0bda26dcf138048471413186626b627c6d275ed1595bfbd445",
-    ("dd1-overload", "lcfs", "position"): "a3b5f20e6ccb23dec5d1a50de79143391f744ca52b5c51a81622ea82a066c01f",
-    ("dd1-overload", "lcfs", "customer"): "a3b5f20e6ccb23dec5d1a50de79143391f744ca52b5c51a81622ea82a066c01f",
-    ("dd1-overload", "random", "position"): "d6682861be83c067c4495291069f741452eb34ba37b914d3987a170d99848e45",
-    ("dd1-overload", "random", "customer"): "d6682861be83c067c4495291069f741452eb34ba37b914d3987a170d99848e45",
-    ("uniform-rho90", "fcfs", "position"): "989c0ac8556cc5f4e79fac6fa22ac93eedf7d6631a6e1a3c7e87c8f27c1840da",
-    ("uniform-rho90", "fcfs", "customer"): "989c0ac8556cc5f4e79fac6fa22ac93eedf7d6631a6e1a3c7e87c8f27c1840da",
-    ("uniform-rho90", "lcfs", "position"): "9d6bebf80bb19ff616b143af5f384dcf24b8f0859c2f47c01e9a59d99140db68",
-    ("uniform-rho90", "lcfs", "customer"): "8c7ed06b3b8f12584eb2e7a2cc6824ad716ef1ef26426eca77a76d3e461a3dd1",
-    ("uniform-rho90", "random", "position"): "171bd95590f488446893abe7684077bb79176a18d518342ccad77fc876c2061d",
-    ("uniform-rho90", "random", "customer"): "d773a9311f485cd5ac7f25774f490b313735f7b2bb521106c0f51a1d6215d0ce",
-    ("det-uniform-rho100", "fcfs", "position"): "97aabd019b5b7c9d5961bc81385fa3aeb1411b216ee4ec4b15b7f34c96c35362",
-    ("det-uniform-rho100", "fcfs", "customer"): "97aabd019b5b7c9d5961bc81385fa3aeb1411b216ee4ec4b15b7f34c96c35362",
-    ("det-uniform-rho100", "lcfs", "position"): "9f857ac9df12a0159addffd3863573cbba9b431f771e4ee32231b45b26fc61ed",
-    ("det-uniform-rho100", "lcfs", "customer"): "94939b667477c96c12e9dd8fbc9318dd57441e6a648c3f66097e0918e25a4f29",
-    ("det-uniform-rho100", "random", "position"): "6ff08cbbc8ff18600663d795a93923a62e21ff89ae0279c6f37d223a19703737",
-    ("det-uniform-rho100", "random", "customer"): "8dd2571d476a7c6469e39165f57eb4058635a67bd1bc80c6c8d06d0c25e4b974",
+    ("dd1-overload", "fcfs"): "0db295e7cc4eae0bda26dcf138048471413186626b627c6d275ed1595bfbd445",
+    ("dd1-overload", "lcfs"): "a3b5f20e6ccb23dec5d1a50de79143391f744ca52b5c51a81622ea82a066c01f",
+    ("dd1-overload", "random"): "d6682861be83c067c4495291069f741452eb34ba37b914d3987a170d99848e45",
+    ("uniform-rho90", "fcfs"): "989c0ac8556cc5f4e79fac6fa22ac93eedf7d6631a6e1a3c7e87c8f27c1840da",
+    ("uniform-rho90", "lcfs"): "9d6bebf80bb19ff616b143af5f384dcf24b8f0859c2f47c01e9a59d99140db68",
+    ("uniform-rho90", "random"): "171bd95590f488446893abe7684077bb79176a18d518342ccad77fc876c2061d",
+    ("det-uniform-rho100", "fcfs"): "97aabd019b5b7c9d5961bc81385fa3aeb1411b216ee4ec4b15b7f34c96c35362",
+    ("det-uniform-rho100", "lcfs"): "9f857ac9df12a0159addffd3863573cbba9b431f771e4ee32231b45b26fc61ed",
+    ("det-uniform-rho100", "random"): "6ff08cbbc8ff18600663d795a93923a62e21ff89ae0279c6f37d223a19703737",
 }
 
 
@@ -390,10 +367,16 @@ def trace_digest(trace):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("run, discipline, coupling", sorted(GOLDEN_DIGESTS))
-def test_golden_trace_digests(run, discipline, coupling):
-    cfg = replace(GOLDEN_RUNS[run], discipline=discipline, coupling=coupling)
-    assert trace_digest(run_simulation(cfg)) == GOLDEN_DIGESTS[run, discipline, coupling]
+# The "-position" in each id names the trajectory model: slot k lasts
+# service draw k, the manifests' constant "coupling" entry.
+@pytest.mark.parametrize(
+    "run, discipline",
+    sorted(GOLDEN_DIGESTS),
+    ids=[f"{r}-{d}-position" for r, d in sorted(GOLDEN_DIGESTS)],
+)
+def test_golden_trace_digests(run, discipline):
+    cfg = replace(GOLDEN_RUNS[run], discipline=discipline)
+    assert trace_digest(run_simulation(cfg)) == GOLDEN_DIGESTS[run, discipline]
 
 
 def hand_trace(arrivals, starts, departures, period_starts=(0,)):
@@ -494,13 +477,14 @@ def test_extract_view_is_a_sequence():
     assert bp.n == 3 and perm.is_identity()
 
 
-@pytest.mark.parametrize("coupling", ["position", "customer"])
-@pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random"])
-def test_extracted_pairs_pass_public_constructors(discipline, coupling):
+@pytest.mark.parametrize(
+    "discipline", ["fcfs", "lcfs", "random"], ids=lambda d: f"{d}-position"
+)
+def test_extracted_pairs_pass_public_constructors(discipline):
     for cfg in (
-        mm1(0.9, 3_000, seed=8, discipline=discipline, coupling=coupling),
+        mm1(0.9, 3_000, seed=8, discipline=discipline),
         # completions tie the next arrival: every customer opens a period
-        det_config(1.0, 1.0, 20, discipline=discipline, coupling=coupling),
+        det_config(1.0, 1.0, 20, discipline=discipline),
     ):
         for bp, perm in extract_busy_periods(run_simulation(cfg)):
             assert validate_busy_period(bp.arrivals, bp.service_starts) == bp
@@ -509,9 +493,10 @@ def test_extracted_pairs_pass_public_constructors(discipline, coupling):
 
 
 def slot_loop_reference(cfg):
-    """Every discipline and coupling as one loop over service slots: slot k
-    opens at the previous completion after every arrival strictly before it
-    has joined the waiting list, or at the next arrival when nobody waits."""
+    """Every discipline as one loop over service slots: slot k opens at the
+    previous completion after every arrival strictly before it has joined
+    the waiting list, or at the next arrival when nobody waits, and lasts
+    service draw k."""
     arrival_rng, service_rng, decision_rng = make_streams(cfg.seed)
     arrival, service = cfg.distributions()
     n = cfg.num_arrivals
@@ -541,7 +526,7 @@ def slot_loop_reference(cfg):
             waiting[pick], waiting[-1] = waiting[-1], waiting[pick]
             cust = waiting.pop()
         starts[cust] = t
-        t = t + durations[k if cfg.coupling == "position" else cust]
+        t = t + durations[k]
         departures[cust] = t
     return SimTrace(arrivals, np.array(starts), np.array(departures), np.array(heads))
 
@@ -558,7 +543,6 @@ KINDS = ("exponential", "uniform", "deterministic")
     service=st.sampled_from(KINDS),
     gap=st.sampled_from([0.5, 1.0, 2.0]),
     service_mean=st.sampled_from([0.5, 1.0, 1.5, 2.0]),
-    coupling=st.sampled_from(["position", "customer"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(
@@ -567,7 +551,7 @@ KINDS = ("exponential", "uniform", "deterministic")
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_traces_equal_slot_loop(
-    monkeypatch, block, n, arrival, service, gap, service_mean, coupling, seed
+    monkeypatch, block, n, arrival, service, gap, service_mean, seed
 ):
     if block is not None:
         monkeypatch.setattr(simulate, "_BLOCK", block)
@@ -576,7 +560,6 @@ def test_traces_equal_slot_loop(
         service_rate=1 / service_mean,
         num_arrivals=n,
         seed=seed,
-        coupling=coupling,
         arrival_dist=arrival,
         service_dist=service,
     )
@@ -592,6 +575,6 @@ def test_shared_trajectory_must_match_config():
     cfg = mm1(0.5, 100, seed=1)
     shared = Trajectory(cfg)
     assert run_simulation(replace(cfg, discipline="lcfs"), shared).config.discipline == "lcfs"
-    for other in (replace(cfg, seed=2), replace(cfg, num_arrivals=99), replace(cfg, coupling="customer")):
+    for other in (replace(cfg, seed=2), replace(cfg, num_arrivals=99)):
         with pytest.raises(ConfigError, match="another configuration"):
             run_simulation(other, shared)

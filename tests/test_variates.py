@@ -8,14 +8,13 @@ from qvar import (
     draw_variates,
     make_streams,
     parse_distribution,
-    sample_variate,
 )
 
 
 def test_deterministic_always_same():
     d = Distribution.deterministic(2.0)
     rng = np.random.default_rng(0)
-    assert all(sample_variate(d, rng) == 2.0 for _ in range(10))
+    assert np.array_equal(draw_variates(d, rng, 10), np.full(10, 2.0))
 
 
 def test_exponential_mean():
@@ -40,10 +39,12 @@ def test_block_draw_equals_single_draws_bitwise():
         Distribution.uniform(0.25, 1.75),
         Distribution.deterministic(1.5),
     ):
-        block = draw_variates(d, np.random.default_rng(9), 500)
+        # Chunks of 1, 65,535 and 34,464 draws, one stream, equal one block
+        # of 100,000: a run may draw its variates block by block.
+        block = draw_variates(d, np.random.default_rng(9), 100_000)
         rng = np.random.default_rng(9)
-        singles = np.array([sample_variate(d, rng) for _ in range(500)])
-        assert np.array_equal(block, singles)
+        chunks = [draw_variates(d, rng, k) for k in (1, 65_535, 34_464)]
+        assert np.array_equal(block, np.concatenate(chunks))
 
 
 def test_means():
