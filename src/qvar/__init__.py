@@ -26,7 +26,6 @@ from .busy_period import (
 )
 from .errors import (
     ConfigError,
-    DuplicateTimestampError,
     EmptyAfterWarmupError,
     ExtremalityViolationError,
     FirstServiceNotImmediateError,
@@ -150,7 +149,6 @@ __all__ = [
     "ValidationError",
     "LengthMismatchError",
     "NotSortedError",
-    "DuplicateTimestampError",
     "FirstServiceNotImmediateError",
     "InfeasibleError",
     "SizeMismatchError",

@@ -281,11 +281,7 @@ def _stats_for(
     ]
 
 
-def _resolve_workers(max_workers: int | None) -> int:
-    if max_workers is not None:
-        if max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
-        return max_workers
+def _resolve_workers() -> int:
     env = os.environ.get("QVAR_THREADS", "").strip()
     if env:
         try:
@@ -309,7 +305,6 @@ def compare_disciplines(
     ),
     warmup_fraction: float = DEFAULT_WARMUP,
     oracle: bool = False,
-    max_workers: int | None = None,
 ) -> ComparisonTable:
     """Run every discipline on every seed and aggregate the wait statistics.
 
@@ -319,9 +314,9 @@ def compare_disciplines(
     pass :class:`SimConfig`'s seed rule, and seeds and disciplines must not
     repeat.  With ``oracle=True`` the closed-form variances are attached
     where they exist, which requires exponential arrival and service
-    distributions.  Seeds may fan out across processes (``max_workers``,
-    else the ``QVAR_THREADS`` environment variable, else serial); results
-    reduce in (discipline, seed) order either way.
+    distributions.  Seeds fan out across the number of processes the
+    ``QVAR_THREADS`` environment variable names (default 1, serial);
+    results reduce in (discipline, seed) order either way.
     """
     if not seeds:
         raise ConfigError("at least one seed is required")
@@ -342,7 +337,7 @@ def compare_disciplines(
         prediction = mm1_predict(base.arrival_rate, base.service_rate)
 
     jobs = [(c, disciplines, warmup_fraction) for c in configs]
-    workers = _resolve_workers(max_workers)
+    workers = _resolve_workers()
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             by_seed = list(pool.map(_stats_for, jobs))

@@ -29,12 +29,15 @@ Invariants enforced at construction:
 
 * equal lengths, at least one customer,
 * all timestamps finite,
-* both sequences strictly increasing, with no value shared between them
-  after the common start,
+* both sequences strictly increasing,
 * ``arrivals[0] == service_starts[0]``,
 * ``arrivals[i] < service_starts[i]`` for every later ``i`` (otherwise no
   schedule could keep the server busy: by the time the ``i``-th slot opens,
   fewer than ``i`` customers would have arrived).
+
+An arrival may coincide with a later slot.  The slot opens first: since
+realizability is strict, a customer arriving at that instant cannot take
+it and waits for a later one, as in the simulator.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import (
-    DuplicateTimestampError,
     FirstServiceNotImmediateError,
     InfeasibleError,
     LengthMismatchError,
@@ -81,8 +83,9 @@ class BusyPeriod:
     """Validated arrival and service-start times of one busy period.
 
     Both sequences are strictly increasing tuples of floats of equal length
-    with a shared first element; see the module docstring for the full set
-    of invariants.  Instances are immutable and safe to share.
+    with a shared first element; an arrival may equal a later slot, which
+    it then cannot take.  See the module docstring for the full set of
+    invariants.  Instances are immutable and safe to share.
     """
 
     arrivals: tuple[float, ...]
@@ -109,12 +112,6 @@ class BusyPeriod:
                 f"first service starts at t={b[0]!r} but the period opens "
                 f"with an arrival at t={a[0]!r}"
             )
-        seen = set(a)
-        for t in b[1:]:
-            if t in seen:
-                raise DuplicateTimestampError(
-                    f"timestamp {t!r} is both an arrival and a later service start"
-                )
         for i in range(1, len(a)):
             if not a[i] < b[i]:
                 raise InfeasibleError(i + 1, a[i], b[i])

@@ -31,10 +31,6 @@ class NotSortedError(ValidationError):
     """A timestamp sequence is not strictly increasing."""
 
 
-class DuplicateTimestampError(ValidationError):
-    """A timestamp appears more than once where distinctness is required."""
-
-
 class FirstServiceNotImmediateError(ValidationError):
     """The first service start differs from the first arrival.
 

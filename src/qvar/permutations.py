@@ -19,13 +19,15 @@ The stack order is computed by bracket matching: interleave the arrival and
 service-start timestamps on the time axis, read arrivals as ``(`` and
 service starts as ``)``, and match each start with the most recent
 unmatched arrival -- exactly the customer a last-come-first-served server
-would pull from the waiting room.
+would pull from the waiting room.  At a shared instant the start comes
+first: a customer arriving as a slot opens waits for a later slot.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .busy_period import (
@@ -71,10 +73,19 @@ def lcfs_permutation(bp: BusyPeriod) -> Permutation:
     Runs the bracket matching described in the module docstring in one merge
     pass over the two timestamp sequences.
     """
+    mapping = [0] * bp.n
+    mapping[0] = 1
+    for k, j in _stack_pairs(bp):
+        mapping[k] = j + 1
+    return Permutation(tuple(mapping))
+
+
+def _stack_pairs(bp: BusyPeriod) -> Iterator[tuple[int, int]]:
+    """The bracket matching: each slot after the first, in time order, with
+    the latest arrival still unmatched when it opens, as 0-based
+    ``(customer, slot)``.  Only arrivals strictly before the slot count."""
     n = bp.n
     a, b = bp.arrivals, bp.service_starts
-    mapping = [0] * n
-    mapping[0] = 1
     stack: list[int] = []
     ai = 1  # next arrival to place on the stack
     for bi in range(1, n):
@@ -82,8 +93,7 @@ def lcfs_permutation(bp: BusyPeriod) -> Permutation:
             stack.append(ai)
             ai += 1
         # Feasibility of the period guarantees someone is waiting here.
-        mapping[stack.pop()] = bi + 1
-    return Permutation(tuple(mapping))
+        yield stack.pop(), bi
 
 
 def _slot_floors(bp: BusyPeriod) -> list[int]:
@@ -185,49 +195,23 @@ def _find_swap_site(
 ) -> tuple[int, int, list[tuple[int, int]]]:
     """Locate the descent swap for an order that still has bad pairs.
 
-    Scans the interleaved timeline for the leftmost arrival immediately
-    followed by a service start (an innermost ``()`` bracket).  If the order
-    already pairs those two, the bracket is inert: remove both and rescan.
-    Otherwise the arrival's customer ``k`` and the start's current owner
-    ``i`` form a bad pair ``(i, k)``.
+    Walks the bracket matching of :func:`lcfs_permutation`, slot by slot.
+    While the order gives each slot to the customer the matching pops, the
+    bracket is inert: record it and go on.  At the first slot it does not,
+    the popped customer ``k`` and the slot's owner ``i`` form a bad pair
+    ``(i, k)``.
 
     Returns ``(i, k, removed)`` (all 1-based) where ``removed`` lists the
-    inert ``(customer, slot)`` brackets deleted along the way.  Must only be
-    called when bad pairs exist; the scan cannot exhaust the timeline
-    otherwise.
+    inert ``(customer, slot)`` brackets passed on the way.  Must only be
+    called when bad pairs exist; the walk cannot pass every slot otherwise.
     """
-    n = bp.n
-    a, b, m = bp.arrivals, bp.service_starts, perm.mapping
-    inv = perm.inverse().mapping
-    # Timeline of (time, is_start, 1-based index), excluding the shared
-    # opening instant which slot 1 / customer 1 always consume.
-    events = sorted(
-        [(a[i], False, i + 1) for i in range(1, n)]
-        + [(b[j], True, j + 1) for j in range(1, n)]
-    )
-    alive_customer = [True] * (n + 1)
-    alive_slot = [True] * (n + 1)
+    m = perm.mapping
     removed: list[tuple[int, int]] = []
-    while True:
-        prev: tuple[bool, int] | None = None
-        site: tuple[int, int] | None = None
-        for _, is_start, idx in events:
-            alive = alive_slot[idx] if is_start else alive_customer[idx]
-            if not alive:
-                continue
-            if is_start and prev is not None and not prev[0]:
-                site = (prev[1], idx)  # (customer k, slot l)
-                break
-            prev = (is_start, idx)
-        if site is None:
-            raise AssertionError("swap site requested for a stack order")
-        k, l = site
-        if m[k - 1] == l:
-            alive_customer[k] = False
-            alive_slot[l] = False
-            removed.append((k, l))
-            continue
-        return inv[l - 1], k, removed
+    for k, j in _stack_pairs(bp):
+        if m[k] != j + 1:
+            return m.index(j + 1) + 1, k + 1, removed
+        removed.append((k + 1, j + 1))
+    raise AssertionError("swap site requested for a stack order")
 
 
 def _swap(perm: Permutation, i: int, k: int) -> Permutation:

@@ -476,8 +476,11 @@ def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
     """Split a trace into validated busy periods with their service orders.
 
     Within each period the service starts are sorted into slot order, and
-    each customer is assigned the rank of its own start.  The checks run as
-    element-wise array comparisons over blocks of whole periods:
+    each customer is assigned the rank of its own start.  An arrival may
+    coincide with a later slot of its period; as in the simulator, that
+    slot opens first, so the customer arriving then cannot take it.  The
+    checks run as element-wise array comparisons over blocks of whole
+    periods:
 
     * work conservation, exactly: a period opens no earlier than the
       previous one ended, its first slot coincides with its opening
@@ -524,11 +527,8 @@ def _check_block(
     a = trace.arrivals[lo:hi]
     s = trace.service_starts[lo:hi]
     period = np.repeat(np.arange(len(heads)), sizes)
-    # Arrivals and starts in one sort, by period, then time, then index, so
-    # the starts come out in slot order with ties kept in customer order.
-    times = np.concatenate((a, s))
-    order = np.lexsort((times, np.concatenate((period, period))))
-    by_slot = order[order >= m] - m
+    # Slot order: by period, then start, ties kept in customer order.
+    by_slot = np.lexsort((s, period))
     slots = s[by_slot]
     deps = trace.departures[lo:hi][by_slot]
     offset = np.arange(m) - np.repeat(heads, sizes)  # position in the period
@@ -542,24 +542,15 @@ def _check_block(
     idle = later.copy()
     idle[1:] &= slots[1:] != deps[:-1]
     # BusyPeriod invariants on arrivals and slots: finite, both strictly
-    # rising, each arrival before the slot of its rank (ties come below).
+    # rising, each arrival before the slot of its rank.
     broken = ~(np.isfinite(a) & np.isfinite(slots))
     broken[1:] |= later[1:] & ~((a[1:] > a[:-1]) & (slots[1:] > slots[:-1]))
     broken |= later & ~(a < slots)
     unrealizable = later & ~(a < s)  # served before arriving
-    # In the merged order an arrival equal to a later slot of its own period
-    # is a tie of neighbours.  Ties at a period's first two positions are
-    # not counted: one pairs it with the previous period, the other is its
-    # first arrival with its first slot.
-    merged = times[order]
-    tie = np.zeros(2 * m, dtype=bool)
-    tie[1:] = merged[1:] == merged[:-1]
-    tie[2 * heads] = tie[2 * heads + 1] = False
     bad = (
         overlap
         | first
         | np.logical_or.reduceat(idle | broken | unrealizable, heads)
-        | np.logical_or.reduceat(tie, 2 * heads)
     )
     if bad.any():
         p = int(bad.argmax())
@@ -629,8 +620,10 @@ def read_trace_jsonl(path: str | Path) -> SimTrace:
     """Load a trace written by :func:`write_trace_jsonl`.
 
     Busy-period boundaries are reconstructed from the zero-wait signature
-    ``service_start == arrival``, which in a work-conserving trace holds
-    exactly for period-opening customers and (almost surely) no one else.
+    ``service_start == arrival``.  In a simulated trace it holds exactly for
+    the customers who open a period: every other slot serves someone who
+    arrived strictly before it opened, since a customer arriving at the
+    instant a slot opens waits for a later one.
     """
     arrivals: list[float] = []
     starts: list[float] = []

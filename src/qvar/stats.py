@@ -74,17 +74,15 @@ class WaitStats:
         }
 
 
-def _batch_errors(
-    waits: np.ndarray, batches: int
-) -> tuple[float | None, float | None]:
+def _batch_errors(waits: np.ndarray) -> tuple[float | None, float | None]:
     """Batch-means standard errors for the mean and the (ddof=1) variance."""
-    if len(waits) < 2 * batches:
+    if len(waits) < 2 * DEFAULT_BATCHES:
         return None, None
-    chunks = np.array_split(waits, batches)
+    chunks = np.array_split(waits, DEFAULT_BATCHES)
     means = np.array([c.mean() for c in chunks])
     variances = np.array([c.var(ddof=1) for c in chunks])
-    se_mean = float(means.std(ddof=1) / np.sqrt(batches))
-    se_var = float(variances.std(ddof=1) / np.sqrt(batches))
+    se_mean = float(means.std(ddof=1) / np.sqrt(DEFAULT_BATCHES))
+    se_var = float(variances.std(ddof=1) / np.sqrt(DEFAULT_BATCHES))
     return se_mean, se_var
 
 
@@ -104,9 +102,7 @@ def _time_average_in_system(
 
 
 def compute_stats(
-    trace: SimTrace,
-    warmup_fraction: float = DEFAULT_WARMUP,
-    batches: int = DEFAULT_BATCHES,
+    trace: SimTrace, warmup_fraction: float = DEFAULT_WARMUP
 ) -> WaitStats:
     """Summarize ``trace`` after dropping the first ``warmup_fraction`` customers.
 
@@ -120,8 +116,6 @@ def compute_stats(
         raise ConfigError(
             f"warmup_fraction must lie in [0, 1), got {warmup_fraction!r}"
         )
-    if batches < 1:
-        raise ConfigError(f"batches must be >= 1, got {batches}")
     skip = int(trace.n * warmup_fraction)
     if skip >= trace.n:
         raise EmptyAfterWarmupError(
@@ -136,7 +130,7 @@ def compute_stats(
 
     mean_wait = float(waits.mean())
     var_wait = float(waits.var(ddof=1)) if count >= 2 else 0.0
-    se_mean, se_var = _batch_errors(waits, batches)
+    se_mean, se_var = _batch_errors(waits)
     positive = waits[waits > 0.0]
     second_moment = float(np.mean(positive**2)) if len(positive) else None
     frac_waiting = float(len(positive) / count)

@@ -201,24 +201,23 @@ def test_json_output():
 
 def test_workers_resolution(monkeypatch):
     monkeypatch.delenv("QVAR_THREADS", raising=False)
-    assert _resolve_workers(None) == 1
-    assert _resolve_workers(4) == 4
+    assert _resolve_workers() == 1
     monkeypatch.setenv("QVAR_THREADS", "3")
-    assert _resolve_workers(None) == 3
+    assert _resolve_workers() == 3
     monkeypatch.setenv("QVAR_THREADS", "zero")
     with pytest.raises(ConfigError):
-        _resolve_workers(None)
+        _resolve_workers()
     monkeypatch.setenv("QVAR_THREADS", "0")
     with pytest.raises(ConfigError):
-        _resolve_workers(None)
-    with pytest.raises(ConfigError):
-        _resolve_workers(0)
+        _resolve_workers()
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(monkeypatch):
     cfg = replace(BASE, num_arrivals=2_000)
-    serial = compare_disciplines(cfg, [1, 2], max_workers=1)
-    parallel = compare_disciplines(cfg, [1, 2], max_workers=2)
+    monkeypatch.setenv("QVAR_THREADS", "1")
+    serial = compare_disciplines(cfg, [1, 2])
+    monkeypatch.setenv("QVAR_THREADS", "2")
+    parallel = compare_disciplines(cfg, [1, 2])
     assert serial.rows == parallel.rows
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qvar import (
     BusyPeriod,
-    DuplicateTimestampError,
     FirstServiceNotImmediateError,
     InfeasibleError,
     LengthMismatchError,
@@ -18,6 +17,7 @@ from qvar import (
     Permutation,
     SizeMismatchError,
     ValidationError,
+    enumerate_realizable,
     fcfs_permutation,
     is_realizable,
     lcfs_permutation,
@@ -71,8 +71,11 @@ def test_first_service_not_immediate():
 
 
 def test_duplicate_timestamp_across_sequences():
-    with pytest.raises(DuplicateTimestampError):
-        validate_busy_period([0, 1, 2], [0, 2, 4])
+    # Customer 3 arrives as slot 2 opens.  The slot opens first, so only
+    # customer 2 can take it.
+    bp = validate_busy_period([0, 1, 2], [0, 2, 4])
+    assert enumerate_realizable(bp) == [Permutation.identity(3)]
+    assert lcfs_permutation(bp) == Permutation.identity(3)
 
 
 def test_non_finite_rejected():

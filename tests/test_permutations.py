@@ -239,12 +239,13 @@ def test_check_extremality_audits_the_stack_order(monkeypatch):
 
 @st.composite
 def busy_periods(draw, lattice: bool):
-    """A busy period of 2..8 customers at distinct timestamps.
+    """A busy period of 2..8 customers.
 
     The 2n - 2 instants after the opening one are labelled arrival or
     service start so that the k-th start follows the k-th arrival; the
-    instants are floats near a drawn origin, or distinct points of a k/4
-    grid.
+    instants are distinct floats near a drawn origin, or points of a k/4
+    grid.  On the grid an arrival may share the instant of the start just
+    before it, so it equals a slot it cannot take, never its own-rank slot.
     """
     n = draw(st.integers(2, 8))
     labels = []
@@ -261,6 +262,9 @@ def busy_periods(draw, lattice: bool):
         grid = st.integers(0, 4 * size)
         points = draw(st.lists(grid, min_size=size, max_size=size, unique=True))
         times = [k / 4 for k in sorted(points)]
+        for t in range(2, size):
+            if labels[t - 2] and not labels[t - 1] and draw(st.booleans()):
+                times[t] = times[t - 1]
     else:
         origin = draw(st.sampled_from([0.0, 1.0, 1e3, 586360.0, 854161.0, 1e7]))
         values = st.floats(origin, origin + size, allow_nan=False, allow_infinity=False)
@@ -312,6 +316,18 @@ def test_extreme_orders_match_exact_exhaustive_reference(bp):
 @settings(max_examples=100, deadline=None)
 def test_extreme_orders_match_reference_on_a_lattice(bp):
     _assert_matches_reference(bp)
+
+
+@given(busy_periods(lattice=True))
+@settings(max_examples=100, deadline=None)
+def test_descent_reaches_the_stack_order_on_a_lattice(bp):
+    stack = lcfs_permutation(bp).mapping
+    for perm in enumerate_realizable(bp):
+        trace = descent_to_lcfs(bp, perm)
+        assert trace.final == stack
+        for step in trace.steps:
+            if step.kind == "swap":
+                assert step.objective_after < step.objective_before
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9))

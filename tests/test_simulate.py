@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qvar import (
     ConfigError,
     Distribution,
-    DuplicateTimestampError,
     InfeasibleError,
     InvalidRateError,
     MalformedInputError,
@@ -21,6 +20,7 @@ from qvar import (
     SimTrace,
     Trajectory,
     ValidationError,
+    check_extremality,
     draw_variates,
     extract_busy_periods,
     fcfs_permutation,
@@ -33,7 +33,7 @@ from qvar import (
     validate_busy_period,
     write_trace_jsonl,
 )
-from qvar import simulate
+from qvar import permutations, simulate
 
 
 def det_config(interarrival, service, n, discipline="fcfs", **kw):
@@ -183,14 +183,23 @@ def test_unstable_config_still_terminates():
 
 
 def test_trace_jsonl_round_trip(tmp_path):
-    trace = run_simulation(mm1(0.8, 500, seed=13, discipline="lcfs"))
-    path = tmp_path / "trace.jsonl"
-    write_trace_jsonl(trace, path)
-    again = read_trace_jsonl(path)
-    assert np.array_equal(trace.arrivals, again.arrivals)
-    assert np.array_equal(trace.service_starts, again.service_starts)
-    assert np.array_equal(trace.departures, again.departures)
-    assert np.array_equal(trace.period_starts, again.period_starts)
+    # In the D/D/1 run customers arrive as slots open; they wait for a later
+    # slot, so only the period heads start at their arrival.
+    for cfg in (
+        mm1(0.8, 500, seed=13, discipline="lcfs"),
+        replace(GOLDEN_RUNS["dd1-overload"], discipline="lcfs"),
+    ):
+        trace = run_simulation(cfg)
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(trace, path)
+        again = read_trace_jsonl(path)
+        assert np.array_equal(trace.arrivals, again.arrivals)
+        assert np.array_equal(trace.service_starts, again.service_starts)
+        assert np.array_equal(trace.departures, again.departures)
+        assert np.array_equal(trace.period_starts, again.period_starts)
+        assert pair_tuples(extract_busy_periods(again)) == pair_tuples(
+            extract_busy_periods(trace)
+        )
 
 
 def test_trace_jsonl_shape(tmp_path):
@@ -379,6 +388,43 @@ def test_golden_trace_digests(run, discipline):
     assert trace_digest(run_simulation(cfg)) == GOLDEN_DIGESTS[run, discipline]
 
 
+def realizable_count(bp):
+    floors = permutations._slot_floors(bp)
+    return math.prod(i + 1 - floors[i] for i in range(1, bp.n))
+
+
+# The exact oracle's work grows with a period's realizable orders; the
+# longest periods of the two rho >= 0.9 runs are out of its reach.  Per run:
+# the periods within this budget, of all its periods.
+ORACLE_BUDGET = 10**8
+ORACLE_REACH = {
+    "dd1-overload": (1, 1),
+    "uniform-rho90": (1102, 1143),
+    "det-uniform-rho100": (28, 35),
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_golden_runs_pass_the_audit(run):
+    # Every discipline's trace extracts to the same periods (ties included:
+    # dd1-overload has an arrival at each slot instant); first-come and
+    # last-come give the closed-form orders, and the exact oracle confirms
+    # both extremes.
+    extracted = {
+        d: extract_busy_periods(run_simulation(replace(GOLDEN_RUNS[run], discipline=d)))
+        for d in ("fcfs", "lcfs", "random")
+    }
+    checked = 0
+    for (bp, first), (bp_last, last), (bp_random, _) in zip(*extracted.values()):
+        assert bp == bp_last == bp_random
+        assert first == fcfs_permutation(bp)
+        assert last == lcfs_permutation(bp)
+        if realizable_count(bp) <= ORACLE_BUDGET:
+            check_extremality(bp, max_n=bp.n)
+            checked += 1
+    assert (checked, len(extracted["fcfs"])) == ORACLE_REACH[run]
+
+
 def hand_trace(arrivals, starts, departures, period_starts=(0,)):
     return SimTrace(
         arrivals=np.array(arrivals, dtype=float),
@@ -397,10 +443,15 @@ TAMPERED = {
     "idle": (([0, 1], [0, 2.5], [2, 3.5]), MalformedTraceError, "idled"),
     "non-finite": (([0, math.nan], [0, 2], [2, 3]), ValidationError, "non-finite"),
     "not-sorted": (([0, 1.5, 1], [0, 2, 3], [2, 3, 4]), NotSortedError, "arrivals"),
-    "duplicate": (([0, 1, 2], [0, 2, 3], [2, 3, 4]), DuplicateTimestampError, "2.0"),
     "infeasible": (([0, 1, 3.5], [0, 2, 3], [2, 3, 4]), InfeasibleError, "arrival 3"),
     "unrealizable": (
         ([0, 1, 2], [0, 2.5, 1.5], [1.5, 3.5, 2.5]),
+        MalformedTraceError,
+        r"before it arrives under the recorded order \(1, 3, 2\)",
+    ),
+    # Customer 3 arrives as slot 2 opens and is recorded in that slot.
+    "served-at-arrival-tie": (
+        ([0, 1, 2], [0, 3, 2], [2, 4, 3]),
         MalformedTraceError,
         r"before it arrives under the recorded order \(1, 3, 2\)",
     ),
@@ -413,6 +464,14 @@ def test_extract_rejects_tampered_trace(case):
     with pytest.raises(cls, match=match) as info:
         extract_busy_periods(hand_trace(*arrays))
     assert type(info.value) is cls
+
+
+def test_extract_accepts_an_arrival_at_a_slot_instant():
+    # Customer 3 arrives as slot 2 opens; the slot opens first and serves
+    # customer 2.
+    ((bp, perm),) = extract_busy_periods(hand_trace([0, 1, 2], [0, 2, 3], [2, 3, 4]))
+    assert bp == validate_busy_period([0, 1, 2], [0, 2, 3])
+    assert perm.is_identity()
 
 
 def test_extract_first_offending_period_raises():

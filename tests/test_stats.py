@@ -69,8 +69,6 @@ def test_warmup_validation():
         compute_stats(trace, warmup_fraction=1.0)
     with pytest.raises(ConfigError):
         compute_stats(trace, warmup_fraction=-0.1)
-    with pytest.raises(ConfigError):
-        compute_stats(trace, batches=0)
 
 
 def test_batch_errors_shrink_with_sample_size():
