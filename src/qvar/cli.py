@@ -56,6 +56,10 @@ from .variates import _check_rate, _check_seed, _check_stable
 
 __all__ = ["main", "build_parser"]
 
+# Largest --random period size: the O(n * 2**n) extremality program takes
+# about 34-55 ms on a worst-case period of 14 customers.
+RANDOM_MAX_N = 14
+
 
 def _stats_csv(stats: WaitStats) -> str:
     d = stats.to_dict()
@@ -227,11 +231,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         if args.random < 1:
             raise ConfigError(f"--random must be >= 1, got {args.random}")
-        # Random sizes reach --max-n, which bounds the O(n * 2**n) extremality
-        # program run on each period.
-        if not 2 <= args.max_n <= DEFAULT_MAX_N:
+        if not 2 <= args.max_n <= RANDOM_MAX_N:
             raise ConfigError(
-                f"--max-n must be between 2 and {DEFAULT_MAX_N} for random "
+                f"--max-n must be between 2 and {RANDOM_MAX_N} for random "
                 f"instances, got {args.max_n}"
             )
         rng = _rng(args.seed)
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help=(
             f"largest busy period to enumerate (random sizes are 2..K, "
-            f"K at most {DEFAULT_MAX_N})"
+            f"K at most {RANDOM_MAX_N})"
         ),
     )
     enum.add_argument("--seed", type=int, default=0, help="seed for --random")

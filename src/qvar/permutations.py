@@ -178,16 +178,11 @@ def bad_pairs(bp: BusyPeriod, perm: Permutation) -> list[BadPair]:
         raise NotRealizableError(
             f"service order {perm.mapping} is not realizable on this busy period"
         )
-    a, b, m = bp.arrivals, bp.service_starts, perm.mapping
-    n = bp.n
-    slot_time = [b[m[i] - 1] for i in range(n)]
-    found: list[BadPair] = []
-    for i in range(n - 1):
-        ti = slot_time[i]
-        for j in range(i + 1, n):
-            if a[j] < ti < slot_time[j]:
-                found.append(BadPair(i + 1, j + 1))
-    return found
+    a, n = bp.arrivals, bp.n
+    t = [bp.service_starts[m - 1] for m in perm.mapping]  # each customer's slot
+    return [
+        BadPair(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if a[j] < t[i] < t[j]
+    ]
 
 
 def _find_swap_site(
@@ -214,6 +209,18 @@ def _find_swap_site(
     raise AssertionError("swap site requested for a stack order")
 
 
+def _touching(bp: BusyPeriod, order: tuple[int, ...], i: int, k: int) -> int:
+    """The bad pairs of ``order`` with customer ``i`` or ``k`` (0-based,
+    ``i < k``) as a member, in O(n) comparisons."""
+    a, t = bp.arrivals, [bp.service_starts[m - 1] for m in order]
+    count = -(a[k] < t[i] < t[k])  # the pair (i, k) is met twice below
+    for x in (i, k):
+        ax, tx = a[x], t[x]
+        count += sum(ax < ty < tx for ty in t[:x])
+        count += sum(ay < tx < ty for ay, ty in zip(a[x + 1 :], t[x + 1 :]))
+    return count
+
+
 def _swap(perm: Permutation, i: int, k: int) -> Permutation:
     """``perm`` with the slots of customers ``i`` and ``k`` (1-based) exchanged."""
     m = list(perm.mapping)
@@ -229,12 +236,15 @@ def descent_swap(
     Returns the new order and the swapped customers ``(i, k)``, ``i < k``.
     The new order is realizable, its pairing objective is strictly smaller,
     and its bad-pair count is strictly smaller.  Raises
-    :class:`NoBadPairsError` at the stack order, which admits no step.
+    :class:`NoBadPairsError` at the stack order, the one realizable order
+    with no bad pair, which admits no step.
     """
-    if not bad_pairs(bp, perm):
-        raise NoBadPairsError(
-            "the order has no bad pairs; it is already the stack order"
+    if not is_realizable(bp, perm):
+        raise NotRealizableError(
+            f"service order {perm.mapping} is not realizable on this busy period"
         )
+    if perm == lcfs_permutation(bp):
+        raise NoBadPairsError("the order has no bad pairs; it is already the stack order")
     i, k, _ = _find_swap_site(bp, perm)
     return _swap(perm, i, k), (i, k)
 
@@ -284,8 +294,31 @@ class DescentTrace:
         return sum(1 for s in self.steps if s.kind == "swap")
 
     def to_jsonl(self) -> str:
-        """One JSON object per step, one per line (1-based indices)."""
-        return "\n".join(json.dumps(s.to_dict()) for s in self.steps)
+        """One JSON object per step, one per line (1-based indices), each
+        ``json.dumps(step.to_dict())``.  A swap's removals share its order,
+        objective and count, so each value and each tail of shared fields is
+        encoded once.  Values are keyed by identity (``0.0 == -0.0``, yet they
+        encode apart), and the steps keep every keyed object alive.
+        """
+        memo: dict[object, str] = {}
+
+        def enc(x: object) -> str:
+            return memo[id(x)] if id(x) in memo else memo.setdefault(id(x), json.dumps(x))
+
+        lines = []
+        for s in self.steps:
+            shared = (s.order_before, s.order_after, s.objective_before, s.objective_after)
+            key = (*map(id, shared), s.bad_pairs_before, s.bad_pairs_after)
+            if key not in memo:
+                ob, oa, fb, fa = map(enc, shared)
+                memo[key] = (
+                    f'"order_before": {ob}, "order_after": {oa}, "objective_before": {fb}, '
+                    f'"objective_after": {fa}, "bad_pairs_before": {key[4]}, '
+                    f'"bad_pairs_after": {key[5]}}}'
+                )
+            i, k = s.indices
+            lines.append(f'{{"kind": "{s.kind}", "indices": [{i}, {k}], {memo[key]}')
+        return "\n".join(lines)
 
 
 def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
@@ -295,44 +328,28 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
     so the number of swaps is at most the starting order's bad-pair count.
     The recorded trace interleaves the inert-bracket removals that the site
     search performed before each swap.
+
+    Cost: one O(n**2) :func:`bad_pairs` for the starting count, then O(n)
+    per swap, the count updated from the pairs that touch the two swapped
+    customers.  The trace has a step per swap and one per inert bracket
+    passed, each holding two full orders.
     """
-    if not is_realizable(bp, perm):
-        raise NotRealizableError(
-            f"service order {perm.mapping} is not realizable on this busy period"
-        )
+    nbad = len(bad_pairs(bp, perm))  # raises NotRealizableError
+    current, obj = perm, pairing_objective(bp, perm)
     steps: list[DescentStep] = []
-    current = perm
-    obj = pairing_objective(bp, current)
-    nbad = len(bad_pairs(bp, current))
     while nbad:
         i, k, removed = _find_swap_site(bp, current)
-        for pair in removed:
-            steps.append(
-                DescentStep(
-                    kind="remove-reduction",
-                    indices=pair,
-                    order_before=current.mapping,
-                    order_after=current.mapping,
-                    objective_before=obj,
-                    objective_after=obj,
-                    bad_pairs_before=nbad,
-                    bad_pairs_after=nbad,
-                )
-            )
+        order = current.mapping
+        steps += (
+            DescentStep("remove-reduction", pair, order, order, obj, obj, nbad, nbad)
+            for pair in removed
+        )
         swapped = _swap(current, i, k)
         new_obj = pairing_objective(bp, swapped)
-        new_bad = len(bad_pairs(bp, swapped))
+        new_bad = nbad - _touching(bp, order, i - 1, k - 1)
+        new_bad += _touching(bp, swapped.mapping, i - 1, k - 1)
         steps.append(
-            DescentStep(
-                kind="swap",
-                indices=(i, k),
-                order_before=current.mapping,
-                order_after=swapped.mapping,
-                objective_before=obj,
-                objective_after=new_obj,
-                bad_pairs_before=nbad,
-                bad_pairs_after=new_bad,
-            )
+            DescentStep("swap", (i, k), order, swapped.mapping, obj, new_obj, nbad, new_bad)
         )
         current, obj, nbad = swapped, new_obj, new_bad
     return DescentTrace(start=perm.mapping, final=current.mapping, steps=tuple(steps))

@@ -575,8 +575,8 @@ def _check_block(
         # Raises the broken invariant's own error, if there is one.
         validate_busy_period(a[i:j].tolist(), slots[i:j].tolist())
         raise MalformedTraceError(
-            f"period opening at t={a[i]!r} serves a customer before it "
-            f"arrives under the recorded order {tuple(ranks[i:j].tolist())}"
+            f"period opening at t={a[i]!r} serves a customer no later than "
+            f"it arrives under the recorded order {tuple(ranks[i:j].tolist())}"
         )
     return slots, ranks, float(deps[-1])
 

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 import qvar.cli as cli
-from qvar import ExtremalityViolationError, read_trace_jsonl
+from qvar import ExtremalityViolationError, random_busy_period, read_trace_jsonl
 from qvar.cli import main
 
 BP_JSON = {"arrivals": [0.0, 1.0, 2.0], "service_starts": [0.0, 2.5, 3.0]}
@@ -422,12 +423,30 @@ def test_rate_errors_name_the_flag(capsys):
 
 
 def test_enumerate_random_max_n_capped(tmp_path, capsys):
-    # Refused before any period is drawn: every order of each period is listed.
-    for k in ("1", "11", "100"):
+    # Refused before any period is drawn.
+    for k in ("1", "15", "100"):
         code, out, err = run(capsys, "enumerate", "--random", "2", "--max-n", k, "--seed", "1")
         assert code == 2, k
         assert "--max-n" in err and out == ""
+    code, out, err = run(capsys, "enumerate", "--random", "3", "--max-n", "14", "--seed", "1")
+    assert code == 0, err
+    assert len(out.splitlines()) == 3
     path = tmp_path / "bp.json"
     path.write_text(json.dumps(BP_JSON))
     code, _, err = run(capsys, "enumerate", "--input", str(path), "--max-n", "11")
     assert code == 0, err
+
+
+def test_descent_stdout_is_pinned(tmp_path, capsys):
+    # Digest of the stdout of the full-recount descent with a plain
+    # json.dumps per step; the incremental count and the cached encoding
+    # must reproduce it byte for byte.
+    bp = random_busy_period(np.random.default_rng(80), 80)
+    path = tmp_path / "bp.json"
+    path.write_text(json.dumps(bp.to_dict()))
+    code, out, err = run(capsys, "descent", "--input", str(path), "--start", "identity")
+    assert code == 0, err
+    assert out.count("\n") == 2730
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e81067dfeb3b9307d0789a8442c70019881d84d745122fdbb174c8d2450e5e64"
+    )

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from qvar import (
     BusyPeriod,
     ExtremalityViolationError,
     NoBadPairsError,
+    NotRealizableError,
     Permutation,
     TooLargeError,
     bad_pairs,
@@ -111,6 +113,13 @@ def test_descent_swap_nested_first_step():
 def test_descent_swap_requires_bad_pair():
     with pytest.raises(NoBadPairsError):
         descent_swap(BP, Permutation((1, 3, 2)))
+
+
+def test_descent_swap_requires_a_realizable_order():
+    # Customer 3 arrives at t=2, after slot 2 opens at t=1.5.
+    bp = validate_busy_period([0.0, 1.0, 2.0], [0.0, 1.5, 3.0])
+    with pytest.raises(NotRealizableError):
+        descent_swap(bp, Permutation((1, 3, 2)))
 
 
 def test_descent_trace_nested():
@@ -238,8 +247,8 @@ def test_check_extremality_audits_the_stack_order(monkeypatch):
 
 
 @st.composite
-def busy_periods(draw, lattice: bool):
-    """A busy period of 2..8 customers.
+def busy_periods(draw, lattice: bool, max_n: int = 8):
+    """A busy period of 2..max_n customers.
 
     The 2n - 2 instants after the opening one are labelled arrival or
     service start so that the k-th start follows the k-th arrival; the
@@ -247,7 +256,7 @@ def busy_periods(draw, lattice: bool):
     grid.  On the grid an arrival may share the instant of the start just
     before it, so it equals a slot it cannot take, never its own-rank slot.
     """
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(2, max_n))
     labels = []
     arrived = started = 0
     while started < n - 1:
@@ -328,6 +337,46 @@ def test_descent_reaches_the_stack_order_on_a_lattice(bp):
         for step in trace.steps:
             if step.kind == "swap":
                 assert step.objective_after < step.objective_before
+
+
+def _assert_descent_is_exact(bp, start):
+    """The trace's counts equal a full recount, each swap meets the exact
+    certificate, and the cached JSONL equals a plain encoding per step."""
+    trace = descent_to_lcfs(bp, start)
+    assert trace.final == lcfs_permutation(bp).mapping
+    a, b = bp.arrivals, bp.service_starts
+    recount = {}
+    for step in trace.steps:
+        for order in (step.order_before, step.order_after):
+            if order not in recount:
+                recount[order] = bad_pairs(bp, Permutation(order))
+        assert step.bad_pairs_before == len(recount[step.order_before])
+        assert step.bad_pairs_after == len(recount[step.order_after])
+        if step.kind == "swap":
+            i, k = step.indices
+            m = step.order_before
+            assert a[i - 1] < a[k - 1] and b[m[i - 1] - 1] < b[m[k - 1] - 1]
+            assert permutations.BadPair(i, k) in recount[m]
+    assert trace.to_jsonl() == "\n".join(json.dumps(s.to_dict()) for s in trace.steps)
+
+
+@given(busy_periods(lattice=False, max_n=60), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_descent_counts_and_jsonl_are_exact(bp, seed):
+    _assert_descent_is_exact(bp, random_realizable_permutation(np.random.default_rng(seed), bp))
+
+
+@given(busy_periods(lattice=True, max_n=60), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_descent_counts_and_jsonl_are_exact_on_a_lattice(bp, seed):
+    _assert_descent_is_exact(bp, fcfs_permutation(bp))
+    _assert_descent_is_exact(bp, random_realizable_permutation(np.random.default_rng(seed), bp))
+
+
+def test_descent_counts_and_jsonl_are_exact_at_n120():
+    rng = np.random.default_rng(120)
+    bp = random_busy_period(rng, 120)
+    _assert_descent_is_exact(bp, random_realizable_permutation(rng, bp))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9))

@@ -447,13 +447,13 @@ TAMPERED = {
     "unrealizable": (
         ([0, 1, 2], [0, 2.5, 1.5], [1.5, 3.5, 2.5]),
         MalformedTraceError,
-        r"before it arrives under the recorded order \(1, 3, 2\)",
+        r"no later than it arrives under the recorded order \(1, 3, 2\)",
     ),
     # Customer 3 arrives as slot 2 opens and is recorded in that slot.
     "served-at-arrival-tie": (
         ([0, 1, 2], [0, 3, 2], [2, 4, 3]),
         MalformedTraceError,
-        r"before it arrives under the recorded order \(1, 3, 2\)",
+        r"no later than it arrives under the recorded order \(1, 3, 2\)",
     ),
 }
 
@@ -483,7 +483,7 @@ def test_extract_first_offending_period_raises():
         [1, 11.5, 13.5, 12.5, 14],
         [0, 1, 4],
     )
-    with pytest.raises(MalformedTraceError, match="before it arrives"):
+    with pytest.raises(MalformedTraceError, match="no later than it arrives"):
         extract_busy_periods(trace)
 
 
