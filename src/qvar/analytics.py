@@ -26,7 +26,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-from .simulate import Discipline, SimConfig, Trajectory, run_simulation
+from .simulate import (
+    Discipline,
+    SimConfig,
+    Trajectory,
+    _check_discipline,
+    run_simulation,
+)
 from .stats import DEFAULT_WARMUP, WaitStats, compute_stats
 from .variates import _check_rate, _check_stable
 
@@ -64,7 +70,7 @@ class MM1Prediction:
 
     def variance_for(self, discipline: Discipline | str) -> float | None:
         """Predicted Var[W] for a discipline, None where no closed form exists."""
-        d = Discipline(discipline)
+        d = _check_discipline(discipline)
         if d is Discipline.FCFS:
             return self.var_wait_fcfs
         if d is Discipline.LCFS:
@@ -298,7 +304,7 @@ def compare_disciplines(
     base: SimConfig,
     seeds: list[int] | tuple[int, ...],
     *,
-    disciplines: tuple[Discipline, ...] = (
+    disciplines: tuple[Discipline | str, ...] = (
         Discipline.FCFS,
         Discipline.LCFS,
         Discipline.RANDOM_ORDER,
@@ -311,15 +317,19 @@ def compare_disciplines(
     All runs share ``base`` except for discipline and seed, so matched seeds
     share their arrival and service draws exactly; each seed's draws and
     trajectory are computed once for all its disciplines.  Each seed must
-    pass :class:`SimConfig`'s seed rule, and seeds and disciplines must not
-    repeat.  With ``oracle=True`` the closed-form variances are attached
-    where they exist, which requires exponential arrival and service
-    distributions.  Seeds fan out across the number of processes the
-    ``QVAR_THREADS`` environment variable names (default 1, serial);
-    results reduce in (discipline, seed) order either way.
+    pass :class:`SimConfig`'s seed rule, each discipline is a
+    :class:`Discipline` or its word, at least one is required, and seeds
+    and disciplines must not repeat.  With ``oracle=True`` the closed-form
+    variances are attached where they exist, which requires exponential
+    arrival and service distributions.  Seeds fan out across the number of
+    processes the ``QVAR_THREADS`` environment variable names (default 1,
+    serial); results reduce in (discipline, seed) order either way.
     """
     if not seeds:
         raise ConfigError("at least one seed is required")
+    disciplines = tuple(_check_discipline(d) for d in disciplines)
+    if not disciplines:
+        raise ConfigError("at least one discipline is required")
     configs = [replace(base, seed=s) for s in seeds]
     seeds = [c.seed for c in configs]
     for what, values in (("seed", seeds), ("discipline", disciplines)):

@@ -257,6 +257,14 @@ def is_realizable(bp: BusyPeriod, perm: Permutation) -> bool:
     return True
 
 
+def _require_realizable(bp: BusyPeriod, perm: Permutation) -> None:
+    """Raise :class:`NotRealizableError` unless :func:`is_realizable`."""
+    if not is_realizable(bp, perm):
+        raise NotRealizableError(
+            f"service order {perm.mapping} is not realizable on this busy period"
+        )
+
+
 def pairing_objective(bp: BusyPeriod, perm: Permutation) -> float:
     """Sum over customers of (arrival time) * (assigned service-start time).
 
@@ -278,10 +286,7 @@ def waiting_times(bp: BusyPeriod, perm: Permutation) -> tuple[float, ...]:
     Raises :class:`NotRealizableError` for orders no discipline could produce
     (which would imply a negative wait).
     """
-    if not is_realizable(bp, perm):
-        raise NotRealizableError(
-            f"service order {perm.mapping} is not realizable on this busy period"
-        )
+    _require_realizable(bp, perm)
     a, b, m = bp.arrivals, bp.service_starts, perm.mapping
     return tuple(b[m[i] - 1] - a[i] for i in range(bp.n))
 

@@ -48,6 +48,7 @@ from .permutations import (
 from .simulate import (
     Discipline,
     SimConfig,
+    _check_discipline,
     run_simulation,
     write_trace_jsonl,
 )
@@ -171,13 +172,7 @@ def _parse_disciplines(text: str) -> tuple[Discipline, ...]:
         part = part.strip()
         if not part:
             continue
-        try:
-            out.append(Discipline(part))
-        except ValueError:
-            raise ConfigError(
-                f"unknown discipline {part!r}; choose from "
-                f"{', '.join(d.value for d in Discipline)}"
-            ) from None
+        out.append(_check_discipline(part))
     if not out:
         raise ConfigError("--disciplines must name at least one discipline")
     return tuple(out)

@@ -9,13 +9,11 @@ all timestamps are distinct with probability one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 import numpy as np
 
 from .busy_period import BusyPeriod, Permutation
 from .errors import ConfigError
-from .permutations import _slot_floors
+from .permutations import _choices, _slot_floors
 
 __all__ = ["random_busy_period", "random_realizable_permutation"]
 
@@ -55,36 +53,19 @@ def random_realizable_permutation(
 ) -> Permutation:
     """A random realizable service order on ``bp``.
 
-    Slots are assigned to customers in arrival order, choosing uniformly at
-    each step among the free slots that (a) open after the customer arrives
-    and (b) leave enough high slots for everyone still unassigned.  Every
-    realizable order has positive probability (the filter in (b) never
-    excludes a completable choice), though the distribution over orders is
-    not uniform.
+    Slots are assigned to customers in arrival order, each choosing
+    uniformly among the slots :func:`~qvar.permutations._choices` allows:
+    free, opening after the customer arrives, and leaving every later
+    customer a slot (Hall's condition on the slot floors, the rule
+    enumeration and the extremality oracle share).  Every realizable order
+    has positive probability, though the distribution over orders is not
+    uniform.  O(n) per customer.
     """
-    n = bp.n
-    if n == 1:
-        return Permutation.identity(1)
     floors = _slot_floors(bp)
-    free = sorted(range(1, n))  # 0-based slots still unassigned
-    mapping = [1] + [0] * (n - 1)
-    for i in range(1, n):
-        candidates = []
-        for pos, slot in enumerate(free):
-            if slot < floors[i]:
-                continue
-            # Completability: after taking `slot`, each later customer r
-            # still finds enough free slots at or above its own floor.
-            rest = free[:pos] + free[pos + 1 :]
-            ok = True
-            for r in range(i + 1, n):
-                need = n - r
-                have = len(rest) - bisect_left(rest, floors[r])
-                if have < need:
-                    ok = False
-                    break
-            if ok:
-                candidates.append(pos)
-        pos = candidates[int(rng.integers(len(candidates)))]
-        mapping[i] = free.pop(pos) + 1
+    used, mapping = 1, [1]
+    for i in range(1, bp.n):
+        choices = _choices(floors, i, used)
+        j = choices[int(rng.integers(len(choices)))]
+        used |= 1 << j
+        mapping.append(j + 1)
     return Permutation(tuple(mapping))

@@ -15,6 +15,10 @@ provides
   sets of used slots, and raises if the two closed forms do not attain
   them.
 
+Enumeration, that program and the sampler in :mod:`qvar.instances` grow
+an order customer by customer with one rule, :func:`_choices`: the free
+slots a customer may take that leave every later customer a slot.
+
 The stack order is computed by bracket matching: interleave the arrival and
 service-start timestamps on the time axis, read arrivals as ``(`` and
 service starts as ``)``, and match each start with the most recent
@@ -33,13 +37,12 @@ from dataclasses import dataclass
 from .busy_period import (
     BusyPeriod,
     Permutation,
-    is_realizable,
+    _require_realizable,
     pairing_objective,
 )
 from .errors import (
     ExtremalityViolationError,
     NoBadPairsError,
-    NotRealizableError,
     TooLargeError,
 )
 
@@ -112,6 +115,29 @@ def _slot_floors(bp: BusyPeriod) -> list[int]:
     return floors
 
 
+def _choices(floors: list[int], i: int, used: int) -> list[int]:
+    """The slots customer ``i`` (0-based) may take so that every later
+    customer can still be placed, in increasing order.
+
+    ``used`` is the bitmask of the slots customers ``0..i-1`` hold.  The
+    allowed slots of customers ``r >= i`` are the nested suffixes
+    ``[floors[r], n)``, so by Hall's condition the customers after ``i``
+    can be placed iff, for each ``r > i``, at least ``n - r`` slots at or
+    above ``floors[r]`` stay free.  A constraint that holds with equality
+    now (``r - floors[r]`` of those slots are used) forbids ``i`` every
+    slot at or above ``floors[r]``; the smallest such ``r`` caps the
+    choice.  O(n) per call.
+    """
+    n = len(floors)
+    cap = n
+    for r in range(i + 1, n):
+        f = floors[r]
+        if (used >> f).bit_count() == r - f:
+            cap = f
+            break
+    return [j for j in range(floors[i], cap) if not used >> j & 1]
+
+
 # Largest period enumerated or checked unless the caller raises the limit:
 # 10 customers have at most 9! = 362,880 realizable orders.
 DEFAULT_MAX_N = 10
@@ -130,30 +156,26 @@ def enumerate_realizable(
 ) -> list[Permutation]:
     """Every realizable service order, in lexicographic mapping order.
 
-    Backtracking over customers in arrival order; customer ``i``'s candidate
-    slots are the still-free ones at or above its floor.  Refuses periods
-    with more than ``max_n`` customers (the count can grow factorially).
+    Backtracking over customers in arrival order; customer ``i`` tries the
+    slots :func:`_choices` allows, so every branch ends in an order.
+    Refuses periods with more than ``max_n`` customers (the count can grow
+    factorially).
     """
     _check_size(bp, max_n)
     n = bp.n
     floors = _slot_floors(bp)
-    free = [True] * n  # slot availability, 0-based
-    free[0] = False
     prefix = [1] + [0] * (n - 1)
     out: list[Permutation] = []
 
-    def extend(i: int) -> None:
+    def extend(i: int, used: int) -> None:
         if i == n:
             out.append(Permutation(tuple(prefix)))
             return
-        for j in range(floors[i], n):
-            if free[j]:
-                free[j] = False
-                prefix[i] = j + 1
-                extend(i + 1)
-                free[j] = True
+        for j in _choices(floors, i, used):
+            prefix[i] = j + 1
+            extend(i + 1, used | 1 << j)
 
-    extend(1)
+    extend(1, 1)
     return out
 
 
@@ -174,10 +196,7 @@ class BadPair:
 
 def bad_pairs(bp: BusyPeriod, perm: Permutation) -> list[BadPair]:
     """All bad pairs of the order, lexicographically by (i, j)."""
-    if not is_realizable(bp, perm):
-        raise NotRealizableError(
-            f"service order {perm.mapping} is not realizable on this busy period"
-        )
+    _require_realizable(bp, perm)
     a, n = bp.arrivals, bp.n
     t = [bp.service_starts[m - 1] for m in perm.mapping]  # each customer's slot
     return [
@@ -239,10 +258,7 @@ def descent_swap(
     :class:`NoBadPairsError` at the stack order, the one realizable order
     with no bad pair, which admits no step.
     """
-    if not is_realizable(bp, perm):
-        raise NotRealizableError(
-            f"service order {perm.mapping} is not realizable on this busy period"
-        )
+    _require_realizable(bp, perm)
     if perm == lcfs_permutation(bp):
         raise NoBadPairsError("the order has no bad pairs; it is already the stack order")
     i, k, _ = _find_swap_site(bp, perm)
@@ -402,58 +418,51 @@ def _extreme_orders(
 ) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     """Exact min and max of ``sum(a[i] * b[p(i)])`` over realizable orders.
 
-    Customers take slots in arrival order, so after customers ``0..i`` the
-    state is the set of slots they used, a bitmask.  A forward pass lists
-    the masks that customers can reach, dropping those that leave a slot
-    below the next customer's floor free (no later customer could take it).
-    A backward pass then gives each mask the min and max objective of its
-    completions, and the smallest slot that attains each; a mask with no
-    completion gets no entry.  Following those slots forward from the
-    start yields the lexicographically first optimal orders.  Returns
-    ``(min, max, argmin, argmax)`` with 1-based mappings.
+    Customers take slots in arrival order, so after customers ``0..i-1``
+    the state is the set of slots they hold, a bitmask.  A memoized
+    recursion gives each mask the min and max objective of its completions
+    and the smallest slot that attains each, trying the slots
+    :func:`_choices` allows -- the same rule enumeration and sampling
+    extend an order by, so every mask reached has a completion.  Following
+    those slots forward from the start yields the lexicographically first
+    optimal orders.  Returns ``(min, max, argmin, argmax)`` with 1-based
+    mappings.
     """
     n = len(floors)
-    full = (1 << n) - 1
     terms = [[x * y for y in b] for x in a]
-    layers = [[1]]  # customer 0 holds slot 0
-    for i in range(1, n):
-        need = (1 << floors[i + 1]) - 1 if i + 1 < n else full
-        reached: dict[int, None] = {}
-        for m in layers[-1]:
-            for j in range(floors[i], n):
-                nm = m | 1 << j
-                if nm != m and nm & need == need:
-                    reached[nm] = None
-        layers.append(list(reached))
-    # Per mask: the optimal completion value and the smallest slot that
-    # attains it (the scan takes slots in increasing order, strict <).
-    lo, hi = {full: 0}, {full: 0}
-    lo_slot, hi_slot = {}, {}
-    for i in range(n - 1, 0, -1):
-        row, f = terms[i], floors[i]
-        for m in layers[i - 1]:
-            best_lo = best_hi = None
-            for j in range(f, n):
-                nm = m | 1 << j
-                if nm != m and nm in lo:
-                    x, y = row[j] + lo[nm], row[j] + hi[nm]
-                    if best_lo is None or x < best_lo:
-                        best_lo, lo_slot[m] = x, j
-                    if best_hi is None or y > best_hi:
-                        best_hi, hi_slot[m] = y, j
-            if best_lo is not None:
-                lo[m], hi[m] = best_lo, best_hi
+    # Per mask: (min, its slot, max, its slot) over the completions; the
+    # full mask has the empty completion.  A stored tuple is never empty,
+    # so ``best.get(m) or solve(...)`` solves each mask once.
+    best = {(1 << n) - 1: (0, 0, 0, 0)}
 
-    def walk(slot: dict[int, int]) -> tuple[int, ...]:
-        m, mapping = 1, [1]
+    def solve(i: int, used: int) -> tuple[int, int, int, int]:
+        row = terms[i]
+        lo = hi = None
+        for j in _choices(floors, i, used):
+            nm = used | 1 << j
+            sub = best.get(nm) or solve(i + 1, nm)
+            x, y = row[j] + sub[0], row[j] + sub[2]
+            # Slots come in increasing order and only a strict gain
+            # replaces, so ties go to the smallest slot.
+            if lo is None or x < lo:
+                lo, lo_slot = x, j
+            if hi is None or y > hi:
+                hi, hi_slot = y, j
+        best[used] = out = (lo, lo_slot, hi, hi_slot)
+        return out
+
+    lo, _, hi, _ = best.get(1) or solve(1, 1)  # customer 0 holds slot 0
+
+    def walk(k: int) -> tuple[int, ...]:
+        used, mapping = 1, [1]
         for _ in range(1, n):
-            j = slot[m]
-            m |= 1 << j
+            j = best[used][k]
+            used |= 1 << j
             mapping.append(j + 1)
         return tuple(mapping)
 
     head = terms[0][0]
-    return head + lo[1], head + hi[1], walk(lo_slot), walk(hi_slot)
+    return head + lo, head + hi, walk(1), walk(3)
 
 
 def check_extremality(

@@ -75,6 +75,17 @@ class Discipline(str, Enum):
     RANDOM_ORDER = "random"
 
 
+def _check_discipline(word: Discipline | str) -> Discipline:
+    """The :class:`Discipline` a word names; :class:`ConfigError` if none."""
+    try:
+        return Discipline(word)
+    except ValueError:
+        raise ConfigError(
+            f"unknown discipline {word!r}; choose from "
+            f"{', '.join(d.value for d in Discipline)}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Immutable description of one simulation run.
@@ -106,7 +117,7 @@ class SimConfig:
             raise ConfigError(f"num_arrivals must be a positive int, got {n!r}")
         object.__setattr__(self, "num_arrivals", int(n))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        object.__setattr__(self, "discipline", Discipline(self.discipline))
+        object.__setattr__(self, "discipline", _check_discipline(self.discipline))
         self.distributions()
 
     def distributions(self) -> tuple[Distribution, Distribution]:

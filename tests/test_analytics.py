@@ -5,6 +5,7 @@ import pytest
 
 from qvar import (
     ConfigError,
+    Discipline,
     InvalidRateError,
     SimConfig,
     UnstableError,
@@ -142,6 +143,23 @@ def test_compare_single_discipline_row():
     assert table.rows[0].discipline == "fcfs"
     assert table.rows[0].predicted_var is None  # oracle not requested
     assert table.ordering_ok
+
+
+def test_compare_takes_discipline_words():
+    cfg = replace(BASE, num_arrivals=2_000)
+    words = compare_disciplines(cfg, [1], disciplines=("fcfs", "lcfs"))
+    members = compare_disciplines(cfg, [1], disciplines=(Discipline.FCFS, Discipline.LCFS))
+    assert [r.discipline for r in words.rows] == ["fcfs", "lcfs"]
+    assert words == members
+
+
+def test_compare_refuses_unknown_or_no_disciplines():
+    with pytest.raises(ConfigError, match="unknown discipline 'sjf'; choose from"):
+        compare_disciplines(BASE, [1], disciplines=("fcfs", "sjf"))
+    with pytest.raises(ConfigError, match="at least one discipline"):
+        compare_disciplines(BASE, [1], disciplines=())
+    with pytest.raises(ConfigError, match="only once"):
+        compare_disciplines(BASE, [1], disciplines=("fcfs", Discipline.FCFS))
 
 
 def test_compare_requires_stability():

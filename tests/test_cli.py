@@ -450,3 +450,36 @@ def test_descent_stdout_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e81067dfeb3b9307d0789a8442c70019881d84d745122fdbb174c8d2450e5e64"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (
+            ["enumerate", "--random", "300", "--max-n", "9", "--seed", "11"],
+            300,
+            "93f573d5fad6395fc33c52b19b96c314714c6fd023c7c7f5620d63de9471d1ea",
+        ),
+        (
+            ["enumerate", "--random", "40", "--max-n", "14", "--seed", "5"],
+            40,
+            "f16b3a231c7031fbd409a45ff3d37214ed3376d329a8ad58975ec5f05cd9f1a8",
+        ),
+        (
+            ["descent", "--input", "BP40", "--start", "random", "--seed", "3"],
+            483,
+            "1a8136b20f281737bf6611629a3ddfc453fe0a5e0ba518720ee8e89aa9af7767",
+        ),
+    ],
+    ids=["enumerate-n9", "enumerate-n14", "descent-random-start"],
+)
+def test_extension_rule_stdout_is_pinned(tmp_path, capsys, argv, lines, digest):
+    # The oracle's reports and a descent from a sampled order both follow
+    # the rule that extends an order (the sample also follows the rng
+    # stream), so these digests pin that rule byte for byte.
+    path = tmp_path / "bp.json"
+    path.write_text(json.dumps(random_busy_period(np.random.default_rng(80), 40).to_dict()))
+    code, out, err = run(capsys, *(str(path) if a == "BP40" else a for a in argv))
+    assert code == 0, err
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -264,7 +264,7 @@ def test_config_validation():
     for seed in (-1, True, 2**64, np.int64(-1), 1.0):
         with pytest.raises(ConfigError):
             SimConfig(arrival_rate=0.5, service_rate=1.0, num_arrivals=1, seed=seed)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="unknown discipline 'sjf'; choose from"):
         SimConfig(
             arrival_rate=0.5, service_rate=1.0, num_arrivals=1, seed=0,
             discipline="sjf",
