@@ -332,7 +332,7 @@ def compare_disciplines(
         raise ConfigError("at least one discipline is required")
     configs = [replace(base, seed=s) for s in seeds]
     seeds = [c.seed for c in configs]
-    for what, values in (("seed", seeds), ("discipline", disciplines)):
+    for what, values in (("seed", seeds), ("discipline", [d.value for d in disciplines])):
         if len(set(values)) != len(values):
             raise ConfigError(f"each {what} may be given only once, got {list(values)}")
     _check_stable("arrival rate", base.arrival_rate, "service rate", base.service_rate)

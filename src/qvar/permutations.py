@@ -267,16 +267,16 @@ def descent_swap(
 
 @dataclass(frozen=True)
 class DescentStep:
-    """One event in a descent run.
+    """One descent swap: the slots of customers ``indices == (i, k)`` are
+    exchanged, lowering the objective and the bad-pair count.
 
-    ``kind`` is ``"swap"`` for an objective-lowering exchange of the slots
-    of customers ``indices == (i, k)``, or ``"remove-reduction"`` when an
-    inert innermost bracket ``indices == (customer, slot)`` was discarded
-    to expose the next swap (the order itself does not change then).
+    ``removed`` lists the inert ``(customer, slot)`` brackets (1-based) the
+    site search passed before reaching the swap, in the order passed; the
+    order is unchanged across them.
     """
 
-    kind: str
     indices: tuple[int, int]
+    removed: tuple[tuple[int, int], ...]
     order_before: tuple[int, ...]
     order_after: tuple[int, ...]
     objective_before: float
@@ -286,8 +286,9 @@ class DescentStep:
 
     def to_dict(self) -> dict[str, object]:
         return {
-            "kind": self.kind,
+            "kind": "swap",  # constant; kept for readers that filter lines on it
             "indices": list(self.indices),
+            "removed": [list(pair) for pair in self.removed],
             "order_before": list(self.order_before),
             "order_after": list(self.order_after),
             "objective_before": self.objective_before,
@@ -299,7 +300,8 @@ class DescentStep:
 
 @dataclass(frozen=True)
 class DescentTrace:
-    """Full record of a descent from ``start`` to the stack order."""
+    """Full record of a descent from ``start`` to the stack order, one step
+    per swap."""
 
     start: tuple[int, ...]
     final: tuple[int, ...]
@@ -307,34 +309,11 @@ class DescentTrace:
 
     @property
     def swap_count(self) -> int:
-        return sum(1 for s in self.steps if s.kind == "swap")
+        return len(self.steps)
 
     def to_jsonl(self) -> str:
-        """One JSON object per step, one per line (1-based indices), each
-        ``json.dumps(step.to_dict())``.  A swap's removals share its order,
-        objective and count, so each value and each tail of shared fields is
-        encoded once.  Values are keyed by identity (``0.0 == -0.0``, yet they
-        encode apart), and the steps keep every keyed object alive.
-        """
-        memo: dict[object, str] = {}
-
-        def enc(x: object) -> str:
-            return memo[id(x)] if id(x) in memo else memo.setdefault(id(x), json.dumps(x))
-
-        lines = []
-        for s in self.steps:
-            shared = (s.order_before, s.order_after, s.objective_before, s.objective_after)
-            key = (*map(id, shared), s.bad_pairs_before, s.bad_pairs_after)
-            if key not in memo:
-                ob, oa, fb, fa = map(enc, shared)
-                memo[key] = (
-                    f'"order_before": {ob}, "order_after": {oa}, "objective_before": {fb}, '
-                    f'"objective_after": {fa}, "bad_pairs_before": {key[4]}, '
-                    f'"bad_pairs_after": {key[5]}}}'
-                )
-            i, k = s.indices
-            lines.append(f'{{"kind": "{s.kind}", "indices": [{i}, {k}], {memo[key]}')
-        return "\n".join(lines)
+        """One JSON object per swap, one per line (1-based indices)."""
+        return "\n".join(json.dumps(s.to_dict()) for s in self.steps)
 
 
 def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
@@ -342,13 +321,13 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
 
     Each swap strictly lowers the pairing objective and the bad-pair count,
     so the number of swaps is at most the starting order's bad-pair count.
-    The recorded trace interleaves the inert-bracket removals that the site
-    search performed before each swap.
+    Each swap's step lists the inert brackets the site search passed
+    before it.
 
     Cost: one O(n**2) :func:`bad_pairs` for the starting count, then O(n)
     per swap, the count updated from the pairs that touch the two swapped
-    customers.  The trace has a step per swap and one per inert bracket
-    passed, each holding two full orders.
+    customers.  The trace has one step per swap, each holding two full
+    orders.
     """
     nbad = len(bad_pairs(bp, perm))  # raises NotRealizableError
     current, obj = perm, pairing_objective(bp, perm)
@@ -356,16 +335,14 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
     while nbad:
         i, k, removed = _find_swap_site(bp, current)
         order = current.mapping
-        steps += (
-            DescentStep("remove-reduction", pair, order, order, obj, obj, nbad, nbad)
-            for pair in removed
-        )
         swapped = _swap(current, i, k)
         new_obj = pairing_objective(bp, swapped)
         new_bad = nbad - _touching(bp, order, i - 1, k - 1)
         new_bad += _touching(bp, swapped.mapping, i - 1, k - 1)
         steps.append(
-            DescentStep("swap", (i, k), order, swapped.mapping, obj, new_obj, nbad, new_bad)
+            DescentStep(
+                (i, k), tuple(removed), order, swapped.mapping, obj, new_obj, nbad, new_bad
+            )
         )
         current, obj, nbad = swapped, new_obj, new_bad
     return DescentTrace(start=perm.mapping, final=current.mapping, steps=tuple(steps))

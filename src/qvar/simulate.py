@@ -38,7 +38,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from enum import Enum
-from math import inf
+from math import inf, isfinite
 from numbers import Integral
 from pathlib import Path
 
@@ -651,19 +651,21 @@ def read_trace_jsonl(path: str | Path) -> SimTrace:
                 a, s, d = rec["arrival"], rec["service_start"], rec["departure"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise MalformedInputError(f"{p}:{lineno}: {exc}") from None
-            if customer != len(arrivals) + 1:
+            # json yields bools for true/false and floats for Infinity/NaN.
+            if type(customer) is not int or customer != len(arrivals) + 1:
                 raise MalformedInputError(
                     f"{p}:{lineno}: expected customer {len(arrivals) + 1}, "
                     f"got {customer!r}"
                 )
             try:
-                arrivals.append(float(a))
-                starts.append(float(s))
-                deps.append(float(d))
-            except (TypeError, ValueError):
-                raise MalformedInputError(
-                    f"{p}:{lineno}: times must be numbers"
-                ) from None
+                finite = all(type(t) in (int, float) and isfinite(t) for t in (a, s, d))
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
+                raise MalformedInputError(f"{p}:{lineno}: times must be finite numbers")
+            arrivals.append(float(a))
+            starts.append(float(s))
+            deps.append(float(d))
     if not arrivals:
         raise MalformedInputError(f"{p}: empty trace")
     for i in range(1, len(arrivals)):

@@ -105,7 +105,7 @@ def test_criterion_4_descent_certificate(capsys):
         if trace.final != lcfs_permutation(bp).mapping:
             ok = False
             break
-        swaps = [s for s in trace.steps if s.kind == "swap"]
+        swaps = trace.steps
         if len(swaps) > initial_bad:
             ok = False
             break

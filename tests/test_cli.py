@@ -236,13 +236,16 @@ def test_compare_flag_errors(capsys):
 def test_compare_refuses_repeats(capsys):
     # A repeated seed would pool one sample path twice into the standard
     # errors; a repeated discipline would print its row twice.
-    for flags in (["--seeds", "1,2,1"], ["--seeds", "1", "--disciplines", "lcfs,fcfs,lcfs"]):
+    for flags, given in (
+        (["--seeds", "1,2,1"], "[1, 2, 1]"),
+        (["--seeds", "1", "--disciplines", "lcfs,fcfs,lcfs"], "['lcfs', 'fcfs', 'lcfs']"),
+    ):
         code, out, err = run(
             capsys,
             "compare", "--lambda", "0.5", "--mu", "1", "--arrivals", "2000", *flags,
         )
         assert code == 2 and out == ""
-        assert "only once" in err
+        assert f"only once, got {given}" in err and "Discipline." not in err
 
 
 def test_enumerate_file(tmp_path, capsys):
@@ -438,18 +441,68 @@ def test_enumerate_random_max_n_capped(tmp_path, capsys):
 
 
 def test_descent_stdout_is_pinned(tmp_path, capsys):
-    # Digest of the stdout of the full-recount descent with a plain
-    # json.dumps per step; the incremental count and the cached encoding
-    # must reproduce it byte for byte.
+    # One line per swap.  Its expansion (below) equals the stdout of the
+    # full-recount descent, so this digest pins that descent byte for byte.
     bp = random_busy_period(np.random.default_rng(80), 80)
     path = tmp_path / "bp.json"
     path.write_text(json.dumps(bp.to_dict()))
     code, out, err = run(capsys, "descent", "--input", str(path), "--start", "identity")
     assert code == 0, err
-    assert out.count("\n") == 2730
+    assert out.count("\n") == 72
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e81067dfeb3b9307d0789a8442c70019881d84d745122fdbb174c8d2450e5e64"
+        "08f50c8ea07cf9c41092345d449406aecb309a5c94b9b4d9a45e0e6fe01e60ae"
     )
+
+
+def _expand_removed(out):
+    """Descent stdout with each inert bracket of a swap line moved onto a
+    ``remove-reduction`` line of its own ahead of the swap, restating the
+    swap's unchanged ``*_before`` values."""
+    steps = []
+    for line in out.splitlines():
+        swap = json.loads(line)
+        ob, fb, nb = swap["order_before"], swap["objective_before"], swap["bad_pairs_before"]
+        steps += (
+            {
+                "kind": "remove-reduction", "indices": pair,
+                "order_before": ob, "order_after": ob,
+                "objective_before": fb, "objective_after": fb,
+                "bad_pairs_before": nb, "bad_pairs_after": nb,
+            }
+            for pair in swap.pop("removed")
+        )
+        steps.append(swap)
+    return "".join(json.dumps(s) + "\n" for s in steps)
+
+
+@pytest.mark.parametrize(
+    "n, start, lines, digest",
+    [
+        (
+            80,
+            ["--start", "identity"],
+            2730,
+            "e81067dfeb3b9307d0789a8442c70019881d84d745122fdbb174c8d2450e5e64",
+        ),
+        (
+            40,
+            ["--start", "random", "--seed", "3"],
+            483,
+            "1a8136b20f281737bf6611629a3ddfc453fe0a5e0ba518720ee8e89aa9af7767",
+        ),
+    ],
+    ids=["identity-n80", "random-start-n40"],
+)
+def test_descent_expands_to_one_line_per_bracket(tmp_path, capsys, n, start, lines, digest):
+    # The digests of the earlier format, which wrote each inert bracket as a
+    # line of its own: the swap lines lose nothing.
+    path = tmp_path / "bp.json"
+    path.write_text(json.dumps(random_busy_period(np.random.default_rng(80), n).to_dict()))
+    code, out, err = run(capsys, "descent", "--input", str(path), *start)
+    assert code == 0, err
+    expanded = _expand_removed(out)
+    assert expanded.count("\n") == lines
+    assert hashlib.sha256(expanded.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -467,8 +520,8 @@ def test_descent_stdout_is_pinned(tmp_path, capsys):
         ),
         (
             ["descent", "--input", "BP40", "--start", "random", "--seed", "3"],
-            483,
-            "1a8136b20f281737bf6611629a3ddfc453fe0a5e0ba518720ee8e89aa9af7767",
+            23,
+            "6a8361d94c6d4192749ff0a92d385e7b245b397d20f2e1174965a0fed018f4f9",
         ),
     ],
     ids=["enumerate-n9", "enumerate-n14", "descent-random-start"],

@@ -126,12 +126,8 @@ def test_descent_trace_nested():
     trace = descent_to_lcfs(NEST5, Permutation.identity(5))
     assert trace.start == (1, 2, 3, 4, 5)
     assert trace.final == (1, 5, 4, 3, 2)
-    kinds = [(s.kind, s.indices) for s in trace.steps]
-    assert kinds == [
-        ("swap", (2, 5)),
-        ("remove-reduction", (5, 2)),
-        ("swap", (3, 4)),
-    ]
+    steps = [(s.indices, s.removed) for s in trace.steps]
+    assert steps == [((2, 5), ()), ((3, 4), ((5, 2),))]
     assert trace.swap_count == 2
 
 
@@ -146,11 +142,14 @@ def test_descent_jsonl_fields():
     trace = descent_to_lcfs(BP, Permutation((1, 2, 3)))
     lines = trace.to_jsonl().splitlines()
     assert len(lines) == 1
-    import json
-
     step = json.loads(lines[0])
+    assert list(step) == [
+        "kind", "indices", "removed", "order_before", "order_after",
+        "objective_before", "objective_after", "bad_pairs_before", "bad_pairs_after",
+    ]
     assert step["kind"] == "swap"
     assert step["indices"] == [2, 3]
+    assert step["removed"] == []
     assert step["order_before"] == [1, 2, 3]
     assert step["order_after"] == [1, 3, 2]
     assert step["objective_before"] == 8.5
@@ -167,15 +166,11 @@ def test_descent_invariants_random_instances():
         initial_bad = len(bad_pairs(bp, start))
         trace = descent_to_lcfs(bp, start)
         assert trace.final == lcfs_permutation(bp).mapping
-        swaps = [s for s in trace.steps if s.kind == "swap"]
-        assert len(swaps) <= initial_bad
-        for s in swaps:
+        assert trace.swap_count == len(trace.steps) <= initial_bad
+        for s in trace.steps:
             assert s.objective_after < s.objective_before
             assert s.bad_pairs_after < s.bad_pairs_before
-        for s in trace.steps:
-            if s.kind == "remove-reduction":
-                assert s.order_before == s.order_after
-                assert s.objective_before == s.objective_after
+            _assert_removed_are_the_inert_brackets(bp, s)
 
 
 def test_check_extremality_report():
@@ -360,15 +355,30 @@ def test_descent_reaches_the_stack_order_on_a_lattice(bp):
         trace = descent_to_lcfs(bp, perm)
         assert trace.final == stack
         for step in trace.steps:
-            if step.kind == "swap":
-                assert step.objective_after < step.objective_before
+            assert step.objective_after < step.objective_before
+
+
+def _assert_removed_are_the_inert_brackets(bp, step):
+    """``removed`` is the leading run of the bracket matching up to the
+    first slot whose owner differs, and the order gives each listed
+    customer its listed slot."""
+    m = step.order_before
+    inert = []
+    for k, j in permutations._stack_pairs(bp):
+        if m[k] != j + 1:
+            break
+        inert.append((k + 1, j + 1))
+    assert step.removed == tuple(inert)
+    assert all(m[c - 1] == s for c, s in step.removed)
 
 
 def _assert_descent_is_exact(bp, start):
     """The trace's counts equal a full recount, each swap meets the exact
-    certificate, and the cached JSONL equals a plain encoding per step."""
+    certificate, each swap lists exactly the inert brackets passed, and
+    the JSONL is one line per step."""
     trace = descent_to_lcfs(bp, start)
     assert trace.final == lcfs_permutation(bp).mapping
+    assert trace.swap_count == len(trace.steps)
     a, b = bp.arrivals, bp.service_starts
     recount = {}
     for step in trace.steps:
@@ -377,12 +387,13 @@ def _assert_descent_is_exact(bp, start):
                 recount[order] = bad_pairs(bp, Permutation(order))
         assert step.bad_pairs_before == len(recount[step.order_before])
         assert step.bad_pairs_after == len(recount[step.order_after])
-        if step.kind == "swap":
-            i, k = step.indices
-            m = step.order_before
-            assert a[i - 1] < a[k - 1] and b[m[i - 1] - 1] < b[m[k - 1] - 1]
-            assert permutations.BadPair(i, k) in recount[m]
-    assert trace.to_jsonl() == "\n".join(json.dumps(s.to_dict()) for s in trace.steps)
+        i, k = step.indices
+        m = step.order_before
+        assert a[i - 1] < a[k - 1] and b[m[i - 1] - 1] < b[m[k - 1] - 1]
+        assert permutations.BadPair(i, k) in recount[m]
+        _assert_removed_are_the_inert_brackets(bp, step)
+    lines = trace.to_jsonl().splitlines()
+    assert [json.loads(line) for line in lines] == [s.to_dict() for s in trace.steps]
 
 
 @given(busy_periods(lattice=False, max_n=60), st.integers(0, 2**32 - 1))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -206,8 +207,6 @@ def test_trace_jsonl_shape(tmp_path):
     trace = run_simulation(det_config(2.0, 1.0, 2))
     path = tmp_path / "t.jsonl"
     write_trace_jsonl(trace, path)
-    import json
-
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     first = json.loads(lines[0])
@@ -233,6 +232,27 @@ def test_read_trace_rejects_garbage(tmp_path):
     p.write_text("")
     with pytest.raises(MalformedInputError):
         read_trace_jsonl(p)
+    # json.loads accepts each of these; none is a customer number or a time.
+    good = {"customer": 1, "arrival": 0, "service_start": 0, "departure": 1}
+    for key, value in (
+        ("customer", "true"),
+        ("customer", "1.0"),
+        ("arrival", '"0"'),
+        ("departure", '"1.5"'),
+        ("departure", "Infinity"),
+        ("departure", "-Infinity"),
+        ("departure", "NaN"),
+        ("departure", "false"),
+        ("departure", "1" + "0" * 400),
+    ):
+        fields = ", ".join(
+            f'"{k}": {value if k == key else json.dumps(v)}' for k, v in good.items()
+        )
+        p.write_text("{" + fields + "}\n")
+        with pytest.raises(MalformedInputError):
+            read_trace_jsonl(p)
+    p.write_text(json.dumps(good) + "\n")
+    assert read_trace_jsonl(p).n == 1
 
 
 def test_extract_detects_idle_inside_period():
