@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import (
     FirstServiceNotImmediateError,
@@ -166,13 +167,18 @@ def validate_busy_period(
 ) -> BusyPeriod:
     """Coerce two timestamp sequences into a validated :class:`BusyPeriod`.
 
-    Raises the :class:`~qvar.errors.ValidationError` subclass naming the
-    first violated invariant.
+    A timestamp that is not a real number, or is a bool, raises
+    :class:`MalformedInputError`; else the :class:`~qvar.errors.ValidationError`
+    subclass naming the first violated invariant is raised.
     """
     try:
-        a = tuple(float(t) for t in arrivals)
-        b = tuple(float(t) for t in service_starts)
-    except (TypeError, ValueError) as exc:
+        a, b = tuple(arrivals), tuple(service_starts)
+        for t in a + b:
+            if isinstance(t, bool) or not isinstance(t, Real):
+                raise TypeError(f"got {t!r}")
+        # float() of an int beyond the float range overflows.
+        a, b = tuple(map(float, a)), tuple(map(float, b))
+    except (TypeError, OverflowError) as exc:
         raise MalformedInputError(f"timestamps must be numbers: {exc}") from None
     return BusyPeriod(a, b)
 
@@ -213,7 +219,9 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
+        if n < 1:
+            raise ValidationError("a permutation needs at least one element")
+        return cls._trusted(tuple(range(1, n + 1)))
 
     def __len__(self) -> int:
         return len(self.mapping)

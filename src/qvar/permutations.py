@@ -74,13 +74,20 @@ def lcfs_permutation(bp: BusyPeriod) -> Permutation:
     """Stack order: each service slot goes to the latest-arrived waiter.
 
     Runs the bracket matching described in the module docstring in one merge
-    pass over the two timestamp sequences.
+    pass over the two timestamp sequences, as :func:`_stack_pairs` does.
+    Each customer is pushed and popped once, so the result is a bijection.
     """
-    mapping = [0] * bp.n
-    mapping[0] = 1
-    for k, j in _stack_pairs(bp):
-        mapping[k] = j + 1
-    return Permutation(tuple(mapping))
+    n = bp.n
+    a, b = bp.arrivals, bp.service_starts
+    mapping = [1] * n
+    stack: list[int] = []
+    ai = 1
+    for bi in range(1, n):
+        while ai < n and a[ai] < b[bi]:
+            stack.append(ai)
+            ai += 1
+        mapping[stack.pop()] = bi + 1
+    return Permutation._trusted(tuple(mapping))
 
 
 def _stack_pairs(bp: BusyPeriod) -> Iterator[tuple[int, int]]:

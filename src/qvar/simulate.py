@@ -27,8 +27,9 @@ the busy periods) is computed once with array operations, bitwise equal to
 adding the durations slot by slot.  The discipline then assigns customers
 to slots: first-come is the identity, last-come is bracket matching of
 arrivals against slots, and random order walks only the runs of slots
-that find two or more waiters.  The trace places each slot's times at the
-customer it serves.
+that find two or more waiters, all runs of a block in lockstep: one array
+step per position in a run, so the Python steps per block are its longest
+run.  The trace places each slot's times at the customer it serves.
 """
 
 from __future__ import annotations
@@ -371,37 +372,56 @@ def _random_pick(
     arrived: np.ndarray, queue: np.ndarray, decisions: np.ndarray
 ) -> np.ndarray:
     """Random order: slot ``k`` swaps the waiter at ``int(decisions[k] *
-    len(waiting))`` to the end of the waiting list and serves it.
+    queue[k])`` to the end of the waiting list and serves it.
 
     A slot that finds one waiter leaves the list empty, so the slots split
     into runs that each serve their own customers.  A lone slot serves its
-    own customer; only the runs of slots that find two or more waiters, each
-    with the slot that empties the list after it, are walked.
+    own customer.  The other runs, each a stretch of slots that find two or
+    more waiters and the slot that empties the list after them, are walked
+    in lockstep: step ``t`` takes the ``t``-th slot of every run at once,
+    each run keeping its list in its own stretch of one buffer.  The Python
+    steps are the longest run, not the slots walked.
     """
     contested = queue >= 2
     contested[1:] |= queue[:-1] >= 2
     slots = np.flatnonzero(contested)
+    w = len(slots)
     # Numbered consecutively, the walked customers join the waiting list in
     # turn: ``joins[j]`` of them when the j-th walked slot opens.  That slot
     # finds ``queue`` waiters, which fixes its pick in advance.
     joins = np.diff(arrived[slots] - np.cumsum(~contested)[slots], prepend=0)
-    picks = (decisions[slots] * queue[slots]).astype(np.int64)
-    waiting: list[int] = []
-    picked: list[int] = []
-    nxt = 0
-    for j, pick in zip(joins.tolist(), picks.tolist()):
-        if j == 1:
-            waiting.append(nxt)
-            nxt += 1
-        elif j:
-            waiting.extend(range(nxt, nxt + j))
-            nxt += j
-        cust = waiting[pick]
-        waiting[pick] = waiting[-1]  # the swap-pop
-        waiting.pop()
-        picked.append(cust)
+    q = queue[slots]
+    # Walked slot ``base + t`` is step ``t`` of the run opening at ``base``,
+    # whose waiting list is kept in ``buf[base:]``.
+    opens = np.ones(w, dtype=bool)
+    opens[1:] = q[:-1] == 1
+    base = np.maximum.accumulate(np.where(opens, np.arange(w), 0))
+    t = np.arange(w) - base
+    take = base + (decisions[slots] * q).astype(np.int64)
+    last = base + q - 1
+    # Customer c joins at walked slot g, after c - base - t[g] others of
+    # its run still wait: it goes to the list's end, entry c - t[g].
+    joined = t[np.repeat(np.arange(w), joins)]
+    # Sorted by step, each step's slots and its joiners are one slice
+    # (16-bit keys get numpy's radix sort).
+    key = np.uint16 if w < 1 << 16 else np.int64
+    by_step = np.argsort(t.astype(key), kind="stable")
+    joiners = np.argsort(joined.astype(key), kind="stable")
+    take, last = take[by_step], last[by_step]
+    dest = joiners - joined[joiners]
+    slot_cuts = np.cumsum(np.bincount(t)).tolist()
+    join_cuts = np.cumsum(np.bincount(joined, minlength=len(slot_cuts))).tolist()
+    buf = np.empty(w, dtype=np.int64)
+    picked = np.empty(w, dtype=np.int64)
+    i = c = 0
+    for j, d in zip(slot_cuts, join_cuts):
+        buf[dest[c:d]] = joiners[c:d]
+        at = take[i:j]
+        picked[i:j] = buf[at]
+        buf[at] = buf[last[i:j]]  # the swap-pop
+        i, c = j, d
     served = np.arange(len(arrived))
-    served[slots] = slots[picked]
+    served[slots[by_step]] = slots[picked]
     return served
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +43,12 @@ def test_validate_accepts_and_coerces():
     assert bp.n == 3
     assert bp.arrivals == (0.0, 1.0, 2.0)
     assert isinstance(bp.arrivals[0], float)
+    # numpy scalars and other reals load as floats
+    bp = validate_busy_period(
+        [np.float64(0), np.int64(1), Fraction(3, 2)], [np.float32(0), 2.5, np.int32(3)]
+    )
+    assert bp == validate_busy_period([0.0, 1.0, 1.5], [0.0, 2.5, 3.0])
+    assert all(type(t) is float for t in bp.arrivals + bp.service_starts)
 
 
 def test_single_customer_period():
@@ -98,6 +106,16 @@ def test_infeasible_reports_position():
 def test_malformed_values():
     with pytest.raises(MalformedInputError):
         validate_busy_period([0, "x"], [0, 1])
+    # Strings, bools and other non-reals are refused, not coerced.
+    for bad in ("1", b"1", True, False, None, [1], Decimal(1), 10**400):
+        with pytest.raises(MalformedInputError, match="timestamps must be numbers"):
+            validate_busy_period([0, bad], [0, 3])
+    with pytest.raises(MalformedInputError, match="timestamps must be numbers"):
+        validate_busy_period([0, 1], 5)
+    with pytest.raises(MalformedInputError, match="timestamps must be numbers"):
+        BusyPeriod.from_dict(
+            {"arrivals": ["0", True, "2"], "service_starts": [False, "2.5", 3]}
+        )
 
 
 def test_dict_round_trip():
@@ -125,6 +143,8 @@ def test_permutation_validation():
         Permutation((1, 4, 2))
     with pytest.raises(ValidationError):
         Permutation(())
+    with pytest.raises(ValidationError):
+        Permutation.identity(0)
 
 
 def test_permutation_basics():

@@ -306,6 +306,11 @@ def test_enumerate_malformed(tmp_path, capsys):
     path.write_text(json.dumps({"arrivals": [0, 1], "service_starts": [0, 0.5]}))
     code, _, err = run(capsys, "enumerate", "--input", str(path))
     assert code == 2  # infeasible timestamps are invalid input
+    path.write_text(
+        json.dumps({"arrivals": ["0", True, "2"], "service_starts": [False, "2.5", 3]})
+    )
+    code, out, err = run(capsys, "enumerate", "--input", str(path))
+    assert code == 2 and out == "" and "timestamps must be numbers" in err
     code, _, err = run(capsys, "enumerate", "--input", str(path), "--random", "5")
     assert code == 2  # mutually exclusive
     code, _, err = run(capsys, "enumerate")

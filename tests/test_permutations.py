@@ -347,6 +347,22 @@ def test_extreme_orders_match_reference_on_a_lattice(bp):
     _assert_matches_reference(bp)
 
 
+@pytest.mark.parametrize("lattice", [False, True])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_closed_forms_pass_the_public_constructor(lattice, data):
+    # Both are built unchecked; the lattice puts arrivals on slot instants.
+    bp = data.draw(busy_periods(lattice=lattice, max_n=40))
+    stack = lcfs_permutation(bp)
+    assert Permutation(stack.mapping) == stack
+    pairs = [1] * bp.n
+    for k, j in permutations._stack_pairs(bp):
+        pairs[k] = j + 1
+    assert stack.mapping == tuple(pairs)
+    first = fcfs_permutation(bp)
+    assert Permutation(first.mapping) == first and first.is_identity()
+
+
 @given(busy_periods(lattice=True))
 @settings(max_examples=100, deadline=None)
 def test_descent_reaches_the_stack_order_on_a_lattice(bp):

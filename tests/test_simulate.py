@@ -650,6 +650,96 @@ def test_traces_equal_slot_loop(
         assert trace_digest(run_simulation(one, shared)) == expected, d
 
 
+def swap_pop_reference(arrived, queue, decisions):
+    """Random order as one plain-list swap-pop per slot: slot k's waiters
+    are the customers below ``arrived[k]`` not yet served."""
+    waiting, served, nxt = [], [], 0
+    for k, (count, q, u) in enumerate(zip(arrived, queue, decisions)):
+        waiting.extend(range(nxt, count))
+        nxt = max(nxt, count)
+        assert len(waiting) == q, k
+        pick = int(u * q)
+        waiting[pick], waiting[-1] = waiting[-1], waiting[pick]
+        served.append(waiting.pop())
+    return served
+
+
+def block_of_runs(lengths, rng):
+    """``arrived`` of a block whose slots split into runs of the given
+    lengths: a run of L slots serves its own L customers, finds two or more
+    waiters at each slot but its last, and one there."""
+    arrived, lo = [], 0
+    for length in lengths:
+        count = lo + 1
+        for i in range(length - 1):
+            count = int(rng.integers(max(count, lo + i + 2), lo + length + 1))
+            arrived.append(count)
+        arrived.append(lo + length)
+        lo += length
+    return np.array(arrived, dtype=np.int64)
+
+
+LAST_PICK = math.nextafter(1.0, 0.0)  # int(u * q) == q - 1 for every q
+
+
+def assert_random_pick_matches(arrived, decisions):
+    queue = arrived - np.arange(len(arrived))
+    got = simulate._random_pick(arrived, queue, decisions)
+    assert got.tolist() == swap_pop_reference(arrived.tolist(), queue.tolist(), decisions)
+    return got
+
+
+def test_random_pick_without_contested_slots():
+    rng = np.random.default_rng(1)
+    served = assert_random_pick_matches(block_of_runs([1] * 9, rng), rng.random(9))
+    assert served.tolist() == list(range(9))
+
+
+def test_random_pick_one_run_spans_the_block():
+    rng = np.random.default_rng(2)
+    for m in (2, 3, 40, 300):
+        assert_random_pick_matches(block_of_runs([m], rng), rng.random(m))
+        assert_random_pick_matches(block_of_runs([1, m - 1], rng), rng.random(m))
+        # every slot finds all the block's unserved customers waiting
+        assert_random_pick_matches(np.full(m, m), rng.random(m))
+
+
+def test_random_pick_takes_the_last_or_first_waiter():
+    rng = np.random.default_rng(3)
+    lengths = [1, 7, 2, 1, 12, 3, 5]
+    m = sum(lengths)
+    for u in (LAST_PICK, 0.0):
+        assert_random_pick_matches(block_of_runs(lengths, rng), np.full(m, u))
+        assert_random_pick_matches(block_of_runs([m], rng), np.full(m, u))
+
+
+@given(
+    lengths=st.lists(st.integers(1, 30), min_size=1, max_size=25),
+    seed=st.integers(0, 2**32 - 1),
+    extreme=st.sampled_from([None, LAST_PICK, 0.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_random_pick_walks_many_unequal_runs_at_once(lengths, seed, extreme):
+    rng = np.random.default_rng(seed)
+    decisions = rng.random(sum(lengths))
+    if extreme is not None:
+        decisions[rng.random(len(decisions)) < 0.5] = extreme
+    assert_random_pick_matches(block_of_runs(lengths, rng), decisions)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize(
+    "rho, arrival_dist", [(0.95, "exponential"), (1.0, "deterministic"), (1.2, "exponential")]
+)
+def test_random_order_equals_slot_loop_on_long_runs(monkeypatch, block, rho, arrival_dist):
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+    cfg = mm1(rho, 3_000, seed=12, discipline="random", arrival_dist=arrival_dist)
+    trace = run_simulation(cfg)
+    assert int(np.diff(np.append(trace.period_starts, cfg.num_arrivals)).max()) > 200
+    assert trace_digest(trace) == trace_digest(slot_loop_reference(cfg))
+
+
 def test_shared_trajectory_must_match_config():
     cfg = mm1(0.5, 100, seed=1)
     shared = Trajectory(cfg)
