@@ -57,8 +57,8 @@ from .variates import _check_rate, _check_seed, _check_stable
 
 __all__ = ["main", "build_parser"]
 
-# Largest --random period size: the O(n * 2**n) extremality program takes
-# about 34-55 ms on a worst-case period of 14 customers.
+# Largest --random period size.  The bound is the CLI's, not the exact
+# oracle's, which takes about 0.1 ms on a period of 14 customers.
 RANDOM_MAX_N = 14
 
 

@@ -5,7 +5,7 @@ Layout mirrors how failures are reported at the command line:
 * ``ValidationError`` and its children mean the *input* was bad (malformed
   file, inconsistent flags, impossible timestamps).  The CLI maps these to
   exit code 2.
-* ``ExtremalityViolationError`` is special: it means an exhaustive search
+* ``ExtremalityViolationError`` is special: it means the exact oracle
   found a service order strictly outside the proven first-come/last-come
   envelope, i.e. the theorem the package exists to demonstrate failed on a
   concrete instance.  Exit code 3.
@@ -107,7 +107,7 @@ class NoBadPairsError(QvarError):
 
 
 class ExtremalityViolationError(QvarError):
-    """Exhaustive search contradicted the variance-extremality theorem.
+    """The exact oracle contradicted the variance-extremality theorem.
 
     Raised when some realizable service order attains a pairing objective
     outside the [last-come, first-come] envelope (CLI exit code 3).  If this

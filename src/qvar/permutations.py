@@ -10,14 +10,14 @@ provides
 * the *bad pair* certificate and a descent that removes one bad pair per
   swap, walking any order down to the stack order while the objective
   strictly falls, and
-* :func:`check_extremality`, which finds the exact minimum and maximum of
-  the objective over every realizable order with a dynamic program over
-  sets of used slots, and raises if the two closed forms do not attain
-  them.
+* :func:`check_extremality`, which proves in exact arithmetic that the
+  closed forms attain the minimum and maximum over every realizable order
+  -- the maximum by the rearrangement inequality, the minimum by an
+  LP-duality certificate -- and raises if they do not.
 
-Enumeration, that program and the sampler in :mod:`qvar.instances` grow
-an order customer by customer with one rule, :func:`_choices`: the free
-slots a customer may take that leave every later customer a slot.
+Enumeration and the sampler in :mod:`qvar.instances` grow an order
+customer by customer with one rule, :func:`_choices`: the free slots a
+customer may take that leave every later customer a slot.
 
 The stack order is computed by bracket matching: interleave the arrival and
 service-start timestamps on the time axis, read arrivals as ``(`` and
@@ -357,11 +357,12 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
 
 @dataclass(frozen=True)
 class ExtremalityReport:
-    """Result of checking one busy period exhaustively.
+    """Result of checking one busy period exactly.
 
-    ``argmin``/``argmax`` are the lexicographically first orders attaining
-    the exact extreme objectives (for distinct timestamps each extreme is
-    attained once).  ``min_objective``/``max_objective`` are the exact
+    ``argmin`` is the stack order and ``argmax`` arrival order, each the
+    only realizable order attaining its exact extreme: the timestamps
+    strictly rise, so every other realizable order scores strictly between
+    the two.  ``min_objective``/``max_objective`` are the exact
     extremes of :func:`~qvar.busy_period.pairing_objective`, each rounded
     once to the nearest float, so ``min_objective <= max_objective``.
     """
@@ -397,56 +398,49 @@ def _exact_times(bp: BusyPeriod) -> tuple[list[int], list[int], int]:
     return ints[: bp.n], ints[bp.n :], scale
 
 
-def _extreme_orders(
-    floors: list[int], a: list[int], b: list[int]
-) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """Exact min and max of ``sum(a[i] * b[p(i)])`` over realizable orders.
+def _improvement(
+    floors: list[int], a: list[int], b: list[int], order: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """``None`` if the realizable ``order`` minimizes ``sum(a[i] * b[p(i)])``
+    over realizable orders, else a realizable order scoring strictly less.
 
-    Customers take slots in arrival order, so after customers ``0..i-1``
-    the state is the set of slots they hold, a bitmask.  A memoized
-    recursion gives each mask the min and max objective of its completions
-    and the smallest slot that attains each, trying the slots
-    :func:`_choices` allows -- the same rule enumeration and sampling
-    extend an order by, so every mask reached has a completion.  Following
-    those slots forward from the start yields the lexicographically first
-    optimal orders.  Returns ``(min, max, argmin, argmax)`` with 1-based
-    mappings.
+    By LP duality on the assignment polytope (integral; Egervary 1931,
+    Kuhn 1955), ``order`` is optimal iff slot potentials ``v`` exist with
+    ``v[j] - v[l] <= a[i] * (b[j] - b[l])`` whenever ``i`` owns slot ``l``
+    and may take slot ``j`` (``j >= floors[i]``).  Those are shortest-path
+    conditions on the slots, with an edge ``l -> j`` of that weight for
+    moving ``l``'s owner to ``j``, so Bellman-Ford from ``v = 0`` finds
+    them, sweeping the slots downwards: a sweep that changes nothing has
+    checked every allowed cell.  A change in the ``n``-th sweep means a
+    negative cycle; moving each owner along it keeps every customer in an
+    allowed slot and lowers the objective by the cycle's weight.  Customer
+    0 keeps slot 0.  O(n**2) per sweep.
     """
     n = len(floors)
-    terms = [[x * y for y in b] for x in a]
-    # Per mask: (min, its slot, max, its slot) over the completions; the
-    # full mask has the empty completion.  A stored tuple is never empty,
-    # so ``best.get(m) or solve(...)`` solves each mask once.
-    best = {(1 << n) - 1: (0, 0, 0, 0)}
-
-    def solve(i: int, used: int) -> tuple[int, int, int, int]:
-        row = terms[i]
-        lo = hi = None
-        for j in _choices(floors, i, used):
-            nm = used | 1 << j
-            sub = best.get(nm) or solve(i + 1, nm)
-            x, y = row[j] + sub[0], row[j] + sub[2]
-            # Slots come in increasing order and only a strict gain
-            # replaces, so ties go to the smallest slot.
-            if lo is None or x < lo:
-                lo, lo_slot = x, j
-            if hi is None or y > hi:
-                hi, hi_slot = y, j
-        best[used] = out = (lo, lo_slot, hi, hi_slot)
-        return out
-
-    lo, _, hi, _ = best.get(1) or solve(1, 1)  # customer 0 holds slot 0
-
-    def walk(k: int) -> tuple[int, ...]:
-        used, mapping = 1, [1]
-        for _ in range(1, n):
-            j = best[used][k]
-            used |= 1 << j
-            mapping.append(j + 1)
-        return tuple(mapping)
-
-    head = terms[0][0]
-    return head + lo, head + hi, walk(1), walk(3)
+    owner = sorted(range(n), key=order.__getitem__)  # slot -> customer
+    v, pred = [0] * n, [0] * n
+    for _ in range(n):
+        last = None
+        for l in range(n - 1, 0, -1):
+            i = owner[l]
+            x = a[i]
+            base = v[l] - x * b[l]
+            for j in range(floors[i], n):
+                t = base + x * b[j]
+                if t < v[j]:
+                    v[j], pred[j], last = t, l, j
+        if last is None:
+            return None
+    # n steps back along pred from a slot changed in the n-th sweep land on
+    # a cycle of pred, and every such cycle is negative.
+    for _ in range(n):
+        last = pred[last]
+    moved, j = list(order), last
+    while True:
+        moved[owner[pred[j]]] = j + 1
+        j = pred[j]
+        if j == last:
+            return tuple(moved)
 
 
 def check_extremality(
@@ -454,42 +448,47 @@ def check_extremality(
 ) -> ExtremalityReport:
     """Verify exactly that the closed forms attain both extremes of a period.
 
-    Finds the minimum and maximum pairing objective over every realizable
-    order by an O(n * 2**n) dynamic program over sets of used slots
-    (:func:`_extreme_orders`), without listing the orders, in integer
-    arithmetic (:func:`_exact_times`), and confirms that arrival order
-    attains the maximum and the stack order the minimum.  The program does
-    not use the bracket matching it audits.  ``num_realizable`` is the
-    product formula: customer ``i`` (0-based) has ``i + 1 - floor_i``
-    choices once every later customer holds a slot.  Refuses periods of
-    more than ``max_n`` customers like :func:`enumerate_realizable`.
-    Raises :class:`ExtremalityViolationError` on any strict violation --
-    which would be a counterexample to the theorem, not a data problem.
+    In integer arithmetic (:func:`_exact_times`).  Both timestamp sequences
+    strictly rise (checked), so by the rearrangement inequality arrival
+    order is the unique maximizer over all ``n!`` orders, and it is
+    realizable.  The stack order is proved the minimizer by the duality
+    certificate of :func:`_improvement`, which does not use the bracket
+    matching it audits.  ``num_realizable`` is the product formula:
+    customer ``i`` (0-based) has ``i + 1 - floor_i`` choices once every
+    later customer holds a slot.  Refuses periods of more than ``max_n``
+    customers like :func:`enumerate_realizable`.  Raises
+    :class:`ExtremalityViolationError`, naming a strictly better order, on
+    any violation -- a counterexample to the theorem, not a data problem.
     """
     _check_size(bp, max_n)
+    n = bp.n
     floors = _slot_floors(bp)
     a, b, scale = _exact_times(bp)
-    worst, best, argmin, argmax = _extreme_orders(floors, a, b)
     # int / int is correctly rounded, so the two floats keep their order.
     unit = scale * scale
-    v_min, v_max = worst / unit, best / unit
     arrival = sum(x * y for x, y in zip(a, b))
-    if arrival != best:
+    for k in range(1, n):
+        if not (a[k - 1] < a[k] and b[k - 1] < b[k]):
+            swapped = (*range(1, k), k + 1, k, *range(k + 2, n + 1))
+            gain = (a[k - 1] - a[k]) * (b[k] - b[k - 1])
+            raise ExtremalityViolationError(
+                f"arrival order scores {arrival / unit!r} but {swapped} scores "
+                f"{(arrival + gain) / unit!r}; arrival order is not the maximizer "
+                f"on {bp.to_dict()}"
+            )
+    stack = lcfs_permutation(bp).mapping
+    stacked = sum(x * b[m - 1] for x, m in zip(a, stack))
+    better = _improvement(floors, a, b, stack)
+    if better is not None:
+        lower = sum(x * b[m - 1] for x, m in zip(a, better))
         raise ExtremalityViolationError(
-            f"arrival order scores {arrival / unit!r} but {argmax} scores "
-            f"{v_max!r}; arrival order is not the maximizer on {bp.to_dict()}"
-        )
-    stack = lcfs_permutation(bp)
-    stacked = sum(x * b[m - 1] for x, m in zip(a, stack.mapping))
-    if stacked != worst:
-        raise ExtremalityViolationError(
-            f"stack order scores {stacked / unit!r} but {argmin} scores "
-            f"{v_min!r}; stack order is not the minimizer on {bp.to_dict()}"
+            f"stack order scores {stacked / unit!r} but {better} scores "
+            f"{lower / unit!r}; stack order is not the minimizer on {bp.to_dict()}"
         )
     return ExtremalityReport(
-        num_realizable=math.prod(i + 1 - floors[i] for i in range(1, bp.n)),
-        min_objective=v_min,
-        max_objective=v_max,
-        argmin=argmin,
-        argmax=argmax,
+        num_realizable=math.prod(i + 1 - floors[i] for i in range(1, n)),
+        min_objective=stacked / unit,
+        max_objective=arrival / unit,
+        argmin=stack,
+        argmax=tuple(range(1, n + 1)),
     )

@@ -320,18 +320,20 @@ def _exhaustive_reference(bp):
     return lo[0], hi[0], lo[1], hi[1]
 
 
+def _exact_objective(bp, mapping):
+    b = bp.service_starts
+    return sum(Fraction(x) * Fraction(b[m - 1]) for x, m in zip(bp.arrivals, mapping))
+
+
 def _assert_matches_reference(bp):
     report = check_extremality(bp)
-    a, b, scale = permutations._exact_times(bp)
-    lo, hi, argmin, argmax = permutations._extreme_orders(
-        permutations._slot_floors(bp), a, b
-    )
+    _, _, scale = permutations._exact_times(bp)
     assert scale == max(Fraction(t).denominator for t in bp.arrivals + bp.service_starts)
-    ref = _exhaustive_reference(bp)
-    assert (Fraction(lo, scale**2), Fraction(hi, scale**2), argmin, argmax) == ref
+    lo, hi, argmin, argmax = _exhaustive_reference(bp)
     assert (report.argmin, report.argmax) == (argmin, argmax)
+    assert _exact_objective(bp, report.argmin) == lo
     # Each reported objective is its exact value rounded once.
-    assert (report.min_objective, report.max_objective) == (float(ref[0]), float(ref[1]))
+    assert (report.min_objective, report.max_objective) == (float(lo), float(hi))
     assert report.num_realizable == len(enumerate_realizable(bp))
 
 
@@ -345,6 +347,40 @@ def test_extreme_orders_match_exact_exhaustive_reference(bp):
 @settings(max_examples=100, deadline=None)
 def test_extreme_orders_match_reference_on_a_lattice(bp):
     _assert_matches_reference(bp)
+
+
+@pytest.mark.parametrize("lattice", [False, True])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_certificate_holds_exactly_on_the_minimizers(lattice, data):
+    # Any realizable order, not only the stack order: the certificate passes
+    # iff the order is optimal, and otherwise names a strictly better one.
+    bp = data.draw(busy_periods(lattice=lattice))
+    order = data.draw(st.sampled_from(enumerate_realizable(bp))).mapping
+    a, b, _ = permutations._exact_times(bp)
+    better = permutations._improvement(permutations._slot_floors(bp), a, b, order)
+    lowest = _exhaustive_reference(bp)[0]
+    assert (better is None) == (_exact_objective(bp, order) == lowest)
+    if better is not None:
+        assert is_realizable(bp, Permutation(better))
+        assert _exact_objective(bp, better) < _exact_objective(bp, order)
+
+
+def test_check_extremality_audits_arrival_order(monkeypatch):
+    # The maximum rests on both sequences rising; a fall is reported with
+    # the adjacent swap that beats arrival order.
+    exact_times = permutations._exact_times
+
+    def falling(bp):
+        a, b, scale = exact_times(bp)
+        return [a[0], a[2], a[1]], b, scale
+
+    monkeypatch.setattr(permutations, "_exact_times", falling)
+    with pytest.raises(
+        ExtremalityViolationError,
+        match=r"arrival order scores 8.0 but \(1, 3, 2\) scores 8.5; arrival order",
+    ):
+        check_extremality(BP)
 
 
 @pytest.mark.parametrize("lattice", [False, True])
