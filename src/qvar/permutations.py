@@ -7,9 +7,9 @@ provides
 * the two closed-form extremes -- arrival order (first-come-first-served)
   and the stack order produced by last-come-first-served,
 * exhaustive enumeration of every realizable order for small periods,
-* the *bad pair* certificate and a descent that removes one bad pair per
-  swap, walking any order down to the stack order while the objective
-  strictly falls, and
+* the *bad pair* certificate and a descent that walks any order down to
+  the stack order in one pass over the slots, each swap removing at
+  least one bad pair while the objective strictly falls, and
 * :func:`check_extremality`, which proves in exact arithmetic that the
   closed forms attain the minimum and maximum over every realizable order
   -- the maximum by the rearrangement inequality, the minimum by an
@@ -74,8 +74,10 @@ def lcfs_permutation(bp: BusyPeriod) -> Permutation:
     """Stack order: each service slot goes to the latest-arrived waiter.
 
     Runs the bracket matching described in the module docstring in one merge
-    pass over the two timestamp sequences, as :func:`_stack_pairs` does.
-    Each customer is pushed and popped once, so the result is a bijection.
+    pass over the two timestamp sequences: each slot after the first, in
+    time order, goes to the latest arrival still unmatched when it opens.
+    Only arrivals strictly before the slot count.  Each customer is pushed
+    and popped once, so the result is a bijection.
     """
     n = bp.n
     a, b = bp.arrivals, bp.service_starts
@@ -88,22 +90,6 @@ def lcfs_permutation(bp: BusyPeriod) -> Permutation:
             ai += 1
         mapping[stack.pop()] = bi + 1
     return Permutation._trusted(tuple(mapping))
-
-
-def _stack_pairs(bp: BusyPeriod) -> Iterator[tuple[int, int]]:
-    """The bracket matching: each slot after the first, in time order, with
-    the latest arrival still unmatched when it opens, as 0-based
-    ``(customer, slot)``.  Only arrivals strictly before the slot count."""
-    n = bp.n
-    a, b = bp.arrivals, bp.service_starts
-    stack: list[int] = []
-    ai = 1  # next arrival to place on the stack
-    for bi in range(1, n):
-        while ai < n and a[ai] < b[bi]:
-            stack.append(ai)
-            ai += 1
-        # Feasibility of the period guarantees someone is waiting here.
-        yield stack.pop(), bi
 
 
 def _slot_floors(bp: BusyPeriod) -> list[int]:
@@ -211,28 +197,33 @@ def bad_pairs(bp: BusyPeriod, perm: Permutation) -> list[BadPair]:
     ]
 
 
-def _find_swap_site(
+def _swaps(
     bp: BusyPeriod, perm: Permutation
-) -> tuple[int, int, list[tuple[int, int]]]:
-    """Locate the descent swap for an order that still has bad pairs.
+) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+    """The descent swaps from a realizable order to the stack order.
 
-    Walks the bracket matching of :func:`lcfs_permutation`, slot by slot.
-    While the order gives each slot to the customer the matching pops, the
-    bracket is inert: record it and go on.  At the first slot it does not,
-    the popped customer ``k`` and the slot's owner ``i`` form a bad pair
-    ``(i, k)``.
+    Walks the slots after the first in time order, checked against the
+    stack order.  While the order gives a slot to its stack owner, the
+    bracket is inert and the walk goes on.  At a slot it does not, the
+    slot's owner ``i`` and its stack owner ``k`` form a bad pair ``(i, k)``:
+    ``k`` takes the slot and ``i`` takes ``k``'s old slot, which is later.
+    Every slot passed then holds its stack owner, so the walk never goes
+    back.
 
-    Returns ``(i, k, removed)`` (all 1-based) where ``removed`` lists the
-    inert ``(customer, slot)`` brackets passed on the way.  Must only be
-    called when bad pairs exist; the walk cannot pass every slot otherwise.
+    Yields ``(i, k, passed, order)`` per swap: the customers (1-based),
+    the number of inert brackets before the swap's slot, and the order
+    after the swap.  O(1) per slot walked.
     """
-    m = perm.mapping
-    removed: list[tuple[int, int]] = []
-    for k, j in _stack_pairs(bp):
-        if m[k] != j + 1:
-            return m.index(j + 1) + 1, k + 1, removed
-        removed.append((k + 1, j + 1))
-    raise AssertionError("swap site requested for a stack order")
+    n = bp.n
+    m = list(perm.mapping)
+    owner = sorted(range(n), key=m.__getitem__)  # slot -> customer
+    target = sorted(range(n), key=lcfs_permutation(bp).mapping.__getitem__)
+    for j in range(1, n):
+        i, k = owner[j], target[j]
+        if i != k:
+            owner[m[k] - 1] = i
+            m[i], m[k] = m[k], j + 1
+            yield i + 1, k + 1, j - 1, tuple(m)
 
 
 def _touching(bp: BusyPeriod, order: tuple[int, ...], i: int, k: int) -> int:
@@ -247,13 +238,6 @@ def _touching(bp: BusyPeriod, order: tuple[int, ...], i: int, k: int) -> int:
     return count
 
 
-def _swap(perm: Permutation, i: int, k: int) -> Permutation:
-    """``perm`` with the slots of customers ``i`` and ``k`` (1-based) exchanged."""
-    m = list(perm.mapping)
-    m[i - 1], m[k - 1] = m[k - 1], m[i - 1]
-    return Permutation(tuple(m))
-
-
 def descent_swap(
     bp: BusyPeriod, perm: Permutation
 ) -> tuple[Permutation, tuple[int, int]]:
@@ -266,10 +250,9 @@ def descent_swap(
     with no bad pair, which admits no step.
     """
     _require_realizable(bp, perm)
-    if perm == lcfs_permutation(bp):
-        raise NoBadPairsError("the order has no bad pairs; it is already the stack order")
-    i, k, _ = _find_swap_site(bp, perm)
-    return _swap(perm, i, k), (i, k)
+    for i, k, _, order in _swaps(bp, perm):
+        return Permutation._trusted(order), (i, k)
+    raise NoBadPairsError("the order has no bad pairs; it is already the stack order")
 
 
 @dataclass(frozen=True)
@@ -277,9 +260,10 @@ class DescentStep:
     """One descent swap: the slots of customers ``indices == (i, k)`` are
     exchanged, lowering the objective and the bad-pair count.
 
-    ``removed`` lists the inert ``(customer, slot)`` brackets (1-based) the
-    site search passed before reaching the swap, in the order passed; the
-    order is unchanged across them.
+    ``removed`` lists the inert ``(customer, slot)`` brackets (1-based) of
+    the slots before the swap's slot, in slot order: the order already
+    gives each listed customer its stack-order slot.  The list grows by at
+    least one bracket from each step to the next.
     """
 
     indices: tuple[int, int]
@@ -328,31 +312,29 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
 
     Each swap strictly lowers the pairing objective and the bad-pair count,
     so the number of swaps is at most the starting order's bad-pair count.
-    Each swap's step lists the inert brackets the site search passed
-    before it.
+    Each swap's step lists the inert brackets passed before it.
 
-    Cost: one O(n**2) :func:`bad_pairs` for the starting count, then O(n)
-    per swap, the count updated from the pairs that touch the two swapped
-    customers.  The trace has one step per swap, each holding two full
-    orders.
+    Cost: one O(n**2) :func:`bad_pairs` count for the start, one pass over
+    the slots (:func:`_swaps`), and O(n) per swap for the objective and the
+    count, updated from the pairs that touch the two swapped customers.
+    The trace has one step per swap, each holding two full orders.
     """
     nbad = len(bad_pairs(bp, perm))  # raises NotRealizableError
-    current, obj = perm, pairing_objective(bp, perm)
+    order, obj = perm.mapping, pairing_objective(bp, perm)
+    stack = lcfs_permutation(bp).mapping
+    brackets = tuple((c + 1, stack[c]) for c in sorted(range(1, bp.n), key=stack.__getitem__))
     steps: list[DescentStep] = []
-    while nbad:
-        i, k, removed = _find_swap_site(bp, current)
-        order = current.mapping
-        swapped = _swap(current, i, k)
-        new_obj = pairing_objective(bp, swapped)
+    for i, k, passed, swapped in _swaps(bp, perm):
+        new_obj = pairing_objective(bp, Permutation._trusted(swapped))
         new_bad = nbad - _touching(bp, order, i - 1, k - 1)
-        new_bad += _touching(bp, swapped.mapping, i - 1, k - 1)
+        new_bad += _touching(bp, swapped, i - 1, k - 1)
         steps.append(
             DescentStep(
-                (i, k), tuple(removed), order, swapped.mapping, obj, new_obj, nbad, new_bad
+                (i, k), brackets[:passed], order, swapped, obj, new_obj, nbad, new_bad
             )
         )
-        current, obj, nbad = swapped, new_obj, new_bad
-    return DescentTrace(start=perm.mapping, final=current.mapping, steps=tuple(steps))
+        order, obj, nbad = swapped, new_obj, new_bad
+    return DescentTrace(start=perm.mapping, final=order, steps=tuple(steps))
 
 
 @dataclass(frozen=True)

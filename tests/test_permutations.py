@@ -46,6 +46,24 @@ def brute_force_realizable(bp):
     return out
 
 
+def stack_brackets(bp):
+    """Reference bracket matching, written apart from ``lcfs_permutation``:
+    walk the events in time order, a slot before an arrival at the same
+    instant, push each arrival and pop at each slot.  Returns 0-based
+    ``(customer, slot)`` for every slot after the first, in slot order."""
+    events = sorted(
+        [(t, 1, i) for i, t in enumerate(bp.arrivals) if i]
+        + [(t, 0, j) for j, t in enumerate(bp.service_starts) if j]
+    )
+    stack, pairs = [], []
+    for _, is_arrival, x in events:
+        if is_arrival:
+            stack.append(x)
+        else:
+            pairs.append((stack.pop(), x))
+    return pairs
+
+
 def test_fcfs_is_identity():
     assert fcfs_permutation(BP).is_identity()
 
@@ -392,7 +410,7 @@ def test_closed_forms_pass_the_public_constructor(lattice, data):
     stack = lcfs_permutation(bp)
     assert Permutation(stack.mapping) == stack
     pairs = [1] * bp.n
-    for k, j in permutations._stack_pairs(bp):
+    for k, j in stack_brackets(bp):
         pairs[k] = j + 1
     assert stack.mapping == tuple(pairs)
     first = fcfs_permutation(bp)
@@ -416,7 +434,7 @@ def _assert_removed_are_the_inert_brackets(bp, step):
     customer its listed slot."""
     m = step.order_before
     inert = []
-    for k, j in permutations._stack_pairs(bp):
+    for k, j in stack_brackets(bp):
         if m[k] != j + 1:
             break
         inert.append((k + 1, j + 1))
@@ -426,8 +444,9 @@ def _assert_removed_are_the_inert_brackets(bp, step):
 
 def _assert_descent_is_exact(bp, start):
     """The trace's counts equal a full recount, each swap meets the exact
-    certificate, each swap lists exactly the inert brackets passed, and
-    the JSONL is one line per step."""
+    certificate, each swap lists exactly the inert brackets passed, the
+    walk never goes back, ``descent_swap`` is its first step, and the
+    JSONL is one line per step."""
     trace = descent_to_lcfs(bp, start)
     assert trace.final == lcfs_permutation(bp).mapping
     assert trace.swap_count == len(trace.steps)
@@ -444,6 +463,15 @@ def _assert_descent_is_exact(bp, start):
         assert a[i - 1] < a[k - 1] and b[m[i - 1] - 1] < b[m[k - 1] - 1]
         assert permutations.BadPair(i, k) in recount[m]
         _assert_removed_are_the_inert_brackets(bp, step)
+    passed = [len(step.removed) for step in trace.steps]
+    assert all(x < y for x, y in zip(passed, passed[1:]))
+    if trace.steps:
+        first = trace.steps[0]
+        new, swapped = descent_swap(bp, start)
+        assert (new.mapping, swapped) == (first.order_after, first.indices)
+    else:
+        with pytest.raises(NoBadPairsError):
+            descent_swap(bp, start)
     lines = trace.to_jsonl().splitlines()
     assert [json.loads(line) for line in lines] == [s.to_dict() for s in trace.steps]
 
