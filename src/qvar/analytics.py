@@ -22,6 +22,7 @@ any one of them cannot survive.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -47,6 +48,7 @@ __all__ = [
     "little_check",
     "compare_disciplines",
     "COMPARISON_CSV_COLUMNS",
+    "csv_table",
 ]
 
 
@@ -76,18 +78,6 @@ class MM1Prediction:
         if d is Discipline.LCFS:
             return self.var_wait_lcfs
         return None
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "lambda_norm": self.lambda_norm,
-            "scale": self.scale,
-            "p_wait": self.p_wait,
-            "mean_wait": self.mean_wait,
-            "second_moment_given_wait_fcfs": self.second_moment_given_wait_fcfs,
-            "second_moment_given_wait_lcfs": self.second_moment_given_wait_lcfs,
-            "var_wait_fcfs": self.var_wait_fcfs,
-            "var_wait_lcfs": self.var_wait_lcfs,
-        }
 
 
 def mm1_predict(arrival_rate: float, service_rate: float) -> MM1Prediction:
@@ -123,14 +113,6 @@ class ConsistencyReport:
     lcfs_gap: float
     tolerance: float
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "ok": self.ok,
-            "fcfs_gap": self.fcfs_gap,
-            "lcfs_gap": self.lcfs_gap,
-            "tolerance": self.tolerance,
-        }
-
 
 def consistency_check(
     pred: MM1Prediction, tolerance: float = 1e-12
@@ -162,9 +144,6 @@ class LittleReport:
     lhs: float
     rhs: float
     relative_gap: float
-
-    def to_dict(self) -> dict[str, float]:
-        return {"lhs": self.lhs, "rhs": self.rhs, "relative_gap": self.relative_gap}
 
 
 def little_check(stats: WaitStats, lambda_effective: float) -> LittleReport:
@@ -249,21 +228,22 @@ class ComparisonTable:
         }
 
     def to_csv(self) -> str:
-        """Spec'd columns; floats at 17 significant digits, None as blank."""
-        lines = [",".join(COMPARISON_CSV_COLUMNS)]
-        for r in self.rows:
-            d = r.to_dict()
-            lines.append(",".join(_csv_cell(d[c]) for c in COMPARISON_CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
+        """Spec'd columns, one line per discipline (see :func:`csv_table`)."""
+        return csv_table(COMPARISON_CSV_COLUMNS, [r.to_dict() for r in self.rows])
 
 
-def _csv_cell(v: object) -> str:
-    """One CSV cell: floats at 17 significant digits, None as blank."""
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+def csv_table(columns: Sequence[str], rows: Iterable[Mapping[str, object]]) -> str:
+    """A header line and one line per row: floats at 17 significant digits,
+    None as blank."""
+
+    def cell(v: object) -> str:
+        if v is None:
+            return ""
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
+    lines = [",".join(columns)]
+    lines += (",".join(cell(r[c]) for c in columns) for r in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _pooled_se(errors: list[float | None]) -> float | None:

@@ -4,12 +4,12 @@ Four subcommands::
 
     qvar simulate   one run, waiting-time statistics as JSON or CSV
     qvar compare    several disciplines x seeds, aggregated into one table
-    qvar enumerate  brute-force extremality reports for small busy periods
+    qvar enumerate  exact extremality certificates for busy periods
     qvar descent    stream the swap-by-swap walk from an order to the stack order
 
 Exit codes: 0 success; 1 runtime failure; 2 invalid flags or malformed
-input; 3 a brute-force search observed an order outside the proven
-envelope (a counterexample, distinct from any operational error).
+input; 3 the exact oracle found an order outside the proven envelope (a
+counterexample, distinct from any operational error).
 
 Every file written via ``--out`` (or ``--trace``) gets a sibling
 ``<path>.manifest.json`` recording the tool version, timestamp, arguments,
@@ -37,7 +37,7 @@ from .errors import (
     QvarError,
     ValidationError,
 )
-from .analytics import _csv_cell, compare_disciplines
+from .analytics import compare_disciplines, csv_table
 from .instances import random_busy_period, random_realizable_permutation
 from .permutations import (
     DEFAULT_MAX_N,
@@ -52,7 +52,7 @@ from .simulate import (
     run_simulation,
     write_trace_jsonl,
 )
-from .stats import DEFAULT_WARMUP, WaitStats, compute_stats
+from .stats import DEFAULT_WARMUP, compute_stats
 from .variates import _check_rate, _check_seed, _check_stable
 
 __all__ = ["main", "build_parser"]
@@ -60,13 +60,6 @@ __all__ = ["main", "build_parser"]
 # Largest --random period size.  The bound is the CLI's, not the exact
 # oracle's, which takes about 0.1 ms on a period of 14 customers.
 RANDOM_MAX_N = 14
-
-
-def _stats_csv(stats: WaitStats) -> str:
-    d = stats.to_dict()
-    return (
-        ",".join(d.keys()) + "\n" + ",".join(_csv_cell(v) for v in d.values()) + "\n"
-    )
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -147,10 +140,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace:
         write_trace_jsonl(trace, args.trace)
         extra.append(args.trace)
+    d = stats.to_dict()
     if args.format == "csv":
-        payload = _stats_csv(stats)
+        payload = csv_table(list(d), [d])
     else:
-        payload = json.dumps(stats.to_dict(), indent=2) + "\n"
+        payload = json.dumps(d, indent=2) + "\n"
     config = dict(cfg.to_dict(), warmup_fraction=args.warmup)
     _emit(args, payload, config, extra)
     return 0
@@ -375,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser(
         "enumerate",
-        help="brute-force every realizable order of small busy periods",
+        help="certify exactly that arrival and stack order are the extremes",
     )
     enum.add_argument(
         "--input", metavar="PATH", help="busy-period JSON (one object or an array)"
@@ -392,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_N,
         metavar="K",
         help=(
-            f"largest busy period to enumerate (random sizes are 2..K, "
+            f"largest busy period to check (random sizes are 2..K, "
             f"K at most {RANDOM_MAX_N})"
         ),
     )

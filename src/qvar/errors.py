@@ -70,7 +70,7 @@ class NotRealizableError(ValidationError):
 
 
 class TooLargeError(ValidationError):
-    """An exhaustive-search routine was asked to handle too many customers."""
+    """A busy period has more customers than the caller's ``max_n`` allows."""
 
 
 class InvalidRateError(ValidationError):

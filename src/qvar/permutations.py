@@ -1,4 +1,4 @@
-"""Service-order combinatorics: extremal orders, exhaustive search, descent.
+"""Service-order combinatorics: extremal orders, their exact proof, descent.
 
 Within one busy period the realizable service orders form a finite set, and
 the pairing objective (see :mod:`qvar.busy_period`) ranks them.  This module
@@ -8,8 +8,9 @@ provides
   and the stack order produced by last-come-first-served,
 * exhaustive enumeration of every realizable order for small periods,
 * the *bad pair* certificate and a descent that walks any order down to
-  the stack order in one pass over the slots, each swap removing at
-  least one bad pair while the objective strictly falls, and
+  the stack order in one pass over the slots, each swap removing an odd
+  number of bad pairs (the exchange lemma) while the objective strictly
+  falls, and
 * :func:`check_extremality`, which proves in exact arithmetic that the
   closed forms attain the minimum and maximum over every realizable order
   -- the maximum by the rearrangement inequality, the minimum by an
@@ -139,7 +140,7 @@ DEFAULT_MAX_N = 10
 def _check_size(bp: BusyPeriod, max_n: int) -> None:
     if bp.n > max_n:
         raise TooLargeError(
-            f"refusing exhaustive enumeration for {bp.n} customers "
+            f"refusing a busy period of {bp.n} customers "
             f"(limit {max_n}); raise max_n explicitly if you mean it"
         )
 
@@ -198,44 +199,37 @@ def bad_pairs(bp: BusyPeriod, perm: Permutation) -> list[BadPair]:
 
 
 def _swaps(
-    bp: BusyPeriod, perm: Permutation
+    perm: Permutation, stack: list[int]
 ) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
-    """The descent swaps from a realizable order to the stack order.
+    """The descent swaps from a realizable order to the stack order
+    ``stack``, given as slot -> customer (0-based).
 
-    Walks the slots after the first in time order, checked against the
-    stack order.  While the order gives a slot to its stack owner, the
-    bracket is inert and the walk goes on.  At a slot it does not, the
-    slot's owner ``i`` and its stack owner ``k`` form a bad pair ``(i, k)``:
-    ``k`` takes the slot and ``i`` takes ``k``'s old slot, which is later.
-    Every slot passed then holds its stack owner, so the walk never goes
-    back.
+    Walks the slots after the first in time order.  While the order gives
+    a slot to its stack owner, the bracket is inert and the walk goes on.
+    At a slot it does not, the slot's owner ``i`` and its stack owner ``k``
+    form a bad pair ``(i, k)``: ``k`` takes the slot and ``i`` takes
+    ``k``'s old slot, which is later.  Every slot passed then holds its
+    stack owner, so the walk never goes back.
 
     Yields ``(i, k, passed, order)`` per swap: the customers (1-based),
     the number of inert brackets before the swap's slot, and the order
-    after the swap.  O(1) per slot walked.
+    after the swap.  O(1) per slot walked and O(n) per swap, which copies
+    the order.
     """
-    n = bp.n
     m = list(perm.mapping)
-    owner = sorted(range(n), key=m.__getitem__)  # slot -> customer
-    target = sorted(range(n), key=lcfs_permutation(bp).mapping.__getitem__)
-    for j in range(1, n):
-        i, k = owner[j], target[j]
+    owner = sorted(range(len(m)), key=m.__getitem__)  # slot -> customer
+    for j in range(1, len(m)):
+        i, k = owner[j], stack[j]
         if i != k:
             owner[m[k] - 1] = i
             m[i], m[k] = m[k], j + 1
             yield i + 1, k + 1, j - 1, tuple(m)
 
 
-def _touching(bp: BusyPeriod, order: tuple[int, ...], i: int, k: int) -> int:
-    """The bad pairs of ``order`` with customer ``i`` or ``k`` (0-based,
-    ``i < k``) as a member, in O(n) comparisons."""
-    a, t = bp.arrivals, [bp.service_starts[m - 1] for m in order]
-    count = -(a[k] < t[i] < t[k])  # the pair (i, k) is met twice below
-    for x in (i, k):
-        ax, tx = a[x], t[x]
-        count += sum(ax < ty < tx for ty in t[:x])
-        count += sum(ay < tx < ty for ay, ty in zip(a[x + 1 :], t[x + 1 :]))
-    return count
+def _stack_owners(bp: BusyPeriod) -> list[int]:
+    """The stack order as slot -> customer (0-based)."""
+    stack = lcfs_permutation(bp).mapping
+    return sorted(range(bp.n), key=stack.__getitem__)
 
 
 def descent_swap(
@@ -250,7 +244,7 @@ def descent_swap(
     with no bad pair, which admits no step.
     """
     _require_realizable(bp, perm)
-    for i, k, _, order in _swaps(bp, perm):
+    for i, k, _, order in _swaps(perm, _stack_owners(bp)):
         return Permutation._trusted(order), (i, k)
     raise NoBadPairsError("the order has no bad pairs; it is already the stack order")
 
@@ -314,20 +308,34 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
     so the number of swaps is at most the starting order's bad-pair count.
     Each swap's step lists the inert brackets passed before it.
 
-    Cost: one O(n**2) :func:`bad_pairs` count for the start, one pass over
-    the slots (:func:`_swaps`), and O(n) per swap for the objective and the
-    count, updated from the pairs that touch the two swapped customers.
-    The trace has one step per swap, each holding two full orders.
+    Exchange lemma: swapping a bad pair ``(i, k)`` that holds slots
+    ``j < s`` removes exactly ``1 + 2 * #{x : i < x < k, j < p(x) < s}``
+    bad pairs.  Floors never fall, so every ``x`` between ``i`` and ``k``
+    has floor at most ``floor_k <= j``.  Then ``(i, k)``, and ``(i, x)``
+    and ``(x, k)`` for each such ``x`` with ``j < p(x) < s``, go from bad
+    to not bad; every other pair keeps its status.  The start is counted
+    in full by :func:`bad_pairs`, so a final count of 0 checks the lemma.
+
+    Majorization: the swap turns the waits ``(b_j - a_i, b_s - a_k)``
+    into ``(b_s - a_i, b_j - a_k)``.  Their sum is unchanged and their
+    maximum rises to ``b_s - a_i``, so each step's wait vector majorizes
+    the one before, and every convex cost of the waits rises towards the
+    stack order.
+
+    Cost: one O(n**2) :func:`bad_pairs` count for the start, one stack
+    order, one pass over the slots (:func:`_swaps`), and O(n) per swap
+    for the objective, the lemma's count and the order's copy.  The trace
+    has one step per swap, each holding two full orders.
     """
     nbad = len(bad_pairs(bp, perm))  # raises NotRealizableError
     order, obj = perm.mapping, pairing_objective(bp, perm)
-    stack = lcfs_permutation(bp).mapping
-    brackets = tuple((c + 1, stack[c]) for c in sorted(range(1, bp.n), key=stack.__getitem__))
+    stack = _stack_owners(bp)
+    brackets = tuple((c + 1, j + 1) for j, c in enumerate(stack) if j)
     steps: list[DescentStep] = []
-    for i, k, passed, swapped in _swaps(bp, perm):
+    for i, k, passed, swapped in _swaps(perm, stack):
         new_obj = pairing_objective(bp, Permutation._trusted(swapped))
-        new_bad = nbad - _touching(bp, order, i - 1, k - 1)
-        new_bad += _touching(bp, swapped, i - 1, k - 1)
+        j, s = order[i - 1], order[k - 1]
+        new_bad = nbad - 1 - 2 * sum(j < t < s for t in order[i : k - 1])
         steps.append(
             DescentStep(
                 (i, k), brackets[:passed], order, swapped, obj, new_obj, nbad, new_bad

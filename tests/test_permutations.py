@@ -428,6 +428,54 @@ def test_descent_reaches_the_stack_order_on_a_lattice(bp):
             assert step.objective_after < step.objective_before
 
 
+def _assert_exchange_lemma(bp):
+    """Swapping any bad pair ``(i, k)`` of slots ``j < s`` gives a
+    realizable order with exactly ``1 + 2 * #{x : i < x < k, j < p(x) < s}``
+    fewer bad pairs and a strictly smaller exact objective."""
+    for perm in enumerate_realizable(bp):
+        m = perm.mapping
+        pairs = bad_pairs(bp, perm)
+        for pair in pairs:
+            i, k = pair.i, pair.j
+            j, s = m[i - 1], m[k - 1]
+            swapped = list(m)
+            swapped[i - 1], swapped[k - 1] = s, j
+            after = Permutation(tuple(swapped))
+            assert is_realizable(bp, after)
+            between = sum(j < t < s for t in m[i : k - 1])
+            assert len(bad_pairs(bp, after)) == len(pairs) - 1 - 2 * between
+            assert _exact_objective(bp, after.mapping) < _exact_objective(bp, m)
+
+
+@pytest.mark.parametrize("lattice", [False, True])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_exchange_lemma_counts_the_removed_bad_pairs(lattice, data):
+    _assert_exchange_lemma(data.draw(busy_periods(lattice=lattice, max_n=7)))
+
+
+def _top_sums(bp, mapping):
+    """Partial sums of the exact waits, largest first."""
+    b = bp.service_starts
+    waits = [Fraction(b[m - 1]) - Fraction(x) for x, m in zip(bp.arrivals, mapping)]
+    return list(itertools.accumulate(sorted(waits, reverse=True)))
+
+
+@pytest.mark.parametrize("lattice", [False, True])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_each_descent_step_majorizes_the_last(lattice, data):
+    # The wait sum is kept and no top-k sum of the sorted waits falls.
+    bp = data.draw(busy_periods(lattice=lattice, max_n=30))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    start = random_realizable_permutation(np.random.default_rng(seed), bp)
+    for step in descent_to_lcfs(bp, start).steps:
+        before = _top_sums(bp, step.order_before)
+        after = _top_sums(bp, step.order_after)
+        assert after[-1] == before[-1]
+        assert all(x <= y for x, y in zip(before, after))
+
+
 def _assert_removed_are_the_inert_brackets(bp, step):
     """``removed`` is the leading run of the bracket matching up to the
     first slot whose owner differs, and the order gives each listed
