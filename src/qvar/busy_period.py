@@ -100,12 +100,10 @@ class BusyPeriod:
             )
         if not a:
             raise ValidationError("a busy period needs at least one customer")
-        for t in a:
-            if not math.isfinite(t):
-                raise ValidationError(f"non-finite arrival time {t!r}")
-        for t in b:
-            if not math.isfinite(t):
-                raise ValidationError(f"non-finite service start {t!r}")
+        for label, times in (("arrival time", a), ("service start", b)):
+            for t in times:
+                if not math.isfinite(t):
+                    raise ValidationError(f"non-finite {label} {t!r}")
         _check_strictly_increasing(a, "arrivals")
         _check_strictly_increasing(b, "service_starts")
         if a[0] != b[0]:
@@ -155,11 +153,29 @@ class BusyPeriod:
             raw_b = data["service_starts"]
         except KeyError as exc:
             raise MalformedInputError(f"missing key {exc.args[0]!r}") from None
-        if not isinstance(raw_a, Sequence) or isinstance(raw_a, (str, bytes)):
-            raise MalformedInputError("'arrivals' must be an array of numbers")
-        if not isinstance(raw_b, Sequence) or isinstance(raw_b, (str, bytes)):
-            raise MalformedInputError("'service_starts' must be an array of numbers")
+        for key, raw in (("arrivals", raw_a), ("service_starts", raw_b)):
+            if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
+                raise MalformedInputError(f"{key!r} must be an array of numbers")
         return validate_busy_period(raw_a, raw_b)
+
+
+def _exact_times(bp: BusyPeriod) -> tuple[list[int], list[int], int]:
+    """The period's timestamps as ints over one common power of two, and that power.
+
+    Every float is a dyadic rational ``num / 2**k``; multiplying all of them
+    by the largest such denominator keeps each one exact, so integer
+    objectives compare exactly.  The period is not shifted to start at 0:
+    float subtraction rounds and can create ties.
+    """
+    ratios = [t.as_integer_ratio() for t in bp.arrivals + bp.service_starts]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    return ints[: bp.n], ints[bp.n :], scale
+
+
+def _int_objective(a: list[int], b: list[int], mapping: Sequence[int]) -> int:
+    """The pairing objective times ``scale**2``, in :func:`_exact_times` ints."""
+    return sum(x * b[m - 1] for x, m in zip(a, mapping))
 
 
 def validate_busy_period(
@@ -278,14 +294,12 @@ def pairing_objective(bp: BusyPeriod, perm: Permutation) -> float:
 
     The single quantity through which the service order influences the mean
     squared wait of the period -- larger objective, smaller second moment.
-    Summed in customer order so equal orders give bitwise-equal results.
+    Summed exactly in the ints of :func:`_exact_times` and rounded once
+    (int / int is correctly rounded), so orders can tie but never swap.
     """
     _check_sizes(bp, perm)
-    a, b, m = bp.arrivals, bp.service_starts, perm.mapping
-    total = 0.0
-    for i in range(bp.n):
-        total += a[i] * b[m[i] - 1]
-    return total
+    a, b, scale = _exact_times(bp)
+    return _int_objective(a, b, perm.mapping) / (scale * scale)
 
 
 def waiting_times(bp: BusyPeriod, perm: Permutation) -> tuple[float, ...]:

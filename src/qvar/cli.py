@@ -4,7 +4,7 @@ Four subcommands::
 
     qvar simulate   one run, waiting-time statistics as JSON or CSV
     qvar compare    several disciplines x seeds, aggregated into one table
-    qvar enumerate  exact extremality certificates for busy periods
+    qvar enumerate  exact extremality certificates for busy periods of any length
     qvar descent    stream the swap-by-swap walk from an order to the stack order
 
 Exit codes: 0 success; 1 runtime failure; 2 invalid flags or malformed
@@ -92,7 +92,7 @@ def _read_json(path: str) -> object:
         raise MalformedInputError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past the interpreter's digit limit
         raise MalformedInputError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -161,15 +161,10 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _parse_disciplines(text: str) -> tuple[Discipline, ...]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        out.append(_check_discipline(part))
+    out = tuple(_check_discipline(part.strip()) for part in text.split(",") if part.strip())
     if not out:
         raise ConfigError("--disciplines must name at least one discipline")
-    return tuple(out)
+    return out
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -228,11 +223,19 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         rng = _rng(args.seed)
         sizes = rng.integers(2, args.max_n + 1, size=args.random)
         instances = [random_busy_period(rng, int(k)) for k in sizes]
-    lines = []
-    for idx, bp in enumerate(instances, start=1):
-        report = check_extremality(bp, max_n=args.max_n)
-        lines.append(json.dumps({"index": idx, "n": bp.n, **report.to_dict()}))
-    payload = "\n".join(lines) + "\n"
+    records = [
+        {"index": idx, "n": bp.n, **check_extremality(bp).to_dict()}
+        for idx, bp in enumerate(instances, start=1)
+    ]
+    # Counts of orders can pass the 4,300-digit int-to-str limit of Python 3.10.7+.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    try:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        payload = "".join(json.dumps(r) + "\n" for r in records)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     config = {
         "input": args.input,
         "random": args.random,
@@ -386,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_N,
         metavar="K",
         help=(
-            f"largest busy period to check (random sizes are 2..K, "
-            f"K at most {RANDOM_MAX_N})"
+            f"--random draws periods of 2..K customers, K at most "
+            f"{RANDOM_MAX_N}; --input periods may have any length"
         ),
     )
     enum.add_argument("--seed", type=int, default=0, help="seed for --random")
@@ -436,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except QvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:  # an objective past the float range
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 from .busy_period import (
     BusyPeriod,
     Permutation,
+    _exact_times,
+    _int_objective,
     _require_realizable,
-    pairing_objective,
 )
 from .errors import (
     ExtremalityViolationError,
@@ -132,17 +133,9 @@ def _choices(floors: list[int], i: int, used: int) -> list[int]:
     return [j for j in range(floors[i], cap) if not used >> j & 1]
 
 
-# Largest period enumerated or checked unless the caller raises the limit:
-# 10 customers have at most 9! = 362,880 realizable orders.
+# Largest period enumerated unless the caller raises the limit: 10
+# customers have at most 9! = 362,880 realizable orders.
 DEFAULT_MAX_N = 10
-
-
-def _check_size(bp: BusyPeriod, max_n: int) -> None:
-    if bp.n > max_n:
-        raise TooLargeError(
-            f"refusing a busy period of {bp.n} customers "
-            f"(limit {max_n}); raise max_n explicitly if you mean it"
-        )
 
 
 def enumerate_realizable(
@@ -155,7 +148,11 @@ def enumerate_realizable(
     Refuses periods with more than ``max_n`` customers (the count can grow
     factorially).
     """
-    _check_size(bp, max_n)
+    if bp.n > max_n:
+        raise TooLargeError(
+            f"refusing a busy period of {bp.n} customers "
+            f"(limit {max_n}); raise max_n explicitly if you mean it"
+        )
     n = bp.n
     floors = _slot_floors(bp)
     prefix = [1] + [0] * (n - 1)
@@ -228,8 +225,7 @@ def _swaps(
 
 def _stack_owners(bp: BusyPeriod) -> list[int]:
     """The stack order as slot -> customer (0-based)."""
-    stack = lcfs_permutation(bp).mapping
-    return sorted(range(bp.n), key=stack.__getitem__)
+    return sorted(range(bp.n), key=lcfs_permutation(bp).mapping.__getitem__)
 
 
 def descent_swap(
@@ -316,6 +312,11 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
     to not bad; every other pair keeps its status.  The start is counted
     in full by :func:`bad_pairs`, so a final count of 0 checks the lemma.
 
+    The objective is an exact int (:func:`~qvar.busy_period._exact_times`)
+    that the swap changes by ``(a_i - a_k) * (b_s - b_j) < 0``, rounded
+    once per value like :func:`~qvar.busy_period.pairing_objective`: the
+    floats never rise, and tie when the exact fall is under half an ulp.
+
     Majorization: the swap turns the waits ``(b_j - a_i, b_s - a_k)``
     into ``(b_s - a_i, b_j - a_k)``.  Their sum is unchanged and their
     maximum rises to ``b_s - a_i``, so each step's wait vector majorizes
@@ -324,21 +325,24 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
 
     Cost: one O(n**2) :func:`bad_pairs` count for the start, one stack
     order, one pass over the slots (:func:`_swaps`), and O(n) per swap
-    for the objective, the lemma's count and the order's copy.  The trace
-    has one step per swap, each holding two full orders.
+    for the lemma's count and the order's copy.  The trace has one step
+    per swap, each holding two full orders.
     """
     nbad = len(bad_pairs(bp, perm))  # raises NotRealizableError
-    order, obj = perm.mapping, pairing_objective(bp, perm)
+    a, b, scale = _exact_times(bp)
+    unit = scale * scale
+    order, obj = perm.mapping, _int_objective(a, b, perm.mapping)
     stack = _stack_owners(bp)
     brackets = tuple((c + 1, j + 1) for j, c in enumerate(stack) if j)
     steps: list[DescentStep] = []
     for i, k, passed, swapped in _swaps(perm, stack):
-        new_obj = pairing_objective(bp, Permutation._trusted(swapped))
         j, s = order[i - 1], order[k - 1]
+        new_obj = obj + (a[i - 1] - a[k - 1]) * (b[s - 1] - b[j - 1])
         new_bad = nbad - 1 - 2 * sum(j < t < s for t in order[i : k - 1])
         steps.append(
             DescentStep(
-                (i, k), brackets[:passed], order, swapped, obj, new_obj, nbad, new_bad
+                (i, k), brackets[:passed], order, swapped,
+                obj / unit, new_obj / unit, nbad, new_bad,
             )
         )
         order, obj, nbad = swapped, new_obj, new_bad
@@ -371,21 +375,6 @@ class ExtremalityReport:
             "argmin": list(self.argmin),
             "argmax": list(self.argmax),
         }
-
-
-def _exact_times(bp: BusyPeriod) -> tuple[list[int], list[int], int]:
-    """The period's timestamps as ints over one common power of two, and
-    that power.
-
-    Every float is a dyadic rational ``num / 2**k``; multiplying all of them
-    by the largest such denominator keeps each one exact, so integer
-    objectives compare exactly.  The period is not shifted to start at 0:
-    float subtraction rounds and can create ties.
-    """
-    ratios = [t.as_integer_ratio() for t in bp.arrivals + bp.service_starts]
-    scale = max(den for _, den in ratios)
-    ints = [num * (scale // den) for num, den in ratios]
-    return ints[: bp.n], ints[bp.n :], scale
 
 
 def _improvement(
@@ -433,30 +422,26 @@ def _improvement(
             return tuple(moved)
 
 
-def check_extremality(
-    bp: BusyPeriod, max_n: int = DEFAULT_MAX_N
-) -> ExtremalityReport:
+def check_extremality(bp: BusyPeriod) -> ExtremalityReport:
     """Verify exactly that the closed forms attain both extremes of a period.
 
-    In integer arithmetic (:func:`_exact_times`).  Both timestamp sequences
-    strictly rise (checked), so by the rearrangement inequality arrival
-    order is the unique maximizer over all ``n!`` orders, and it is
-    realizable.  The stack order is proved the minimizer by the duality
-    certificate of :func:`_improvement`, which does not use the bracket
-    matching it audits.  ``num_realizable`` is the product formula:
-    customer ``i`` (0-based) has ``i + 1 - floor_i`` choices once every
-    later customer holds a slot.  Refuses periods of more than ``max_n``
-    customers like :func:`enumerate_realizable`.  Raises
+    In the ints of :func:`~qvar.busy_period._exact_times`, made once.  Both
+    timestamp sequences strictly rise (checked), so by the rearrangement
+    inequality arrival order is the unique maximizer over all ``n!``
+    orders, and it is realizable.  The stack order is proved the minimizer
+    by the duality certificate of :func:`_improvement`, which does not use
+    the bracket matching it audits, at any length.  ``num_realizable`` is
+    the product formula: customer ``i`` (0-based) has ``i + 1 - floor_i``
+    choices once every later customer holds a slot.  Raises
     :class:`ExtremalityViolationError`, naming a strictly better order, on
     any violation -- a counterexample to the theorem, not a data problem.
     """
-    _check_size(bp, max_n)
     n = bp.n
     floors = _slot_floors(bp)
     a, b, scale = _exact_times(bp)
     # int / int is correctly rounded, so the two floats keep their order.
     unit = scale * scale
-    arrival = sum(x * y for x, y in zip(a, b))
+    arrival = _int_objective(a, b, range(1, n + 1))
     for k in range(1, n):
         if not (a[k - 1] < a[k] and b[k - 1] < b[k]):
             swapped = (*range(1, k), k + 1, k, *range(k + 2, n + 1))
@@ -467,13 +452,13 @@ def check_extremality(
                 f"on {bp.to_dict()}"
             )
     stack = lcfs_permutation(bp).mapping
-    stacked = sum(x * b[m - 1] for x, m in zip(a, stack))
+    stacked = _int_objective(a, b, stack)
     better = _improvement(floors, a, b, stack)
     if better is not None:
-        lower = sum(x * b[m - 1] for x, m in zip(a, better))
         raise ExtremalityViolationError(
             f"stack order scores {stacked / unit!r} but {better} scores "
-            f"{lower / unit!r}; stack order is not the minimizer on {bp.to_dict()}"
+            f"{_int_objective(a, b, better) / unit!r}; stack order is not the "
+            f"minimizer on {bp.to_dict()}"
         )
     return ExtremalityReport(
         num_realizable=math.prod(i + 1 - floors[i] for i in range(1, n)),

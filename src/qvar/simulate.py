@@ -201,9 +201,6 @@ class SimTrace:
     def waits(self) -> np.ndarray:
         return self.service_starts - self.arrivals
 
-    def sojourns(self) -> np.ndarray:
-        return self.departures - self.arrivals
-
     def service_times(self) -> np.ndarray:
         return self.departures - self.service_starts
 

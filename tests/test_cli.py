@@ -1,5 +1,9 @@
 import hashlib
 import json
+import math
+import re
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -319,19 +323,53 @@ def test_enumerate_malformed(tmp_path, capsys):
     assert code == 2
 
 
-def test_enumerate_too_large_input(tmp_path, capsys):
-    rng = np.random.default_rng(0)
-    from qvar import random_busy_period
-
-    bp = random_busy_period(rng, 6)
+def test_enumerate_input_longer_than_max_n(tmp_path, capsys):
+    # --max-n sizes only --random periods; an --input period of any length
+    # is certified.
+    bp = random_busy_period(np.random.default_rng(0), 6)
     path = tmp_path / "bp.json"
     path.write_text(json.dumps(bp.to_dict()))
-    code, _, err = run(capsys, "enumerate", "--input", str(path), "--max-n", "4")
-    assert code == 2
+    code, out, err = run(capsys, "enumerate", "--input", str(path), "--max-n", "4")
+    assert code == 0, err
+    assert json.loads(out)["n"] == 6
+
+
+def test_enumerate_writes_counts_past_the_digit_limit(tmp_path, capsys):
+    # All 1,600 customers arrive before slot 2 opens: 1599! orders, 4,431
+    # digits, more than Python 3.10.7+ converts to str by default.
+    n = 1600
+    path = tmp_path / "bp.json"
+    starts = [0] + list(range(n, 2 * n - 1))
+    path.write_text(json.dumps({"arrivals": list(range(n)), "service_starts": starts}))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    code, out, err = run(capsys, "enumerate", "--input", str(path))
+    assert code == 0, err
+    count = re.fullmatch(r'\{"index": 1, "n": 1600, "num_realizable": (\d+), .*\}\n', out)[1]
+    assert len(count) > 4300 and int(Decimal(count)) == math.factorial(n - 1)
+    rec = json.loads(out.replace(count, "0"))
+    assert rec["argmax"] == list(range(1, n + 1))
+    assert rec["argmin"] == [1] + list(range(n, 1, -1))
+    if limit:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_timestamps_out_of_range_exit_cleanly(tmp_path, capsys):
+    # An integer literal past the digit limit is malformed input; products
+    # of timestamps past the float range fail at run time, without a
+    # traceback.
+    path = tmp_path / "bp.json"
+    path.write_text('{"arrivals": [0, 1' + "0" * 5000 + '], "service_starts": [0, 2]}')
+    code, out, err = run(capsys, "enumerate", "--input", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    huge = {"arrivals": [0, 1e200, 2e200], "service_starts": [0, 2.5e200, 3e200]}
+    path.write_text(json.dumps(huge))
+    for command in ("enumerate", "descent"):
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert (code, out) == (1, "") and "too large for a float" in err
 
 
 def test_enumerate_violation_exits_3(tmp_path, capsys, monkeypatch):
-    def boom(bp, max_n=10):
+    def boom(bp):
         raise ExtremalityViolationError("fabricated for the exit-code path")
 
     monkeypatch.setattr(cli, "check_extremality", boom)
@@ -446,8 +484,8 @@ def test_enumerate_random_max_n_capped(tmp_path, capsys):
 
 
 def test_descent_stdout_is_pinned(tmp_path, capsys):
-    # One line per swap.  Its expansion (below) equals the stdout of the
-    # full-recount descent, so this digest pins that descent byte for byte.
+    # One line per swap, each objective the exact value rounded once; its
+    # expansion (below) is pinned in the earlier one-line-per-bracket layout.
     bp = random_busy_period(np.random.default_rng(80), 80)
     path = tmp_path / "bp.json"
     path.write_text(json.dumps(bp.to_dict()))
@@ -455,7 +493,7 @@ def test_descent_stdout_is_pinned(tmp_path, capsys):
     assert code == 0, err
     assert out.count("\n") == 72
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "08f50c8ea07cf9c41092345d449406aecb309a5c94b9b4d9a45e0e6fe01e60ae"
+        "5040563971cf6abdb11f8b8e47ea57d6226adf54b09bb8e53ea7937a083867a9"
     )
 
 
@@ -487,20 +525,20 @@ def _expand_removed(out):
             80,
             ["--start", "identity"],
             2730,
-            "e81067dfeb3b9307d0789a8442c70019881d84d745122fdbb174c8d2450e5e64",
+            "7b0b416ed3cd569ecceee3218f994b5d3e3895c3e59660c16abb28b0697fcf7b",
         ),
         (
             40,
             ["--start", "random", "--seed", "3"],
             483,
-            "1a8136b20f281737bf6611629a3ddfc453fe0a5e0ba518720ee8e89aa9af7767",
+            "ec8a940e2f13c60305f4f3ba19fd6463cfbfd43fce0bee5f22c60616a4af83e1",
         ),
     ],
     ids=["identity-n80", "random-start-n40"],
 )
 def test_descent_expands_to_one_line_per_bracket(tmp_path, capsys, n, start, lines, digest):
-    # The digests of the earlier format, which wrote each inert bracket as a
-    # line of its own: the swap lines lose nothing.
+    # The earlier format wrote each inert bracket as a line of its own; the
+    # swap lines rebuild it, so they lose nothing.
     path = tmp_path / "bp.json"
     path.write_text(json.dumps(random_busy_period(np.random.default_rng(80), n).to_dict()))
     code, out, err = run(capsys, "descent", "--input", str(path), *start)
@@ -526,7 +564,7 @@ def test_descent_expands_to_one_line_per_bracket(tmp_path, capsys, n, start, lin
         (
             ["descent", "--input", "BP40", "--start", "random", "--seed", "3"],
             23,
-            "6a8361d94c6d4192749ff0a92d385e7b245b397d20f2e1174965a0fed018f4f9",
+            "0407812c0f5e4b540370dbd7df85380d893754f9bc038ad901e2be996cc0dc2d",
         ),
     ],
     ids=["enumerate-n9", "enumerate-n14", "descent-random-start"],
