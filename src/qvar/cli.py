@@ -87,12 +87,11 @@ def _write_manifest(
 
 def _read_json(path: str) -> object:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from None
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # also an int past the interpreter's digit limit
+    # ValueError also covers undecodable bytes and an int past the digit limit.
+    except (ValueError, RecursionError) as exc:
         raise MalformedInputError(f"{path}: invalid JSON: {exc}") from None
 
 

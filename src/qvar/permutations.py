@@ -185,19 +185,24 @@ class BadPair:
     j: int
 
 
-def bad_pairs(bp: BusyPeriod, perm: Permutation) -> list[BadPair]:
-    """All bad pairs of the order, lexicographically by (i, j)."""
+def _bad_indices(bp: BusyPeriod, perm: Permutation) -> Iterator[tuple[int, int]]:
+    """The bad pairs of the order as 1-based ``(i, j)``, lexicographically.
+
+    Realizability is checked at the call, before the first pair is drawn."""
     _require_realizable(bp, perm)
     a, n = bp.arrivals, bp.n
     t = [bp.service_starts[m - 1] for m in perm.mapping]  # each customer's slot
-    return [
-        BadPair(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if a[j] < t[i] < t[j]
-    ]
+    return ((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if a[j] < t[i] < t[j])
+
+
+def bad_pairs(bp: BusyPeriod, perm: Permutation) -> list[BadPair]:
+    """All bad pairs of the order, lexicographically by (i, j)."""
+    return [BadPair(i, j) for i, j in _bad_indices(bp, perm)]
 
 
 def _swaps(
     perm: Permutation, stack: list[int]
-) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """The descent swaps from a realizable order to the stack order
     ``stack``, given as slot -> customer (0-based).
 
@@ -208,10 +213,9 @@ def _swaps(
     ``k``'s old slot, which is later.  Every slot passed then holds its
     stack owner, so the walk never goes back.
 
-    Yields ``(i, k, passed, order)`` per swap: the customers (1-based),
-    the number of inert brackets before the swap's slot, and the order
-    after the swap.  O(1) per slot walked and O(n) per swap, which copies
-    the order.
+    Yields ``(i, k, order)`` per swap: the customers (1-based) and the
+    order after the swap.  O(1) per slot walked and O(n) per swap, which
+    copies the order.
     """
     m = list(perm.mapping)
     owner = sorted(range(len(m)), key=m.__getitem__)  # slot -> customer
@@ -220,7 +224,7 @@ def _swaps(
         if i != k:
             owner[m[k] - 1] = i
             m[i], m[k] = m[k], j + 1
-            yield i + 1, k + 1, j - 1, tuple(m)
+            yield i + 1, k + 1, tuple(m)
 
 
 def _stack_owners(bp: BusyPeriod) -> list[int]:
@@ -240,7 +244,7 @@ def descent_swap(
     with no bad pair, which admits no step.
     """
     _require_realizable(bp, perm)
-    for i, k, _, order in _swaps(perm, _stack_owners(bp)):
+    for i, k, order in _swaps(perm, _stack_owners(bp)):
         return Permutation._trusted(order), (i, k)
     raise NoBadPairsError("the order has no bad pairs; it is already the stack order")
 
@@ -250,14 +254,12 @@ class DescentStep:
     """One descent swap: the slots of customers ``indices == (i, k)`` are
     exchanged, lowering the objective and the bad-pair count.
 
-    ``removed`` lists the inert ``(customer, slot)`` brackets (1-based) of
-    the slots before the swap's slot, in slot order: the order already
-    gives each listed customer its stack-order slot.  The list grows by at
-    least one bracket from each step to the next.
+    Every slot before the swap's slot ``order_before[i - 1]`` already holds
+    its stack-order owner, so ``order_before`` and the stack order fix the
+    inert brackets the walk has passed.
     """
 
     indices: tuple[int, int]
-    removed: tuple[tuple[int, int], ...]
     order_before: tuple[int, ...]
     order_after: tuple[int, ...]
     objective_before: float
@@ -269,7 +271,6 @@ class DescentStep:
         return {
             "kind": "swap",  # constant; kept for readers that filter lines on it
             "indices": list(self.indices),
-            "removed": [list(pair) for pair in self.removed],
             "order_before": list(self.order_before),
             "order_after": list(self.order_after),
             "objective_before": self.objective_before,
@@ -302,15 +303,14 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
 
     Each swap strictly lowers the pairing objective and the bad-pair count,
     so the number of swaps is at most the starting order's bad-pair count.
-    Each swap's step lists the inert brackets passed before it.
 
     Exchange lemma: swapping a bad pair ``(i, k)`` that holds slots
     ``j < s`` removes exactly ``1 + 2 * #{x : i < x < k, j < p(x) < s}``
     bad pairs.  Floors never fall, so every ``x`` between ``i`` and ``k``
     has floor at most ``floor_k <= j``.  Then ``(i, k)``, and ``(i, x)``
     and ``(x, k)`` for each such ``x`` with ``j < p(x) < s``, go from bad
-    to not bad; every other pair keeps its status.  The start is counted
-    in full by :func:`bad_pairs`, so a final count of 0 checks the lemma.
+    to not bad; every other pair keeps its status.  The start's bad pairs
+    are counted in full, so a final count of 0 checks the lemma.
 
     The objective is an exact int (:func:`~qvar.busy_period._exact_times`)
     that the swap changes by ``(a_i - a_k) * (b_s - b_j) < 0``, rounded
@@ -323,26 +323,23 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
     the one before, and every convex cost of the waits rises towards the
     stack order.
 
-    Cost: one O(n**2) :func:`bad_pairs` count for the start, one stack
+    Cost: one O(n**2) count of the start's bad pairs, one stack
     order, one pass over the slots (:func:`_swaps`), and O(n) per swap
     for the lemma's count and the order's copy.  The trace has one step
     per swap, each holding two full orders.
     """
-    nbad = len(bad_pairs(bp, perm))  # raises NotRealizableError
+    nbad = sum(1 for _ in _bad_indices(bp, perm))  # raises NotRealizableError
     a, b, scale = _exact_times(bp)
     unit = scale * scale
     order, obj = perm.mapping, _int_objective(a, b, perm.mapping)
-    stack = _stack_owners(bp)
-    brackets = tuple((c + 1, j + 1) for j, c in enumerate(stack) if j)
     steps: list[DescentStep] = []
-    for i, k, passed, swapped in _swaps(perm, stack):
+    for i, k, swapped in _swaps(perm, _stack_owners(bp)):
         j, s = order[i - 1], order[k - 1]
         new_obj = obj + (a[i - 1] - a[k - 1]) * (b[s - 1] - b[j - 1])
         new_bad = nbad - 1 - 2 * sum(j < t < s for t in order[i : k - 1])
         steps.append(
             DescentStep(
-                (i, k), brackets[:passed], order, swapped,
-                obj / unit, new_obj / unit, nbad, new_bad,
+                (i, k), order, swapped, obj / unit, new_obj / unit, nbad, new_bad
             )
         )
         order, obj, nbad = swapped, new_obj, new_bad

@@ -657,16 +657,17 @@ def read_trace_jsonl(path: str | Path) -> SimTrace:
     starts: list[float] = []
     deps: list[float] = []
     p = Path(path)
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with p.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 customer = rec["customer"]
                 a, s, d = rec["arrival"], rec["service_start"], rec["departure"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            # ValueError also covers undecodable bytes and an int past the digit limit.
+            except (ValueError, RecursionError, KeyError, TypeError) as exc:
                 raise MalformedInputError(f"{p}:{lineno}: {exc}") from None
             # json yields bools for true/false and floats for Infinity/NaN.
             if type(customer) is not int or customer != len(arrivals) + 1:

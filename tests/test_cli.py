@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 import qvar.cli as cli
-from qvar import ExtremalityViolationError, random_busy_period, read_trace_jsonl
+from qvar import (
+    ExtremalityViolationError,
+    lcfs_permutation,
+    random_busy_period,
+    read_trace_jsonl,
+)
 from qvar.cli import main
 
 BP_JSON = {"arrivals": [0.0, 1.0, 2.0], "service_starts": [0.0, 2.5, 3.0]}
@@ -323,6 +328,16 @@ def test_enumerate_malformed(tmp_path, capsys):
     assert code == 2
 
 
+def test_undecodable_or_over_deep_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for raw in (b"\xff\xfe{}", b"[" * 200_000 + b"]" * 200_000):
+        path.write_bytes(raw)
+        for command in ("enumerate", "descent"):
+            code, out, err = run(capsys, command, "--input", str(path))
+            assert code == 2 and out == "", (command, raw[:2])
+            assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_enumerate_input_longer_than_max_n(tmp_path, capsys):
     # --max-n sizes only --random periods; an --input period of any length
     # is certified.
@@ -493,26 +508,28 @@ def test_descent_stdout_is_pinned(tmp_path, capsys):
     assert code == 0, err
     assert out.count("\n") == 72
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5040563971cf6abdb11f8b8e47ea57d6226adf54b09bb8e53ea7937a083867a9"
+        "54366a342f4c1403534bc9811ae22dd43d4aab73f46d6dc76e48a039ecc5009c"
     )
 
 
-def _expand_removed(out):
-    """Descent stdout with each inert bracket of a swap line moved onto a
-    ``remove-reduction`` line of its own ahead of the swap, restating the
-    swap's unchanged ``*_before`` values."""
+def _expand_removed(out, bp):
+    """Descent stdout with a ``remove-reduction`` line ahead of each swap
+    for every inert bracket the walk passed, restating the swap's unchanged
+    ``*_before`` values.  The brackets are ``(stack owner, slot)`` for the
+    slots from 2 up to the swap's slot in ``order_before``."""
+    owner = {slot: c for c, slot in enumerate(lcfs_permutation(bp).mapping, start=1)}
     steps = []
     for line in out.splitlines():
         swap = json.loads(line)
         ob, fb, nb = swap["order_before"], swap["objective_before"], swap["bad_pairs_before"]
         steps += (
             {
-                "kind": "remove-reduction", "indices": pair,
+                "kind": "remove-reduction", "indices": [owner[slot], slot],
                 "order_before": ob, "order_after": ob,
                 "objective_before": fb, "objective_after": fb,
                 "bad_pairs_before": nb, "bad_pairs_after": nb,
             }
-            for pair in swap.pop("removed")
+            for slot in range(2, ob[swap["indices"][0] - 1])
         )
         steps.append(swap)
     return "".join(json.dumps(s) + "\n" for s in steps)
@@ -538,12 +555,13 @@ def _expand_removed(out):
 )
 def test_descent_expands_to_one_line_per_bracket(tmp_path, capsys, n, start, lines, digest):
     # The earlier format wrote each inert bracket as a line of its own; the
-    # swap lines rebuild it, so they lose nothing.
+    # swap lines and the stack order rebuild it, so they lose nothing.
+    bp = random_busy_period(np.random.default_rng(80), n)
     path = tmp_path / "bp.json"
-    path.write_text(json.dumps(random_busy_period(np.random.default_rng(80), n).to_dict()))
+    path.write_text(json.dumps(bp.to_dict()))
     code, out, err = run(capsys, "descent", "--input", str(path), *start)
     assert code == 0, err
-    expanded = _expand_removed(out)
+    expanded = _expand_removed(out, bp)
     assert expanded.count("\n") == lines
     assert hashlib.sha256(expanded.encode()).hexdigest() == digest
 
@@ -564,7 +582,7 @@ def test_descent_expands_to_one_line_per_bracket(tmp_path, capsys, n, start, lin
         (
             ["descent", "--input", "BP40", "--start", "random", "--seed", "3"],
             23,
-            "0407812c0f5e4b540370dbd7df85380d893754f9bc038ad901e2be996cc0dc2d",
+            "72f688b5a2fa5582155553a9d534a3b0e67f5bddb7b473b59fd413b2e7e8db2f",
         ),
     ],
     ids=["enumerate-n9", "enumerate-n14", "descent-random-start"],

@@ -144,8 +144,7 @@ def test_descent_trace_nested():
     trace = descent_to_lcfs(NEST5, Permutation.identity(5))
     assert trace.start == (1, 2, 3, 4, 5)
     assert trace.final == (1, 5, 4, 3, 2)
-    steps = [(s.indices, s.removed) for s in trace.steps]
-    assert steps == [((2, 5), ()), ((3, 4), ((5, 2),))]
+    assert [s.indices for s in trace.steps] == [(2, 5), (3, 4)]
     assert trace.swap_count == 2
 
 
@@ -162,12 +161,11 @@ def test_descent_jsonl_fields():
     assert len(lines) == 1
     step = json.loads(lines[0])
     assert list(step) == [
-        "kind", "indices", "removed", "order_before", "order_after",
+        "kind", "indices", "order_before", "order_after",
         "objective_before", "objective_after", "bad_pairs_before", "bad_pairs_after",
     ]
     assert step["kind"] == "swap"
     assert step["indices"] == [2, 3]
-    assert step["removed"] == []
     assert step["order_before"] == [1, 2, 3]
     assert step["order_after"] == [1, 3, 2]
     assert step["objective_before"] == 8.5
@@ -188,7 +186,7 @@ def test_descent_invariants_random_instances():
         for s in trace.steps:
             assert s.objective_after < s.objective_before
             assert s.bad_pairs_after < s.bad_pairs_before
-            _assert_removed_are_the_inert_brackets(bp, s)
+            _assert_swap_is_at_the_first_unmatched_slot(bp, s)
 
 
 def test_check_extremality_report():
@@ -492,24 +490,24 @@ def test_each_descent_step_majorizes_the_last(lattice, data):
         assert all(x <= y for x, y in zip(before, after))
 
 
-def _assert_removed_are_the_inert_brackets(bp, step):
-    """``removed`` is the leading run of the bracket matching up to the
-    first slot whose owner differs, and the order gives each listed
-    customer its listed slot."""
+def _assert_swap_is_at_the_first_unmatched_slot(bp, step):
+    """In ``order_before`` every slot before the swap's slot holds its
+    stack owner, and the swap's slot goes from ``i`` to its stack owner
+    ``k``."""
     m = step.order_before
-    inert = []
-    for k, j in stack_brackets(bp):
-        if m[k] != j + 1:
-            break
-        inert.append((k + 1, j + 1))
-    assert step.removed == tuple(inert)
-    assert all(m[c - 1] == s for c, s in step.removed)
+    i, k = step.indices
+    for c, j in stack_brackets(bp):
+        if j + 1 == m[i - 1]:
+            assert (c + 1, step.order_after[c]) == (k, j + 1)
+            return
+        assert m[c] == j + 1
+    raise AssertionError(f"swap {step.indices} moves slot 1")
 
 
 def _assert_descent_is_exact(bp, start):
     """The trace's counts equal a full recount, each swap meets the exact
-    certificate, each swap lists exactly the inert brackets passed, the
-    walk never goes back, ``descent_swap`` is its first step, and the
+    certificate, each swap is at the first slot without its stack owner,
+    the walk never goes back, ``descent_swap`` is its first step, and the
     JSONL is one line per step."""
     trace = descent_to_lcfs(bp, start)
     assert trace.final == lcfs_permutation(bp).mapping
@@ -530,9 +528,9 @@ def _assert_descent_is_exact(bp, start):
             pairing_objective(bp, Permutation(m)),
             pairing_objective(bp, Permutation(step.order_after)),
         )
-        _assert_removed_are_the_inert_brackets(bp, step)
-    passed = [len(step.removed) for step in trace.steps]
-    assert all(x < y for x, y in zip(passed, passed[1:]))
+        _assert_swap_is_at_the_first_unmatched_slot(bp, step)
+    slots = [step.order_before[step.indices[0] - 1] for step in trace.steps]
+    assert all(x < y for x, y in zip(slots, slots[1:]))
     if trace.steps:
         first = trace.steps[0]
         new, swapped = descent_swap(bp, start)

@@ -244,11 +244,17 @@ def test_read_trace_rejects_garbage(tmp_path):
         ("departure", "NaN"),
         ("departure", "false"),
         ("departure", "1" + "0" * 400),
+        ("departure", "1" + "0" * 5000),  # past the interpreter's digit limit
     ):
         fields = ", ".join(
             f'"{k}": {value if k == key else json.dumps(v)}' for k, v in good.items()
         )
         p.write_text("{" + fields + "}\n")
+        with pytest.raises(MalformedInputError):
+            read_trace_jsonl(p)
+    # Not UTF-8, and nested past the recursion limit.
+    for raw in (b'{"customer": 1, "arr\xe9val": 0}', b"[" * 200_000 + b"]" * 200_000):
+        p.write_bytes(raw + b"\n")
         with pytest.raises(MalformedInputError):
             read_trace_jsonl(p)
     p.write_text(json.dumps(good) + "\n")
