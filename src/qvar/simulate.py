@@ -22,14 +22,14 @@ server-busy trajectory path by path: the same busy periods and the same
 service-start times.  The variance comparison is then a per-busy-period
 statement.
 
-A run takes three steps.  The trajectory (each slot's start and end, and
-the busy periods) is computed once with array operations, bitwise equal to
-adding the durations slot by slot.  The discipline then assigns customers
-to slots: first-come is the identity, last-come is bracket matching of
-arrivals against slots, and random order walks only the runs of slots
-that find two or more waiters, all runs of a block in lockstep: one array
-step per position in a run, so the Python steps per block are its longest
-run.  The trace places each slot's times at the customer it serves.
+A run takes three steps.  The trajectory (each slot's start and end, bitwise
+equal to adding the durations slot by slot, the busy periods, and the
+waiters each slot finds) is computed once with array operations.  The
+discipline then assigns customers to slots.  Last-come (bracket matching)
+and random order (all runs of a block walked in lockstep) act only on
+contested runs: slots finding two or more waiters and the slot emptying the
+list after them.  Any other slot, and any under first-come, serves its own
+customer.  The trace places each slot's times at its customer.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ class SimTrace:
 
 class Trajectory:
     """The variates of one run and the server trajectory they give: each
-    slot's start and end, and the busy periods.
+    slot's start and end, the busy periods and the waiters each slot finds.
 
     Runs that differ only in discipline share one (see
     :func:`run_simulation`).  The decision stream is drawn, and the
@@ -234,6 +234,22 @@ class Trajectory:
         """Slot starts, slot ends and the period heads."""
         return _compute_slots(self.arrivals, self.durations)
 
+    @cached_property
+    def queue(self) -> np.ndarray:
+        """The waiters when each slot opens, its own customer included: the
+        customers arrived strictly before it (a completion wins a tie) less
+        the slots before it.  A period's head finds only its own customer."""
+        starts, _, heads = self.slots
+        n = len(starts)
+        queue = np.empty(n, dtype=np.int32 if n < 1 << 31 else np.int64)
+        bounds = np.append(heads, n)
+        for p, q in _period_blocks(bounds):
+            lo, hi = bounds[p], bounds[q]
+            arrived = np.searchsorted(self.arrivals[lo:hi], starts[lo:hi], side="left")
+            queue[lo:hi] = arrived - np.arange(hi - lo)
+        queue[heads] = 1
+        return queue
+
 
 def run_simulation(
     config: SimConfig, trajectory: Trajectory | None = None
@@ -241,7 +257,7 @@ def run_simulation(
     """Simulate ``config.num_arrivals`` customers and return the full trace.
 
     ``trajectory`` may come from a config that differs from ``config`` only
-    in discipline; its draws and slots are then reused, not recomputed.
+    in discipline; its draws, slots and queue are then reused, not recomputed.
     Deterministic: equal configs give bitwise-equal traces.  The decision
     stream is consumed only when the discipline is random-order.
     """
@@ -250,13 +266,12 @@ def run_simulation(
     elif replace(trajectory.config, discipline=config.discipline) != config:
         raise ConfigError("the trajectory was drawn for another configuration")
     d = config.discipline
-    picks = trajectory.decisions if d is Discipline.RANDOM_ORDER else None
     slot_starts, slot_ends, heads = trajectory.slots
     starts, ends = slot_starts, slot_ends
     if d is not Discipline.FCFS:
-        n = config.num_arrivals
-        served = _slot_customers(trajectory.arrivals, slot_starts, heads, picks)
-        starts, ends = np.empty(n), np.empty(n)
+        picks = trajectory.decisions if d is Discipline.RANDOM_ORDER else None
+        served = _slot_customers(trajectory.queue, heads, picks)
+        starts, ends = np.empty_like(slot_starts), np.empty_like(slot_ends)
         starts[served], ends[served] = slot_starts, slot_ends
     return SimTrace(trajectory.arrivals, starts, ends, heads, config)
 
@@ -321,40 +336,37 @@ def _period_sums(
 
 
 def _slot_customers(
-    arrivals: np.ndarray,
-    starts: np.ndarray,
-    heads: np.ndarray,
-    decisions: np.ndarray | None,
+    queue: np.ndarray, heads: np.ndarray, decisions: np.ndarray | None
 ) -> np.ndarray:
-    """The customer each slot serves: last come first when ``decisions`` is
-    None, else random order."""
-    n = len(arrivals)
-    served = np.empty(n, dtype=np.int64)
+    """The customer each slot serves, from the waiters each slot finds
+    (counted once per trajectory): last come first when ``decisions`` is
+    None, else random order.  Each rule sees only a block's contested slots,
+    numbered consecutively; any other slot finds just its own customer."""
+    n = len(queue)
+    served = np.arange(n)
     bounds = np.append(heads, n)
     for p, q in _period_blocks(bounds):
         lo, hi = bounds[p], bounds[q]
-        a, s, h = arrivals[lo:hi], starts[lo:hi], bounds[p:q] - lo
-        # Customers arrived when each slot opens: a completion wins a tie,
-        # and a period's head is the only one it finds.
-        arrived = np.searchsorted(a, s, side="left")
-        arrived[h] = h + 1
-        queue = arrived - np.arange(hi - lo)
+        block = queue[lo:hi]
+        contested = block >= 2
+        contested[1:] |= block[:-1] >= 2
+        slots = np.flatnonzero(contested)
         if decisions is None:
-            served[lo:hi] = lo + _stack_match(arrived, queue)
+            picked = _stack_match(block[slots])
         else:
-            served[lo:hi] = lo + _random_pick(arrived, queue, decisions[lo:hi])
+            picked = _random_pick(block[slots], decisions[lo + slots])
+        served[lo + slots] = lo + slots[picked]
     return served
 
 
-def _stack_match(arrived: np.ndarray, queue: np.ndarray) -> np.ndarray:
+def _stack_match(queue: np.ndarray) -> np.ndarray:
     """Last come first as bracket matching: in time order an arrival pushes
-    and a slot pops.  Slot ``k`` pops at depth ``queue[k]``.  Arrival ``i``
-    comes before slot ``k`` iff ``i < arrived[k]``, so it pushes to depth
-    ``i + 1`` minus the slots with ``arrived[k] <= i``.  A pop takes the
-    latest push to its own depth, so the j-th pop at a depth serves the j-th
-    push to it."""
-    m = len(arrived)
-    opened = np.cumsum(np.bincount(arrived, minlength=m + 1)[:m])
+    and a slot pops.  Slot ``k`` pops at depth ``queue[k]`` once ``queue[k]
+    + k`` customers have arrived, so arrival ``i`` pushes to depth ``i + 1``
+    minus the slots opening no later than it.  A pop takes the latest push
+    to its own depth, so the j-th pop at a depth serves the j-th push to it."""
+    m = len(queue)
+    opened = np.cumsum(np.bincount(queue + np.arange(m), minlength=m + 1)[:m])
     depth = np.arange(1, m + 1) - opened
     # Depths are at most m; 16-bit keys get numpy's radix sort.
     key = np.uint16 if m < 1 << 16 else np.int64
@@ -365,39 +377,27 @@ def _stack_match(arrived: np.ndarray, queue: np.ndarray) -> np.ndarray:
     return served
 
 
-def _random_pick(
-    arrived: np.ndarray, queue: np.ndarray, decisions: np.ndarray
-) -> np.ndarray:
-    """Random order: slot ``k`` swaps the waiter at ``int(decisions[k] *
-    queue[k])`` to the end of the waiting list and serves it.
-
-    A slot that finds one waiter leaves the list empty, so the slots split
-    into runs that each serve their own customers.  A lone slot serves its
-    own customer.  The other runs, each a stretch of slots that find two or
-    more waiters and the slot that empties the list after them, are walked
-    in lockstep: step ``t`` takes the ``t``-th slot of every run at once,
-    each run keeping its list in its own stretch of one buffer.  The Python
-    steps are the longest run, not the slots walked.
-    """
-    contested = queue >= 2
-    contested[1:] |= queue[:-1] >= 2
-    slots = np.flatnonzero(contested)
-    w = len(slots)
-    # Numbered consecutively, the walked customers join the waiting list in
-    # turn: ``joins[j]`` of them when the j-th walked slot opens.  That slot
-    # finds ``queue`` waiters, which fixes its pick in advance.
-    joins = np.diff(arrived[slots] - np.cumsum(~contested)[slots], prepend=0)
-    q = queue[slots]
-    # Walked slot ``base + t`` is step ``t`` of the run opening at ``base``,
-    # whose waiting list is kept in ``buf[base:]``.
+def _random_pick(queue: np.ndarray, decisions: np.ndarray) -> np.ndarray:
+    """Random order on contested slots: slot ``k`` swaps the waiter at
+    ``int(decisions[k] * queue[k])`` to the end of the waiting list and
+    serves it.  The runs, each ending at the slot that empties the list,
+    are walked in lockstep: step ``t`` takes the ``t``-th slot of every run
+    at once, each run keeping its list in its own stretch of one buffer.
+    The Python steps are the longest run, not the slots walked."""
+    w = len(queue)
+    # Customers join the waiting list in turn: slot k opens once queue[k] + k
+    # have arrived, ``joins[k]`` of them since the slot before.
+    joins = np.diff(queue + np.arange(w), prepend=0)
+    # Slot ``base + t`` is step ``t`` of the run opening at ``base``, whose
+    # waiting list is kept in ``buf[base:]``.
     opens = np.ones(w, dtype=bool)
-    opens[1:] = q[:-1] == 1
+    opens[1:] = queue[:-1] == 1
     base = np.maximum.accumulate(np.where(opens, np.arange(w), 0))
     t = np.arange(w) - base
-    take = base + (decisions[slots] * q).astype(np.int64)
-    last = base + q - 1
-    # Customer c joins at walked slot g, after c - base - t[g] others of
-    # its run still wait: it goes to the list's end, entry c - t[g].
+    take = base + (decisions * queue).astype(np.int64)
+    last = base + queue - 1
+    # Customer c joins at slot g, after c - base - t[g] others of its run
+    # still wait: it goes to the list's end, entry c - t[g].
     joined = t[np.repeat(np.arange(w), joins)]
     # Sorted by step, each step's slots and its joiners are one slice
     # (16-bit keys get numpy's radix sort).
@@ -417,8 +417,8 @@ def _random_pick(
         picked[i:j] = buf[at]
         buf[at] = buf[last[i:j]]  # the swap-pop
         i, c = j, d
-    served = np.arange(len(arrived))
-    served[slots[by_step]] = slots[picked]
+    served = np.empty(w, dtype=np.int64)
+    served[by_step] = picked
     return served
 
 

@@ -95,9 +95,9 @@ def _time_average_in_system(
     interval with the window; dividing the summed overlap by the window
     length gives the time average.
     """
-    lo = np.maximum(arrivals, t0)
-    hi = np.minimum(departures, t1)
-    occupied = np.clip(hi - lo, 0.0, None)
+    occupied = np.minimum(departures, t1)
+    occupied -= np.maximum(arrivals, t0)
+    np.clip(occupied, 0.0, None, out=occupied)
     return float(occupied.sum() / (t1 - t0))
 
 

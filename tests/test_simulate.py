@@ -579,11 +579,12 @@ def test_extracted_pairs_pass_public_constructors(discipline):
             assert is_realizable(bp, perm)
 
 
-def slot_loop_reference(cfg):
+def slot_loop_reference(cfg, found=None):
     """Every discipline as one loop over service slots: slot k opens at the
     previous completion after every arrival strictly before it has joined
     the waiting list, or at the next arrival when nobody waits, and lasts
-    service draw k."""
+    service draw k.  Appends to ``found``, if given, the waiters each slot
+    finds, its own customer included."""
     arrival_rng, service_rng, decision_rng = make_streams(cfg.seed)
     arrival, service = cfg.distributions()
     n = cfg.num_arrivals
@@ -599,6 +600,8 @@ def slot_loop_reference(cfg):
         while arr[nxt] < t:
             waiting.append(nxt)
             nxt += 1
+        if found is not None:
+            found.append(len(waiting) or 1)
         if not waiting:
             cust = nxt
             nxt += 1
@@ -653,9 +656,50 @@ def test_traces_equal_slot_loop(
     shared = Trajectory(cfg)
     for d in ("fcfs", "lcfs", "random"):
         one = replace(cfg, discipline=d)
-        expected = trace_digest(slot_loop_reference(one))
+        found = []
+        expected = trace_digest(slot_loop_reference(one, found))
         assert trace_digest(run_simulation(one)) == expected, d
         assert trace_digest(run_simulation(one, shared)) == expected, d
+        assert shared.queue.tolist() == found, d
+
+
+# D/D/1 at rho=1 ties every completion with the next arrival; the slot
+# opens first, so no slot finds two customers.
+QUEUE_RUNS = {
+    "dd1-ties-rho100": det_config(1.0, 1.0, 40),
+    "dd1-overload": det_config(1.0, 2.0, 40),
+    "mm1-rho90": mm1(0.9, 3_000, seed=5),
+    "mm1-rho130": mm1(1.3, 2_000, seed=6),
+}
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("run", sorted(QUEUE_RUNS))
+def test_queue_equals_slot_loop(monkeypatch, block, run):
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+    cfg = QUEUE_RUNS[run]
+    found = []
+    slot_loop_reference(cfg, found)
+    trajectory = Trajectory(cfg)
+    queue = trajectory.queue
+    assert queue.dtype == np.int32
+    assert queue.tolist() == found
+    assert (queue[trajectory.slots[2]] == 1).all()
+    assert queue.min() >= 1
+    if run == "dd1-ties-rho100":
+        assert queue.max() == 1
+
+
+def test_queue_is_counted_once_per_trajectory():
+    cfg = mm1(0.9, 2_000, seed=3)
+    shared = Trajectory(cfg)
+    run_simulation(cfg, shared)
+    assert "queue" not in vars(shared)  # first come first needs no count
+    run_simulation(replace(cfg, discipline="lcfs"), shared)
+    queue = vars(shared)["queue"]
+    run_simulation(replace(cfg, discipline="random"), shared)
+    assert vars(shared)["queue"] is queue
 
 
 def swap_pop_reference(arrived, queue, decisions):
@@ -668,6 +712,18 @@ def swap_pop_reference(arrived, queue, decisions):
         assert len(waiting) == q, k
         pick = int(u * q)
         waiting[pick], waiting[-1] = waiting[-1], waiting[pick]
+        served.append(waiting.pop())
+    return served
+
+
+def stack_pop_reference(arrived, queue):
+    """Last come first as one plain-list push and pop per slot: slot k's
+    waiters are the customers below ``arrived[k]`` not yet served."""
+    waiting, served, nxt = [], [], 0
+    for k, (count, q) in enumerate(zip(arrived, queue)):
+        waiting.extend(range(nxt, count))
+        nxt = max(nxt, count)
+        assert len(waiting) == q, k
         served.append(waiting.pop())
     return served
 
@@ -687,12 +743,17 @@ def block_of_runs(lengths, rng):
     return np.array(arrived, dtype=np.int64)
 
 
+def queue_of(arrived):
+    """The waiters each slot finds, numbered as the helpers number slots."""
+    return (arrived - np.arange(len(arrived))).astype(np.int32)
+
+
 LAST_PICK = math.nextafter(1.0, 0.0)  # int(u * q) == q - 1 for every q
 
 
 def assert_random_pick_matches(arrived, decisions):
-    queue = arrived - np.arange(len(arrived))
-    got = simulate._random_pick(arrived, queue, decisions)
+    queue = queue_of(arrived)
+    got = simulate._random_pick(queue, decisions)
     assert got.tolist() == swap_pop_reference(arrived.tolist(), queue.tolist(), decisions)
     return got
 
@@ -733,6 +794,32 @@ def test_random_pick_walks_many_unequal_runs_at_once(lengths, seed, extreme):
     if extreme is not None:
         decisions[rng.random(len(decisions)) < 0.5] = extreme
     assert_random_pick_matches(block_of_runs(lengths, rng), decisions)
+
+
+def assert_stack_match_matches(arrived):
+    queue = queue_of(arrived)
+    got = simulate._stack_match(queue)
+    assert got.tolist() == stack_pop_reference(arrived.tolist(), queue.tolist())
+    return got
+
+
+def test_stack_match_serves_the_newest_waiter():
+    rng = np.random.default_rng(4)
+    assert assert_stack_match_matches(block_of_runs([1] * 9, rng)).tolist() == list(range(9))
+    for m in (2, 3, 40, 300):
+        assert_stack_match_matches(block_of_runs([m], rng))
+        # every slot finds all the block's unserved customers waiting
+        served = assert_stack_match_matches(np.full(m, m))
+        assert served.tolist() == list(range(m - 1, -1, -1))
+
+
+@given(
+    lengths=st.lists(st.integers(1, 30), min_size=1, max_size=25),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_stack_match_on_many_unequal_runs(lengths, seed):
+    assert_stack_match_matches(block_of_runs(lengths, np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("block", [None, 7])

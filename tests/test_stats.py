@@ -96,3 +96,16 @@ def test_single_customer_trace():
     assert stats.var_wait == 0.0
     assert stats.horizon == pytest.approx(1.0)
     assert stats.time_avg_in_system == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random"])
+def test_occupancy_keeps_its_bits(discipline):
+    # Clipping in one buffer gives the bits of the plain expression.
+    trace = run_simulation(SimConfig(0.9, 1.0, 20_000, 7, discipline=discipline))
+    stats = compute_stats(trace)
+    t0, t1 = float(trace.arrivals[2_000]), float(trace.departures[2_000:].max())
+    lo = np.maximum(trace.arrivals, t0)
+    hi = np.minimum(trace.departures, t1)
+    expected = float(np.clip(hi - lo, 0.0, None).sum() / (t1 - t0))
+    assert stats.warmup_discarded == 2_000
+    assert stats.time_avg_in_system == expected
