@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -413,8 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call and then kept:
+    parsing leaves it unchanged, and building it at import would slow every
+    import of this module."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     raw = list(argv) if argv is not None else sys.argv[1:]
     try:
         args = parser.parse_args(raw)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .busy_period import BusyPeriod, Permutation
-from .errors import ConfigError
 from .permutations import _choices, _slot_floors
+from .variates import _check_count
 
 __all__ = ["random_busy_period", "random_realizable_permutation"]
 
@@ -25,27 +25,35 @@ def random_busy_period(rng: np.random.Generator, n: int) -> BusyPeriod:
     arrivals and ``n-1`` service starts are uniform draws on (0, 1),
     relabeled until the interleaving satisfies feasibility (every prefix of
     the time axis holds at least as many arrivals as service starts).
-    Rejection keeps the interleaving uniform over feasible patterns; the
-    expected number of tries is about ``n``.
+    Rejection keeps the interleaving uniform over feasible patterns; by the
+    ballot theorem one labelling in ``n`` is feasible, so it takes exactly
+    ``n`` tries on average.  Each try draws from ``rng`` as earlier versions
+    did, so a seed gives the same periods.  ``n`` must be an integer of at
+    least 1 (numpy integers included, bools not), else
+    :class:`~qvar.errors.ConfigError`.
     """
-    if n < 1:
-        raise ConfigError(f"busy period size must be >= 1, got {n}")
+    n = _check_count("busy period size", n)
     if n == 1:
         return BusyPeriod((0.0,), (0.0,))
     m = n - 1
     while True:
-        times = rng.random(2 * m)
-        if 0.0 in times or len(set(times.tolist())) != 2 * m:
+        times = rng.random(2 * m).tolist()
+        if 0.0 in times or len(set(times)) != 2 * m:
             continue  # measure-zero collisions; redraw
-        times = np.sort(times)
-        labels = np.zeros(2 * m, dtype=bool)
-        labels[:m] = True  # True = arrival
+        # A fresh list each try: shuffling the last try's labels would
+        # permute another starting order.
+        labels = [True] * m + [False] * m  # True = arrival
         rng.shuffle(labels)
-        if np.min(np.cumsum(np.where(labels, 1, -1))) < 0:
-            continue  # some prefix had more starts than arrivals
-        arrivals = (0.0,) + tuple(times[labels].tolist())
-        starts = (0.0,) + tuple(times[~labels].tolist())
-        return BusyPeriod(arrivals, starts)
+        height = 0
+        for is_arrival in labels:
+            height += 1 if is_arrival else -1
+            if height < 0:
+                break  # this prefix had more starts than arrivals
+        else:
+            times.sort()
+            arrivals = [t for t, is_arrival in zip(times, labels) if is_arrival]
+            starts = [t for t, is_arrival in zip(times, labels) if not is_arrival]
+            return BusyPeriod((0.0, *arrivals), (0.0, *starts))
 
 
 def random_realizable_permutation(

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from enum import Enum
 from math import inf, isfinite
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +48,7 @@ from .busy_period import BusyPeriod, Permutation, validate_busy_period
 from .errors import ConfigError, MalformedInputError, MalformedTraceError
 from .variates import (
     Distribution,
+    _check_count,
     _check_rate,
     _check_seed,
     draw_variates,
@@ -113,10 +113,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         _check_rate("arrival_rate", self.arrival_rate)
         _check_rate("service_rate", self.service_rate)
-        n = self.num_arrivals
-        if not isinstance(n, Integral) or isinstance(n, bool) or n < 1:
-            raise ConfigError(f"num_arrivals must be a positive int, got {n!r}")
-        object.__setattr__(self, "num_arrivals", int(n))
+        object.__setattr__(
+            self, "num_arrivals", _check_count("num_arrivals", self.num_arrivals)
+        )
         object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "discipline", _check_discipline(self.discipline))
         self.distributions()

@@ -69,6 +69,14 @@ def _check_seed(seed: object) -> int:
     return seed
 
 
+def _check_count(what: str, n: object) -> int:
+    """``n`` as an int if it is an integer of at least 1 (numpy integers
+    included, bools not), else :class:`ConfigError`."""
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 1:
+        raise ConfigError(f"{what} must be a positive int, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A positive-variate distribution: exponential, deterministic, or uniform.

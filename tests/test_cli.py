@@ -307,6 +307,19 @@ def test_enumerate_random(capsys):
     assert all(2 <= json.loads(l)["n"] <= 5 for l in lines)
 
 
+def test_parser_is_built_once_and_kept_clean(capsys):
+    # main reuses one parser per process; a call that exits 2 in between
+    # must not change what the same command prints next.
+    argv = ("enumerate", "--random", "20", "--max-n", "6", "--seed", "4")
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    code, out, err = run(capsys, "enumerate", "--random", "many")
+    assert code == 2 and out == "" and "invalid int value" in err
+    assert run(capsys, *argv) == first
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_enumerate_malformed(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
