@@ -169,7 +169,9 @@ def _exact_times(bp: BusyPeriod) -> tuple[list[int], list[int], int]:
     """
     ratios = [t.as_integer_ratio() for t in bp.arrivals + bp.service_starts]
     scale = max(den for _, den in ratios)
-    ints = [num * (scale // den) for num, den in ratios]
+    k = scale.bit_length()
+    # Each denominator is a power of two: multiplying by scale // den is a shift.
+    ints = [num << (k - den.bit_length()) for num, den in ratios]
     return ints[: bp.n], ints[bp.n :], scale
 
 

@@ -24,16 +24,20 @@ statement.
 
 A run takes three steps.  The trajectory (each slot's start and end, bitwise
 equal to adding the durations slot by slot, the busy periods, and the
-waiters each slot finds) is computed once with array operations.  The
-discipline then assigns customers to slots.  Last-come (bracket matching)
-and random order (all runs of a block walked in lockstep) act only on
-contested runs: slots finding two or more waiters and the slot emptying the
-list after them.  Any other slot, and any under first-come, serves its own
-customer.  The trace places each slot's times at its customer.
+waiters each slot finds) is computed once with array operations; the
+service durations are summed into the slots and not kept.  The discipline
+then assigns customers to slots.  Last-come (bracket matching) and random
+order (all runs of a block walked in lockstep) act only on contested runs:
+slots finding two or more waiters and the slot emptying the list after
+them.  Any other slot, and any under first-come, serves its own customer.
+Random order replays the decision stream from its start block by block,
+one draw per slot, so no run keeps a full-length array of decisions.  The
+trace places each slot's times at its customer.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
@@ -205,12 +209,14 @@ class SimTrace:
 
 
 class Trajectory:
-    """The variates of one run and the server trajectory they give: each
+    """The arrivals of one run and the server trajectory they give: each
     slot's start and end, the busy periods and the waiters each slot finds.
 
     Runs that differ only in discipline share one (see
-    :func:`run_simulation`).  The decision stream is drawn, and the
-    trajectory computed, on first use.
+    :func:`run_simulation`).  The service durations are folded into the
+    slots and not kept.  Nor are the decisions: the decision stream is kept
+    at its starting state, and each random-order run replays it block by
+    block.  The waiters are counted on first use.
     """
 
     def __init__(self, config: SimConfig) -> None:
@@ -220,18 +226,15 @@ class Trajectory:
         self.config = config
         self.arrivals = np.zeros(n, dtype=np.float64)
         if n > 1:
-            gaps = draw_variates(arrival, arrival_rng, n - 1)
-            np.cumsum(gaps, out=self.arrivals[1:])
-        self.durations = draw_variates(service, service_rng, n)
+            np.cumsum(draw_variates(arrival, arrival_rng, n - 1), out=self.arrivals[1:])
+        # Slot starts, slot ends and the period heads.
+        self.slots = _compute_slots(
+            self.arrivals, draw_variates(service, service_rng, n)
+        )
 
-    @cached_property
-    def decisions(self) -> np.ndarray:
-        return self._decision_rng.random(self.config.num_arrivals)
-
-    @cached_property
-    def slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Slot starts, slot ends and the period heads."""
-        return _compute_slots(self.arrivals, self.durations)
+    def decisions(self) -> np.random.Generator:
+        """A fresh copy of the decision stream at its starting state."""
+        return copy.deepcopy(self._decision_rng)
 
     @cached_property
     def queue(self) -> np.ndarray:
@@ -240,7 +243,7 @@ class Trajectory:
         the slots before it.  A period's head finds only its own customer."""
         starts, _, heads = self.slots
         n = len(starts)
-        queue = np.empty(n, dtype=np.int32 if n < 1 << 31 else np.int64)
+        queue = np.empty(n, dtype=_index_dtype(n))
         bounds = np.append(heads, n)
         for p, q in _period_blocks(bounds):
             lo, hi = bounds[p], bounds[q]
@@ -250,15 +253,21 @@ class Trajectory:
         return queue
 
 
+def _index_dtype(n: int) -> type[np.signedinteger]:
+    """The integer type indexing ``n`` customers: int32 below 2**31, else int64."""
+    return np.int32 if n < 1 << 31 else np.int64
+
+
 def run_simulation(
     config: SimConfig, trajectory: Trajectory | None = None
 ) -> SimTrace:
     """Simulate ``config.num_arrivals`` customers and return the full trace.
 
     ``trajectory`` may come from a config that differs from ``config`` only
-    in discipline; its draws, slots and queue are then reused, not recomputed.
-    Deterministic: equal configs give bitwise-equal traces.  The decision
-    stream is consumed only when the discipline is random-order.
+    in discipline; its arrivals, slots and queue are then reused, not
+    recomputed.  Deterministic: equal configs give bitwise-equal traces.  The
+    decision stream is read only when the discipline is random-order, and
+    each such run reads it from its start.
     """
     if trajectory is None:
         trajectory = Trajectory(config)
@@ -268,7 +277,7 @@ def run_simulation(
     slot_starts, slot_ends, heads = trajectory.slots
     starts, ends = slot_starts, slot_ends
     if d is not Discipline.FCFS:
-        picks = trajectory.decisions if d is Discipline.RANDOM_ORDER else None
+        picks = trajectory.decisions() if d is Discipline.RANDOM_ORDER else None
         served = _slot_customers(trajectory.queue, heads, picks)
         starts, ends = np.empty_like(slot_starts), np.empty_like(slot_ends)
         starts[served], ends[served] = slot_starts, slot_ends
@@ -278,7 +287,8 @@ def run_simulation(
 def _compute_slots(
     arrivals: np.ndarray, durations: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot starts, slot ends and period heads.
+    """Slot starts, slot ends and period heads.  ``durations`` is used up:
+    its buffer becomes the slot starts.
 
     Slot ``k`` lasts ``durations[k]`` from ``max(D[k-1], a[k])`` and opens a
     busy period when ``a[k] >= D[k-1]``.  Lindley's max-plus form guesses
@@ -289,12 +299,15 @@ def _compute_slots(
     holds.  Each pass corrects at least the first wrong head.
     """
     n = len(arrivals)
-    x = arrivals.copy()
-    x[1:] -= np.cumsum(durations[:-1])
+    x = np.empty(n)
+    x[0] = arrivals[0]
+    np.cumsum(durations[:-1], out=x[1:])
+    np.subtract(arrivals[1:], x[1:], out=x[1:])
+    peak = np.maximum.accumulate(x)
     guess = np.empty(n, dtype=bool)
     guess[0] = True
-    np.greater_equal(x[1:], np.maximum.accumulate(x)[:-1], out=guess[1:])
-    del x
+    np.greater_equal(x[1:], peak[:-1], out=guess[1:])
+    del x, peak
     while True:
         heads = np.flatnonzero(guess)
         ends = _period_sums(arrivals, durations, heads)
@@ -304,7 +317,7 @@ def _compute_slots(
         if np.array_equal(exact, guess):
             break
         guess = exact
-    starts = np.empty(n)
+    starts = durations
     starts[1:] = ends[:-1]
     starts[heads] = arrivals[heads]
     return starts, ends, heads
@@ -335,14 +348,15 @@ def _period_sums(
 
 
 def _slot_customers(
-    queue: np.ndarray, heads: np.ndarray, decisions: np.ndarray | None
+    queue: np.ndarray, heads: np.ndarray, decisions: np.random.Generator | None
 ) -> np.ndarray:
     """The customer each slot serves, from the waiters each slot finds
     (counted once per trajectory): last come first when ``decisions`` is
-    None, else random order.  Each rule sees only a block's contested slots,
-    numbered consecutively; any other slot finds just its own customer."""
+    None, else random order, drawing one decision per slot of each block in
+    turn.  Each rule sees only a block's contested slots, numbered
+    consecutively; any other slot finds just its own customer."""
     n = len(queue)
-    served = np.arange(n)
+    served = np.arange(n, dtype=queue.dtype)
     bounds = np.append(heads, n)
     for p, q in _period_blocks(bounds):
         lo, hi = bounds[p], bounds[q]
@@ -353,7 +367,7 @@ def _slot_customers(
         if decisions is None:
             picked = _stack_match(block[slots])
         else:
-            picked = _random_pick(block[slots], decisions[lo + slots])
+            picked = _random_pick(block[slots], decisions.random(hi - lo)[slots])
         served[lo + slots] = lo + slots[picked]
     return served
 
@@ -422,9 +436,10 @@ def _random_pick(queue: np.ndarray, decisions: np.ndarray) -> np.ndarray:
 
 
 # Customers per block of the trajectory sums, the slot assignment, the
-# extraction pass and iteration over its result.  Blocks hold whole periods
-# (a longer period gets one block to itself), so a block's temporary arrays
-# stay a few MB at any trace length.
+# extraction pass, iteration over its result and the occupancy sum in
+# :mod:`qvar.stats`.  Period blocks hold whole periods (a longer period gets
+# one block to itself), so a block's temporary arrays stay a few MB at any
+# trace length.
 _BLOCK = 1 << 16
 
 
@@ -524,12 +539,12 @@ def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
     :class:`MalformedTraceError`.
 
     The result is a lazy :class:`BusyPeriodView`: it keeps the sorted slots
-    and ranks as arrays (16 bytes per customer) and builds each pair only
-    when it is indexed or iterated.
+    and ranks as arrays (12 bytes per customer below 2**31 customers) and
+    builds each pair only when it is indexed or iterated.
     """
     bounds = np.append(trace.period_starts, trace.n)
     slots = np.empty(trace.n)
-    ranks = np.empty(trace.n, dtype=np.int64)
+    ranks = np.empty(trace.n, dtype=_index_dtype(trace.n))
     prev_end = -inf
     for p, q in _period_blocks(bounds):
         lo, hi = bounds[p], bounds[q]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyAfterWarmupError
-from .simulate import SimTrace
+from .simulate import _BLOCK, SimTrace
 
 __all__ = ["WaitStats", "compute_stats", "DEFAULT_WARMUP", "DEFAULT_BATCHES"]
 
@@ -96,7 +96,9 @@ def _time_average_in_system(
     length gives the time average.
     """
     occupied = np.minimum(departures, t1)
-    occupied -= np.maximum(arrivals, t0)
+    # max(arrivals, t0) a block at a time: no second full-length buffer.
+    for i in range(0, len(occupied), _BLOCK):
+        occupied[i : i + _BLOCK] -= np.maximum(arrivals[i : i + _BLOCK], t0)
     np.clip(occupied, 0.0, None, out=occupied)
     return float(occupied.sum() / (t1 - t0))
 
@@ -124,17 +126,20 @@ def compute_stats(
     arrivals = trace.arrivals[skip:]
     starts = trace.service_starts[skip:]
     departures = trace.departures[skip:]
-    waits = starts - arrivals
-    services = departures - starts
-    count = len(waits)
+    count = len(arrivals)
 
+    # Each full-length temporary is dropped after its last reader.
+    waits = starts - arrivals
     mean_wait = float(waits.mean())
     var_wait = float(waits.var(ddof=1)) if count >= 2 else 0.0
     se_mean, se_var = _batch_errors(waits)
     positive = waits[waits > 0.0]
-    second_moment = float(np.mean(positive**2)) if len(positive) else None
+    del waits
     frac_waiting = float(len(positive) / count)
-    mean_service = float(services.mean())
+    positive *= positive
+    second_moment = float(positive.mean()) if len(positive) else None
+    del positive
+    mean_service = float((departures - starts).mean())
     mean_sojourn = mean_wait + mean_service
 
     t0 = float(arrivals[0])

@@ -210,15 +210,22 @@ def draw_variates(
     drawn in consecutive chunks from ``rng``."""
     if size < 0:
         raise ConfigError(f"size must be >= 0, got {size}")
-    if dist.kind == "exponential":
-        u = rng.random(size)
-        return -np.log(1.0 - u) / dist.rate
     if dist.kind == "deterministic":
         assert dist.value is not None
         return np.full(size, dist.value, dtype=np.float64)
+    # Each transform writes into the uniforms' buffer, with the bits of the
+    # plain expression.
     u = rng.random(size)
+    if dist.kind == "exponential":
+        np.subtract(1.0, u, out=u)
+        np.log(u, out=u)
+        np.negative(u, out=u)
+        u /= dist.rate
+        return u
     assert dist.lo is not None and dist.hi is not None
-    return dist.lo + (dist.hi - dist.lo) * u
+    u *= dist.hi - dist.lo
+    u += dist.lo
+    return u
 
 
 def make_streams(

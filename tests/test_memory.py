@@ -1,0 +1,50 @@
+"""Traced memory of whole-trace runs, in bytes per simulated customer.
+
+Each budget is the peak that ``tracemalloc`` (which also sees numpy's
+array buffers) recorded for this run plus 10%.  The trace a run returns
+holds three float64 arrays, 24 bytes per customer; the rest of a run's
+peak is its trajectory and its per-block temporaries, which at this size
+are still a large share.
+"""
+
+import tracemalloc
+from dataclasses import replace
+
+import pytest
+
+from qvar import SimConfig, compute_stats, extract_busy_periods, run_simulation
+
+N = 200_000
+CONFIG = SimConfig(0.95, 1.0, N, 1)
+# Bytes per customer of the traced peak above the memory in use before the call.
+RUN_BUDGET = {"fcfs": 36.3, "lcfs": 57.2, "random": 80.1}
+STATS_BUDGET = 16.4
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the bytes per customer its traced peak added."""
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, (peak - before) / N
+
+
+@pytest.mark.parametrize("discipline", sorted(RUN_BUDGET))
+def test_whole_trace_run_stays_in_its_memory_budget(discipline):
+    cfg = replace(CONFIG, discipline=discipline)
+    run_simulation(replace(cfg, num_arrivals=1_000))  # first-call set-up
+    trace, run_bytes = traced_peak(run_simulation, cfg)
+    _, stats_bytes = traced_peak(compute_stats, trace)
+    assert run_bytes <= RUN_BUDGET[discipline], run_bytes
+    assert stats_bytes <= STATS_BUDGET, stats_bytes
+
+
+def test_extracted_periods_keep_twelve_bytes_per_customer():
+    # Sorted slots as float64 and ranks as int32.
+    view = extract_busy_periods(run_simulation(replace(CONFIG, num_arrivals=20_000)))
+    assert view.slots.nbytes + view.ranks.nbytes == 12 * 20_000

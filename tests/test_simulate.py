@@ -654,7 +654,8 @@ def test_traces_equal_slot_loop(
         service_dist=service,
     )
     shared = Trajectory(cfg)
-    for d in ("fcfs", "lcfs", "random"):
+    # Random order twice: each run replays the decision stream from its start.
+    for d in ("fcfs", "random", "lcfs", "random"):
         one = replace(cfg, discipline=d)
         found = []
         expected = trace_digest(slot_loop_reference(one, found))
@@ -700,6 +701,18 @@ def test_queue_is_counted_once_per_trajectory():
     queue = vars(shared)["queue"]
     run_simulation(replace(cfg, discipline="random"), shared)
     assert vars(shared)["queue"] is queue
+
+
+def test_trajectory_keeps_no_durations_or_decisions():
+    cfg = mm1(0.9, 5_000, seed=2, discipline="random")
+    shared = Trajectory(cfg)
+    for d in ("random", "lcfs", "fcfs"):
+        run_simulation(replace(cfg, discipline=d), shared)
+    starts, ends, heads = shared.slots
+    kept = [shared.arrivals, starts, ends, heads, shared.queue]
+    held = [v for v in vars(shared).values() if isinstance(v, np.ndarray)]
+    held += [a for v in vars(shared).values() if isinstance(v, tuple) for a in v]
+    assert sorted(map(id, held)) == sorted(map(id, kept))
 
 
 def swap_pop_reference(arrived, queue, decisions):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qvar import ConfigError, SimConfig, compute_stats, run_simulation
+from qvar import ConfigError, SimConfig, WaitStats, compute_stats, run_simulation
 
 
 def det_trace(interarrival, service, n, discipline="fcfs"):
@@ -109,3 +109,64 @@ def test_occupancy_keeps_its_bits(discipline):
     expected = float(np.clip(hi - lo, 0.0, None).sum() / (t1 - t0))
     assert stats.warmup_discarded == 2_000
     assert stats.time_avg_in_system == expected
+
+
+def plain_stats(trace, warmup_fraction=0.1):
+    """Every :class:`WaitStats` field as a plain expression over whole
+    arrays, each temporary kept: the reference for the bits."""
+    skip = int(trace.n * warmup_fraction)
+    a = trace.arrivals[skip:]
+    s = trace.service_starts[skip:]
+    d = trace.departures[skip:]
+    waits, services = s - a, d - s
+    count = len(waits)
+    positive = waits[waits > 0.0]
+    se_mean = se_var = None
+    if count >= 40:
+        chunks = np.array_split(waits, 20)
+        means = np.array([c.mean() for c in chunks])
+        variances = np.array([c.var(ddof=1) for c in chunks])
+        se_mean = float(means.std(ddof=1) / np.sqrt(20))
+        se_var = float(variances.std(ddof=1) / np.sqrt(20))
+    t0, t1 = float(a[0]), float(d.max())
+    lo = np.maximum(trace.arrivals, t0)
+    hi = np.minimum(trace.departures, t1)
+    occupancy = float(np.clip(hi - lo, 0.0, None).sum() / (t1 - t0))
+    return WaitStats(
+        count=count,
+        warmup_discarded=skip,
+        mean_wait=float(waits.mean()),
+        var_wait=float(waits.var(ddof=1)) if count >= 2 else 0.0,
+        se_mean_wait=se_mean,
+        se_var_wait=se_var,
+        second_moment_given_wait=(
+            float(np.mean(positive**2)) if len(positive) else None
+        ),
+        frac_waiting=float(len(positive) / count),
+        mean_service=float(services.mean()),
+        mean_sojourn=float(waits.mean()) + float(services.mean()),
+        time_avg_in_system=occupancy,
+        horizon=t1 - t0,
+        effective_arrival_rate=count / (t1 - t0),
+    )
+
+
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        # Over two occupancy blocks, the last one partial.
+        SimConfig(0.95, 1.0, 150_000, 4),
+        SimConfig(0.9, 1.0, 20_000, 7),
+        # D/D/1 ties: each completion meets the next arrival, nobody waits.
+        SimConfig(1.0, 1.0, 500, 0, arrival_dist="deterministic", service_dist="deterministic"),
+        # D/D/1 overload: every wait is positive and grows.
+        SimConfig(1.0, 2.0 / 3.0, 500, 0, arrival_dist="deterministic", service_dist="deterministic"),
+    ],
+    ids=["mm1-rho95", "mm1-rho90", "dd1-ties", "dd1-overload"],
+)
+@pytest.mark.parametrize("warmup", [0.0, 0.1])
+def test_every_field_keeps_its_bits(discipline, run, warmup):
+    trace = run_simulation(replace(run, discipline=discipline))
+    # repr shows each float exactly: equal reprs are equal bits.
+    assert repr(compute_stats(trace, warmup)) == repr(plain_stats(trace, warmup))

@@ -47,6 +47,42 @@ def test_block_draw_equals_single_draws_bitwise():
         assert np.array_equal(block, np.concatenate(chunks))
 
 
+class FixedUniforms:
+    """A stand-in generator whose ``random`` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        Distribution.exponential(0.7),
+        Distribution.uniform(0.25, 1.75),
+        Distribution.deterministic(1.5),
+    ],
+    ids=lambda d: d.kind,
+)
+def test_draws_keep_the_bits_of_the_plain_expressions(d):
+    # The transforms run in place on the uniforms, with the bits of the
+    # plain expressions, also at the ends of [0, 1).
+    u = np.concatenate(
+        ([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53], np.random.default_rng(5).random(10_000))
+    )
+    expected = {
+        "exponential": lambda: -np.log(1.0 - u) / d.rate,
+        "uniform": lambda: d.lo + (d.hi - d.lo) * u,
+        "deterministic": lambda: np.full(len(u), d.value, dtype=np.float64),
+    }[d.kind]()
+    got = draw_variates(d, FixedUniforms(u), len(u))
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_means():
     assert Distribution.exponential(4.0).mean == 0.25
     assert Distribution.deterministic(1.5).mean == 1.5
