@@ -24,7 +24,8 @@ statement.
 
 A run takes three steps.  The trajectory (each slot's start and end, bitwise
 equal to adding the durations slot by slot, the busy periods, and the
-waiters each slot finds) is computed once with array operations; the
+waiters each slot finds) is computed once with array operations, and reused
+by runs of the same config while a first-come trace of it lives; the
 service durations are summed into the slots and not kept.  The discipline
 then assigns customers to slots.  Last-come (bracket matching) and random
 order (all runs of a block walked in lockstep) act only on contested runs:
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import copy
 import json
+import weakref
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -161,6 +163,12 @@ class SimTrace:
     period (always starting with 0).  Arrays are float64/int64 and frozen
     read-only; a customer's wait is ``service_starts - arrivals`` and its
     sojourn ``departures - arrivals``.
+
+    A first-come-first-served trace from :func:`run_simulation` keeps its
+    :class:`Trajectory` alive.  Its arrays are the trajectory's arrivals,
+    slot starts, slot ends and heads, so the only extra memory is the
+    waiter count, once another discipline has counted it.  While the trace
+    lives, runs of its config under any discipline reuse that trajectory.
     """
 
     arrivals: np.ndarray
@@ -168,6 +176,7 @@ class SimTrace:
     departures: np.ndarray
     period_starts: np.ndarray
     config: SimConfig | None = field(default=None, compare=False)
+    _trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, dtype in (
@@ -212,11 +221,13 @@ class Trajectory:
     """The arrivals of one run and the server trajectory they give: each
     slot's start and end, the busy periods and the waiters each slot finds.
 
-    Runs that differ only in discipline share one (see
-    :func:`run_simulation`).  The service durations are folded into the
-    slots and not kept.  Nor are the decisions: the decision stream is kept
-    at its starting state, and each random-order run replays it block by
-    block.  The waiters are counted on first use.
+    Runs that differ only in discipline share one: it is a pure function
+    of the config without its discipline.  :func:`run_simulation` reuses
+    the one a live first-come-first-served trace of the config holds, and
+    it lives as long as such a trace does.  The service durations are
+    folded into the slots and not kept.  Nor are the decisions: the
+    decision stream is kept at its starting state, and each random-order
+    run replays it block by block.  The waiters are counted on first use.
     """
 
     def __init__(self, config: SimConfig) -> None:
@@ -258,6 +269,14 @@ def _index_dtype(n: int) -> type[np.signedinteger]:
     return np.int32 if n < 1 << 31 else np.int64
 
 
+# The trajectories drawn by run_simulation, by config with the discipline
+# set to first-come.  A first-come trace holds its trajectory; nothing else
+# here keeps one alive.
+_drawn: weakref.WeakValueDictionary[SimConfig, Trajectory] = (
+    weakref.WeakValueDictionary()
+)
+
+
 def run_simulation(
     config: SimConfig, trajectory: Trajectory | None = None
 ) -> SimTrace:
@@ -265,22 +284,32 @@ def run_simulation(
 
     ``trajectory`` may come from a config that differs from ``config`` only
     in discipline; its arrivals, slots and queue are then reused, not
-    recomputed.  Deterministic: equal configs give bitwise-equal traces.  The
+    recomputed.  Without one, the run reuses the trajectory that a live
+    first-come-first-served trace of the same config, discipline aside,
+    holds, and draws one only if there is none.  Last-come and
+    random-order traces keep no trajectory, so the reuse lasts as long as
+    a first-come trace of the config lives.  Deterministic: equal configs
+    give bitwise-equal traces, on a reused trajectory or a new one.  The
     decision stream is read only when the discipline is random-order, and
     each such run reads it from its start.
     """
     if trajectory is None:
-        trajectory = Trajectory(config)
+        key = replace(config, discipline=Discipline.FCFS)
+        trajectory = _drawn.get(key)
+        if trajectory is None:
+            trajectory = _drawn[key] = Trajectory(config)
     elif replace(trajectory.config, discipline=config.discipline) != config:
         raise ConfigError("the trajectory was drawn for another configuration")
     d = config.discipline
     slot_starts, slot_ends, heads = trajectory.slots
-    starts, ends = slot_starts, slot_ends
-    if d is not Discipline.FCFS:
-        picks = trajectory.decisions() if d is Discipline.RANDOM_ORDER else None
-        served = _slot_customers(trajectory.queue, heads, picks)
-        starts, ends = np.empty_like(slot_starts), np.empty_like(slot_ends)
-        starts[served], ends[served] = slot_starts, slot_ends
+    if d is Discipline.FCFS:
+        return SimTrace(
+            trajectory.arrivals, slot_starts, slot_ends, heads, config, trajectory
+        )
+    picks = trajectory.decisions() if d is Discipline.RANDOM_ORDER else None
+    served = _slot_customers(trajectory.queue, heads, picks)
+    starts, ends = np.empty_like(slot_starts), np.empty_like(slot_ends)
+    starts[served], ends[served] = slot_starts, slot_ends
     return SimTrace(trajectory.arrivals, starts, ends, heads, config)
 
 
@@ -488,30 +517,24 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
             return [self[p] for p in range(len(self))[index]]
         p = range(len(self))[index]
         lo, hi = self.bounds[p], self.bounds[p + 1]
-        return _pair(
-            self.arrivals[lo:hi].tolist(),
-            self.slots[lo:hi].tolist(),
-            self.ranks[lo:hi].tolist(),
+        return (
+            BusyPeriod._trusted(
+                tuple(self.arrivals[lo:hi].tolist()), tuple(self.slots[lo:hi].tolist())
+            ),
+            Permutation._trusted(tuple(self.ranks[lo:hi].tolist())),
         )
 
     def __iter__(self) -> Iterator[tuple[BusyPeriod, Permutation]]:
+        # Each block's arrays become tuples once; a pair gets their slices.
+        bp, perm = BusyPeriod._trusted, Permutation._trusted
         for p, q in _period_blocks(self.bounds):
             lo, hi = self.bounds[p], self.bounds[q]
-            a = self.arrivals[lo:hi].tolist()
-            slots = self.slots[lo:hi].tolist()
-            ranks = self.ranks[lo:hi].tolist()
+            a = tuple(self.arrivals[lo:hi].tolist())
+            slots = tuple(self.slots[lo:hi].tolist())
+            ranks = tuple(self.ranks[lo:hi].tolist())
             cuts = (self.bounds[p : q + 1] - lo).tolist()
             for i, j in zip(cuts, cuts[1:]):
-                yield _pair(a[i:j], slots[i:j], ranks[i:j])
-
-
-def _pair(
-    arrivals: list[float], slots: list[float], ranks: list[int]
-) -> tuple[BusyPeriod, Permutation]:
-    return (
-        BusyPeriod._trusted(tuple(arrivals), tuple(slots)),
-        Permutation._trusted(tuple(ranks)),
-    )
+                yield bp(a[i:j], slots[i:j]), perm(ranks[i:j])
 
 
 def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:

@@ -4,7 +4,8 @@ Each budget is the peak that ``tracemalloc`` (which also sees numpy's
 array buffers) recorded for this run plus 10%.  The trace a run returns
 holds three float64 arrays, 24 bytes per customer; the rest of a run's
 peak is its trajectory and its per-block temporaries, which at this size
-are still a large share.
+are still a large share.  A retained budget is measured after the call, on
+the traces it returns, plus 10%.
 """
 
 import tracemalloc
@@ -19,27 +20,35 @@ CONFIG = SimConfig(0.95, 1.0, N, 1)
 # Bytes per customer of the traced peak above the memory in use before the call.
 RUN_BUDGET = {"fcfs": 36.3, "lcfs": 57.2, "random": 80.1}
 STATS_BUDGET = 16.4
+# A last-come or random-order trace keeps no trajectory: three float64
+# arrays and the period heads.  Pinning the trajectory would add its slot
+# starts, slot ends and queue, 20 bytes more.
+LONE_TRACE_BUDGET = 26.9
+# A first-come trace is its trajectory's arrays; the other two add their
+# starts and ends, and the trajectory keeps the queue they counted.
+SHARED_TRACES_BUDGET = 66.4
 
 
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the bytes per customer its traced peak added."""
+def traced(fn, *args):
+    """``fn(*args)`` and the bytes per customer it added to the traced
+    memory: at its peak and after the call."""
     assert not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, (peak - before) / N
+    return result, (peak - before) / N, (after - before) / N
 
 
 @pytest.mark.parametrize("discipline", sorted(RUN_BUDGET))
 def test_whole_trace_run_stays_in_its_memory_budget(discipline):
     cfg = replace(CONFIG, discipline=discipline)
     run_simulation(replace(cfg, num_arrivals=1_000))  # first-call set-up
-    trace, run_bytes = traced_peak(run_simulation, cfg)
-    _, stats_bytes = traced_peak(compute_stats, trace)
+    trace, run_bytes, _ = traced(run_simulation, cfg)
+    _, stats_bytes, _ = traced(compute_stats, trace)
     assert run_bytes <= RUN_BUDGET[discipline], run_bytes
     assert stats_bytes <= STATS_BUDGET, stats_bytes
 
@@ -48,3 +57,20 @@ def test_extracted_periods_keep_twelve_bytes_per_customer():
     # Sorted slots as float64 and ranks as int32.
     view = extract_busy_periods(run_simulation(replace(CONFIG, num_arrivals=20_000)))
     assert view.slots.nbytes + view.ranks.nbytes == 12 * 20_000
+
+
+@pytest.mark.parametrize("discipline", ["lcfs", "random"])
+def test_lone_trace_keeps_no_trajectory(discipline):
+    cfg = replace(CONFIG, discipline=discipline)
+    run_simulation(replace(cfg, num_arrivals=1_000))  # first-call set-up
+    _, _, kept = traced(run_simulation, cfg)
+    assert kept <= LONE_TRACE_BUDGET, kept
+
+
+def test_live_traces_of_one_config_share_a_trajectory():
+    run_simulation(replace(CONFIG, num_arrivals=1_000, discipline="random"))
+    disciplines = ("fcfs", "lcfs", "random")
+    _, _, kept = traced(
+        lambda: [run_simulation(replace(CONFIG, discipline=d)) for d in disciplines]
+    )
+    assert kept <= SHARED_TRACES_BUDGET, kept

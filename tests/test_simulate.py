@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -855,3 +856,37 @@ def test_shared_trajectory_must_match_config():
     for other in (replace(cfg, seed=2), replace(cfg, num_arrivals=99)):
         with pytest.raises(ConfigError, match="another configuration"):
             run_simulation(other, shared)
+
+
+def test_live_fcfs_trace_lends_its_trajectory(monkeypatch):
+    built = []
+    compute_slots = simulate._compute_slots
+
+    def counted(*args):
+        built.append(1)
+        return compute_slots(*args)
+
+    monkeypatch.setattr(simulate, "_compute_slots", counted)
+    cfg = mm1(0.9, 3_000, seed=21)
+    others = [replace(cfg, discipline=d) for d in ("lcfs", "random")]
+    fresh = {c.discipline: trace_digest(run_simulation(c, Trajectory(c))) for c in others}
+    built.clear()
+    fcfs = run_simulation(cfg)
+    for c in others:
+        trace = run_simulation(c)
+        assert trace.arrivals is fcfs.arrivals
+        assert trace_digest(trace) == fresh[c.discipline]
+    assert len(built) == 1
+    assert simulate._drawn[cfg] is fcfs._trajectory
+    del fcfs, trace
+    gc.collect()
+    assert cfg not in simulate._drawn
+    run_simulation(cfg)
+    assert len(built) == 2
+    # Without a live first-come trace, each run draws its own trajectory.
+    built.clear()
+    digests = [trace_digest(run_simulation(c)) for c in others + [cfg]]
+    assert len(built) == 3
+    assert digests == [fresh[c.discipline] for c in others] + [
+        trace_digest(run_simulation(cfg, Trajectory(cfg)))
+    ]
