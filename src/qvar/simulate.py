@@ -251,15 +251,23 @@ class Trajectory:
     def queue(self) -> np.ndarray:
         """The waiters when each slot opens, its own customer included: the
         customers arrived strictly before it (a completion wins a tie) less
-        the slots before it.  A period's head finds only its own customer."""
+        the slots before it.  A period's head finds only its own customer.
+
+        Each block's slot starts and arrivals, both sorted, are merged by
+        one stable sort with the starts first, so a start sorts before an
+        equal arrival: slot ``k`` lands after the ``k`` starts before it and
+        the arrivals strictly before it."""
         starts, _, heads = self.slots
         n = len(starts)
         queue = np.empty(n, dtype=_index_dtype(n))
         bounds = np.append(heads, n)
         for p, q in _period_blocks(bounds):
             lo, hi = bounds[p], bounds[q]
-            arrived = np.searchsorted(self.arrivals[lo:hi], starts[lo:hi], side="left")
-            queue[lo:hi] = arrived - np.arange(hi - lo)
+            m = hi - lo
+            order = np.argsort(
+                np.concatenate((starts[lo:hi], self.arrivals[lo:hi])), kind="stable"
+            )
+            queue[lo:hi] = np.flatnonzero(order < m) - 2 * np.arange(m)
         queue[heads] = 1
         return queue
 
@@ -324,7 +332,8 @@ def _compute_slots(
     the heads: in exact arithmetic ``k`` opens a period when ``a[k] - C[k-1]``
     reaches the running maximum of that quantity, ``C`` being the prefix
     sums of the durations.  The ends are then summed as the recursion sums
-    them and every head is re-checked exactly against them until the guess
+    them, period by period in groups of equal size (:func:`_period_sums`),
+    and every head is re-checked exactly against them until the guess
     holds.  Each pass corrects at least the first wrong head.
     """
     n = len(arrivals)
@@ -357,22 +366,27 @@ def _period_sums(
 ) -> np.ndarray:
     """Slot ends for periods opening at ``heads``: each period's opening
     arrival plus its durations, added left to right like the recursion
-    (``np.cumsum`` along a row is that sequential sum)."""
-    n = len(durations)
+    (``np.cumsum`` along a row is that sequential sum).  A one-customer
+    period ends at its arrival plus its duration.  Longer periods are
+    grouped by size, and each group is summed as rows of its width, in
+    chunks of at most ``_BLOCK`` customers or of one row."""
     ends = durations.copy()
     ends[heads] += arrivals[heads]
-    bounds = np.append(heads, n)
-    for p, q in _period_blocks(bounds):
-        first = bounds[p:q]
-        sizes = np.diff(bounds[p : q + 1])
-        # Periods of sizes in (w/2, w] are summed as rows of width w.  What a
-        # row reads past its period's end never flows back into the period.
-        widths = 1 << np.ceil(np.log2(sizes)).astype(np.int64)
-        for w in np.unique(widths[sizes > 1]).tolist():
-            rows = widths == w
-            idx = np.minimum(first[rows, None] + np.arange(w), n - 1)
-            keep = np.arange(w) < sizes[rows, None]
-            ends[idx[keep]] = np.cumsum(ends[idx], axis=1)[keep]
+    sizes = np.diff(heads, append=len(durations))
+    multi = np.flatnonzero(sizes > 1)
+    sizes = sizes[multi]
+    # Sizes below 2**16 get 16-bit keys and so numpy's radix sort.
+    key = np.uint16 if sizes.max(initial=0) < 1 << 16 else np.int64
+    by_size = np.argsort(sizes.astype(key), kind="stable")
+    first, sizes = heads[multi[by_size]], sizes[by_size]
+    # The first row of each size; none when every period has one customer.
+    groups = np.flatnonzero(np.diff(sizes, prepend=0)).tolist()
+    for lo, hi in zip(groups, groups[1:] + [len(sizes)]):
+        w = int(sizes[lo])
+        r = max(1, _BLOCK // w)
+        for k in range(lo, hi, r):
+            idx = first[k : min(k + r, hi), None] + np.arange(w)
+            ends[idx] = np.cumsum(ends[idx], axis=1)
     return ends
 
 
@@ -464,11 +478,11 @@ def _random_pick(queue: np.ndarray, decisions: np.ndarray) -> np.ndarray:
     return served
 
 
-# Customers per block of the trajectory sums, the slot assignment, the
+# Customers per block of the waiter count, the slot assignment, the
 # extraction pass, iteration over its result and the occupancy sum in
-# :mod:`qvar.stats`.  Period blocks hold whole periods (a longer period gets
-# one block to itself), so a block's temporary arrays stay a few MB at any
-# trace length.
+# :mod:`qvar.stats`, and per chunk of equal-size rows in the trajectory sums.
+# Period blocks hold whole periods (a longer period gets one block to
+# itself), so a block's temporary arrays stay a few MB at any trace length.
 _BLOCK = 1 << 16
 
 

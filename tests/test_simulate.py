@@ -693,6 +693,28 @@ def test_queue_equals_slot_loop(monkeypatch, block, run):
         assert queue.max() == 1
 
 
+# One period longer than 2**16 customers: at the default block the period
+# sums sort sizes on int64 keys and sum the period as a single row.
+LONG_PERIOD_RUNS = {
+    "dd1-overload": det_config(1.0, 2.0, 70_000),
+    "mm1-rho130": mm1(1.3, 70_000, seed=2),
+}
+
+
+@pytest.mark.parametrize("run", sorted(LONG_PERIOD_RUNS))
+def test_period_past_sixteen_bits_equals_slot_loop(run):
+    cfg = LONG_PERIOD_RUNS[run]
+    trajectory = Trajectory(cfg)
+    assert trajectory.slots[2].tolist() == [0]
+    assert cfg.num_arrivals > simulate._BLOCK == 1 << 16
+    for d in ("fcfs", "lcfs", "random"):
+        one = replace(cfg, discipline=d)
+        found = []
+        expected = trace_digest(slot_loop_reference(one, found))
+        assert trace_digest(run_simulation(one, trajectory)) == expected, d
+        assert trajectory.queue.tolist() == found, d
+
+
 def test_queue_is_counted_once_per_trajectory():
     cfg = mm1(0.9, 2_000, seed=3)
     shared = Trajectory(cfg)
