@@ -126,8 +126,8 @@ class BusyPeriod:
         arrays; anything else goes through the constructor.
         """
         bp = object.__new__(cls)
-        object.__setattr__(bp, "arrivals", arrivals)
-        object.__setattr__(bp, "service_starts", service_starts)
+        fields = bp.__dict__  # past the frozen guard, cheaper than object.__setattr__
+        fields["arrivals"], fields["service_starts"] = arrivals, service_starts
         return bp
 
     @property
@@ -234,7 +234,7 @@ class Permutation:
         """Build without checking that ``mapping`` is a bijection on ``1..n``;
         same contract as :meth:`BusyPeriod._trusted`."""
         perm = object.__new__(cls)
-        object.__setattr__(perm, "mapping", mapping)
+        perm.__dict__["mapping"] = mapping
         return perm
 
     @classmethod

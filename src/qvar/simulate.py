@@ -502,26 +502,20 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
     """Read-only sequence of the ``(BusyPeriod, Permutation)`` pairs of a
     checked trace, built on access.
 
-    Holds the trace's arrivals (a view), the service starts sorted into slot
-    order within each period, each customer's 1-based slot rank, and the
-    period bounds (each period's first customer, then the number of
-    customers).  A pair's objects live only as long as the caller keeps them.
+    Holds the trace's own arrivals and service starts, each customer's
+    1-based slot rank within its period, and the period bounds (each
+    period's first customer, then the number of customers).  A period's
+    slots are its starts placed at their ranks, rebuilt per block or period
+    on access.  A pair's objects live only as long as the caller keeps them.
     """
 
     # A plain class: a dataclass would add about 1 ms to importing qvar.
-    __slots__ = ("arrivals", "slots", "ranks", "bounds")
+    __slots__ = ("arrivals", "starts", "ranks", "bounds")
 
     def __init__(
-        self,
-        arrivals: np.ndarray,
-        slots: np.ndarray,
-        ranks: np.ndarray,
-        bounds: np.ndarray,
+        self, arrivals: np.ndarray, starts: np.ndarray, ranks: np.ndarray, bounds: np.ndarray
     ) -> None:
-        self.arrivals = arrivals
-        self.slots = slots
-        self.ranks = ranks
-        self.bounds = bounds
+        self.arrivals, self.starts, self.ranks, self.bounds = arrivals, starts, ranks, bounds
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -530,25 +524,29 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
         if isinstance(index, slice):
             return [self[p] for p in range(len(self))[index]]
         p = range(len(self))[index]
-        lo, hi = self.bounds[p], self.bounds[p + 1]
-        return (
-            BusyPeriod._trusted(
-                tuple(self.arrivals[lo:hi].tolist()), tuple(self.slots[lo:hi].tolist())
-            ),
-            Permutation._trusted(tuple(self.ranks[lo:hi].tolist())),
-        )
+        a, slots, ranks = self._columns(self.bounds[p], self.bounds[p + 1], -1)
+        return BusyPeriod._trusted(a, slots), Permutation._trusted(ranks)
 
     def __iter__(self) -> Iterator[tuple[BusyPeriod, Permutation]]:
         # Each block's arrays become tuples once; a pair gets their slices.
         bp, perm = BusyPeriod._trusted, Permutation._trusted
         for p, q in _period_blocks(self.bounds):
             lo, hi = self.bounds[p], self.bounds[q]
-            a = tuple(self.arrivals[lo:hi].tolist())
-            slots = tuple(self.slots[lo:hi].tolist())
-            ranks = tuple(self.ranks[lo:hi].tolist())
-            cuts = (self.bounds[p : q + 1] - lo).tolist()
-            for i, j in zip(cuts, cuts[1:]):
+            cuts = self.bounds[p : q + 1] - lo
+            shift = np.repeat(cuts[:-1] - 1, np.diff(cuts))
+            a, slots, ranks = self._columns(lo, hi, shift)
+            for i, j in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
                 yield bp(a[i:j], slots[i:j]), perm(ranks[i:j])
+            del a, slots, ranks  # before the next block's are built
+
+    def _columns(self, lo: int, hi: int, shift: np.ndarray | int) -> tuple[tuple, ...]:
+        """The arrivals, slots and ranks of customers ``[lo, hi)`` as tuples: a
+        period's slots are its starts placed at their ranks, a customer's at
+        ``shift + rank``, ``shift`` being its period's head from ``lo`` less one."""
+        ranks = self.ranks[lo:hi]
+        slots = np.empty(hi - lo)
+        slots[shift + ranks] = self.starts[lo:hi]
+        return tuple(tuple(c.tolist()) for c in (self.arrivals[lo:hi], slots, ranks))
 
 
 def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
@@ -575,30 +573,26 @@ def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
     :func:`validate_busy_period`; an unrealizable order raises
     :class:`MalformedTraceError`.
 
-    The result is a lazy :class:`BusyPeriodView`: it keeps the sorted slots
-    and ranks as arrays (12 bytes per customer below 2**31 customers) and
-    builds each pair only when it is indexed or iterated.
+    The result is a lazy :class:`BusyPeriodView`: beside the trace's own
+    arrays it keeps only the ranks (4 bytes per customer below 2**31
+    customers), and builds each pair only when it is indexed or iterated.
     """
     bounds = np.append(trace.period_starts, trace.n)
-    slots = np.empty(trace.n)
     ranks = np.empty(trace.n, dtype=_index_dtype(trace.n))
     prev_end = -inf
     for p, q in _period_blocks(bounds):
         lo, hi = bounds[p], bounds[q]
-        slots[lo:hi], ranks[lo:hi], prev_end = _check_block(
-            trace, bounds[p : q + 1], prev_end
-        )
-    slots.flags.writeable = False
+        ranks[lo:hi], prev_end = _check_block(trace, bounds[p : q + 1], prev_end)
     ranks.flags.writeable = False
-    return BusyPeriodView(trace.arrivals, slots, ranks, bounds)
+    return BusyPeriodView(trace.arrivals, trace.service_starts, ranks, bounds)
 
 
 def _check_block(
     trace: SimTrace, bounds: np.ndarray, prev_end: float
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, float]:
     """Check the periods with bounds ``bounds`` as described in
     :func:`extract_busy_periods`, given the end of the period before them;
-    return their slots, their customers' ranks and the end of the last one."""
+    return their customers' ranks and the end of the last one."""
     lo, hi = int(bounds[0]), int(bounds[-1])
     m = hi - lo
     heads = bounds[:-1] - lo
@@ -657,7 +651,7 @@ def _check_block(
             f"period opening at t={a[i]!r} serves a customer no later than "
             f"it arrives under the recorded order {tuple(ranks[i:j].tolist())}"
         )
-    return slots, ranks, float(deps[-1])
+    return ranks, float(deps[-1])
 
 
 def per_period_wait_sums(trace: SimTrace) -> np.ndarray:
@@ -668,10 +662,16 @@ def per_period_wait_sums(trace: SimTrace) -> np.ndarray:
     small and nonnegative; summing those (instead of differencing two
     large timestamp sums) avoids cancellation.  Traces sharing timestamps
     but not service orders reduce in the exact same sequence and agree
-    bitwise.
+    bitwise.  Periods must not interleave, as in every work-conserving
+    trace, so that each block of whole periods can be sorted on its own.
     """
-    gaps = np.sort(trace.service_starts) - trace.arrivals
-    return np.add.reduceat(gaps, trace.period_starts)
+    bounds = np.append(trace.period_starts, trace.n)
+    sums = np.empty(trace.num_periods)
+    for p, q in _period_blocks(bounds):
+        lo, hi = bounds[p], bounds[q]
+        gaps = np.sort(trace.service_starts[lo:hi]) - trace.arrivals[lo:hi]
+        sums[p:q] = np.add.reduceat(gaps, bounds[p:q] - lo)
+    return sums
 
 
 def write_trace_jsonl(trace: SimTrace, path: str | Path) -> None:

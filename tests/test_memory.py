@@ -5,12 +5,14 @@ array buffers) recorded for this run plus 10%.  The trace a run returns
 holds three float64 arrays, 24 bytes per customer; the rest of a run's
 peak is its trajectory and its per-block temporaries, which at this size
 are still a large share.  A retained budget is measured after the call, on
-the traces it returns, plus 10%.
+what it returns, plus 10%.
 """
 
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qvar import SimConfig, compute_stats, extract_busy_periods, run_simulation
@@ -37,6 +39,13 @@ LONE_TRACE_BUDGET = 26.9
 # A first-come trace is its trajectory's arrays; the other two add their
 # starts and ends, and the trajectory keeps the queue they counted.
 SHARED_TRACES_BUDGET = 66.4
+# The ranks as int32 and the period bounds as int64 (about one period per
+# 20 customers at rate 0.95); the arrivals and starts are the trace's.
+EXTRACT_BUDGET = 4.8
+# Iterating a view turns one block of whole periods (``_BLOCK`` customers,
+# a third of this run) at a time into tuples of Python floats and ints.
+# Keeping a block's tuples while the next block's are built reads about 64.
+ITER_BUDGET = 40.4
 
 
 def traced(fn, *args):
@@ -67,10 +76,27 @@ def test_whole_trace_run_stays_in_its_memory_budget(rate, discipline):
     assert stats_bytes <= STATS_BUDGET, stats_bytes
 
 
-def test_extracted_periods_keep_twelve_bytes_per_customer():
-    # Sorted slots as float64 and ranks as int32.
-    view = extract_busy_periods(run_simulation(replace(CONFIG, num_arrivals=20_000)))
-    assert view.slots.nbytes + view.ranks.nbytes == 12 * 20_000
+def test_extracted_periods_keep_four_bytes_per_customer():
+    # Ranks as int32; the slots are read from the trace's own starts.
+    trace = run_simulation(replace(CONFIG, num_arrivals=20_000))
+    view = extract_busy_periods(trace)
+    assert view.ranks.nbytes == 4 * 20_000
+    assert np.shares_memory(view.arrivals, trace.arrivals)
+    assert np.shares_memory(view.starts, trace.service_starts)
+
+
+def test_extraction_stays_in_its_retained_budget():
+    trace = run_simulation(CONFIG)
+    extract_busy_periods(run_simulation(replace(CONFIG, num_arrivals=1_000)))
+    _, _, kept = traced(extract_busy_periods, trace)
+    assert kept <= EXTRACT_BUDGET, kept
+
+
+def test_iterating_extracted_periods_holds_one_block():
+    view = extract_busy_periods(run_simulation(CONFIG))
+    deque(view[:3], maxlen=0)  # first-call set-up
+    _, peak, _ = traced(deque, view, 0)
+    assert peak <= ITER_BUDGET, peak
 
 
 @pytest.mark.parametrize("discipline", ["lcfs", "random"])

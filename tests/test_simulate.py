@@ -165,6 +165,18 @@ def test_per_period_wait_sums_match_direct_sums():
         assert s == pytest.approx(math.fsum(waits[lo:hi]), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("block", [1, 3, 7, None])
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random"])
+def test_per_period_wait_sums_by_blocks_equal_one_sort(monkeypatch, discipline, block):
+    trace = run_simulation(mm1(0.9, 3_000, seed=4, discipline=discipline))
+    whole = np.add.reduceat(
+        np.sort(trace.service_starts) - trace.arrivals, trace.period_starts
+    )
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+    assert per_period_wait_sums(trace).tobytes() == whole.tobytes()
+
+
 def test_per_period_wait_sums_identical_across_disciplines():
     sums = [
         per_period_wait_sums(run_simulation(mm1(0.8, 20_000, seed=9, discipline=d)))
@@ -535,6 +547,29 @@ def test_extract_blocks_do_not_change_the_result(monkeypatch):
     for block in (1, 3, 7):
         monkeypatch.setattr(simulate, "_BLOCK", block)
         assert pair_tuples(extract_busy_periods(trace)) == whole
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, None])
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs", "random"])
+def test_extracted_slots_are_each_periods_sorted_starts(monkeypatch, discipline, block):
+    trace = run_simulation(mm1(0.9, 3_000, seed=4, discipline=discipline))
+    bounds = trace.period_starts.tolist() + [trace.n]
+    expected = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        a, s = trace.arrivals[lo:hi], trace.service_starts[lo:hi]
+        slots = np.sort(s)
+        ranks = np.searchsorted(slots, s) + 1
+        expected.append((tuple(a.tolist()), tuple(slots.tolist()), tuple(ranks.tolist())))
+    assert max(len(a) for a, _, _ in expected) > 7
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+    view = extract_busy_periods(trace)
+    assert pair_tuples(view) == expected
+    last = len(expected) - 1
+    for k in (0, 1, last, -1, -last - 1):
+        assert pair_tuples([view[k]]) == [expected[k]]
+    for cut in (slice(2, 9), slice(-6, None), slice(None, None, -3)):
+        assert pair_tuples(view[cut]) == expected[cut]
 
 
 def test_extract_overlap_found_across_blocks(monkeypatch):
