@@ -610,3 +610,31 @@ def test_extension_rule_stdout_is_pinned(tmp_path, capsys, argv, lines, digest):
     assert code == 0, err
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+COMPARE_PIN = ["compare", "--lambda", "0.9", "--mu", "1", "--arrivals", "200000",
+               "--seeds", "1,2", "--oracle"]
+SIMULATE_PIN = ["simulate", "--lambda", "0.9", "--mu", "1", "--arrivals", "200000",
+                "--seed", "1", "--format", "json", "--discipline"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (COMPARE_PIN, "b0d40983cd6149d0d148a38dc119acfe789e4bfc5f57578b27309e1f1fe2f7cc"),
+        (
+            COMPARE_PIN + ["--format", "json"],
+            "62c200951eb32840dc93ad6d5663c442a34cb7fc587ec574b396a3cd591590a4",
+        ),
+        (SIMULATE_PIN + ["fcfs"], "7907295b373eadd42dcbc7a2a728d51b96b9019c6f70c839ddc959075d4b1b7d"),
+        (SIMULATE_PIN + ["lcfs"], "b30fc52ab89bdc422a8eb7be0322f2b20c51764ffaec3a11cb4edda123b6f80d"),
+        (SIMULATE_PIN + ["random"], "49551784cf28ea4bb0914012bc88948bcc3f3336f86b3d7c617eb257169e6221"),
+    ],
+    ids=["compare-csv", "compare-json", "simulate-fcfs", "simulate-lcfs", "simulate-random"],
+)
+def test_report_stdout_is_pinned(capsys, argv, digest):
+    # Every figure is printed at full precision, so these digests pin the
+    # wait statistics bit for bit along with the report layout.
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
