@@ -34,7 +34,7 @@ from .simulate import (
     _check_discipline,
     run_simulation,
 )
-from .stats import DEFAULT_WARMUP, WaitStats, compute_stats
+from .stats import DEFAULT_WARMUP, WaitStats, _check_warmup, _wait_moments
 from .variates import _check_rate, _check_stable
 
 __all__ = [
@@ -179,8 +179,9 @@ class DisciplineSummary:
 
     Standard errors are pooled across seeds (root-sum-square over the
     per-seed batch-means errors, divided by the seed count); ``None`` when
-    any per-seed error was unavailable.  ``predicted_var`` is the closed
-    form where one exists and was requested, else ``None``.
+    any per-seed error was unavailable.  A one-seed row (``seed_count=1``)
+    carries that seed's own figures and errors.  ``predicted_var`` is the
+    closed form where one exists and was requested, else ``None``.
     """
 
     discipline: str
@@ -198,10 +199,10 @@ class DisciplineSummary:
 
 @dataclass(frozen=True)
 class ComparisonTable:
-    """Aggregated comparison across disciplines, plus the per-seed detail."""
+    """Pooled rows per discipline, plus each seed's own rows in ``per_seed``."""
 
     rows: tuple[DisciplineSummary, ...]
-    per_seed: dict[str, tuple[WaitStats, ...]]
+    per_seed: dict[str, tuple[DisciplineSummary, ...]]
     seeds: tuple[int, ...]
 
     @property
@@ -247,22 +248,27 @@ def csv_table(columns: Sequence[str], rows: Iterable[Mapping[str, object]]) -> s
 
 
 def _pooled_se(errors: list[float | None]) -> float | None:
-    if any(e is None for e in errors):
-        return None
     total = 0.0
     for e in errors:
-        assert e is not None
+        if e is None:
+            return None
         total += e * e
     return total**0.5 / len(errors)
 
 
 def _stats_for(
-    job: tuple[SimConfig, tuple[Discipline, ...], float]
-) -> list[WaitStats]:
-    cfg, disciplines, warmup = job
+    job: tuple[SimConfig, tuple[Discipline, ...], float, MM1Prediction | None]
+) -> list[DisciplineSummary]:
+    cfg, disciplines, warmup, prediction = job
     shared = Trajectory(cfg)
+    # [1:] drops the waits; neither they nor the trace outlive their row.
     return [
-        compute_stats(run_simulation(replace(cfg, discipline=d), shared), warmup)
+        DisciplineSummary(
+            d.value,
+            1,
+            *_wait_moments(run_simulation(replace(cfg, discipline=d), shared), warmup)[1:],
+            prediction.variance_for(d) if prediction is not None else None,
+        )
         for d in disciplines
     ]
 
@@ -292,7 +298,7 @@ def compare_disciplines(
     warmup_fraction: float = DEFAULT_WARMUP,
     oracle: bool = False,
 ) -> ComparisonTable:
-    """Run every discipline on every seed and aggregate the wait statistics.
+    """Run every discipline on every seed and aggregate the wait moments.
 
     All runs share ``base`` except for discipline and seed, so matched seeds
     share their arrival and service draws exactly; each seed's draws and
@@ -303,7 +309,9 @@ def compare_disciplines(
     variances are attached where they exist, which requires exponential
     arrival and service distributions.  Seeds fan out across the number of
     processes the ``QVAR_THREADS`` environment variable names (default 1,
-    serial); results reduce in (discipline, seed) order either way.
+    serial); results reduce in (discipline, seed) order either way.  Only
+    the wait moments are computed, bitwise as in ``compute_stats``;
+    occupancy and E[W²|W>0] come from ``qvar simulate``.
     """
     if not seeds:
         raise ConfigError("at least one seed is required")
@@ -325,8 +333,9 @@ def compare_disciplines(
                 "distributions"
             )
         prediction = mm1_predict(base.arrival_rate, base.service_rate)
+    _check_warmup(warmup_fraction)
 
-    jobs = [(c, disciplines, warmup_fraction) for c in configs]
+    jobs = [(c, disciplines, warmup_fraction, prediction) for c in configs]
     workers = _resolve_workers()
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -335,7 +344,7 @@ def compare_disciplines(
         by_seed = [_stats_for(j) for j in jobs]
 
     rows = []
-    per_seed: dict[str, tuple[WaitStats, ...]] = {}
+    per_seed: dict[str, tuple[DisciplineSummary, ...]] = {}
     count = len(seeds)
     for idx, d in enumerate(disciplines):
         chunk = [stats[idx] for stats in by_seed]
@@ -345,13 +354,11 @@ def compare_disciplines(
                 discipline=d.value,
                 seed_count=count,
                 mean_wait=sum(s.mean_wait for s in chunk) / count,
-                se_mean=_pooled_se([s.se_mean_wait for s in chunk]),
+                se_mean=_pooled_se([s.se_mean for s in chunk]),
                 var_wait=sum(s.var_wait for s in chunk) / count,
-                se_var=_pooled_se([s.se_var_wait for s in chunk]),
-                p_wait=sum(s.frac_waiting for s in chunk) / count,
-                predicted_var=(
-                    prediction.variance_for(d) if prediction is not None else None
-                ),
+                se_var=_pooled_se([s.se_var for s in chunk]),
+                p_wait=sum(s.p_wait for s in chunk) / count,
+                predicted_var=chunk[0].predicted_var,
             )
         )
     return ComparisonTable(rows=tuple(rows), per_seed=per_seed, seeds=tuple(seeds))

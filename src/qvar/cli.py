@@ -53,7 +53,7 @@ from .simulate import (
     run_simulation,
     write_trace_jsonl,
 )
-from .stats import DEFAULT_WARMUP, compute_stats
+from .stats import DEFAULT_WARMUP, _check_warmup, compute_stats
 from .variates import _check_rate, _check_seed, _check_stable
 
 __all__ = ["main", "build_parser"]
@@ -134,6 +134,7 @@ def _emit(args: argparse.Namespace, payload: str, config: dict, extra_outputs: l
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _sim_config(args, args.seed, args.discipline)
+    _check_warmup(args.warmup)
     trace = run_simulation(cfg)
     stats = compute_stats(trace, args.warmup)
     extra: list[str] = []

@@ -18,7 +18,7 @@ is self-consistent rather than assuming stationarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,21 +57,7 @@ class WaitStats:
     effective_arrival_rate: float
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "count": self.count,
-            "warmup_discarded": self.warmup_discarded,
-            "mean_wait": self.mean_wait,
-            "var_wait": self.var_wait,
-            "se_mean_wait": self.se_mean_wait,
-            "se_var_wait": self.se_var_wait,
-            "second_moment_given_wait": self.second_moment_given_wait,
-            "frac_waiting": self.frac_waiting,
-            "mean_service": self.mean_service,
-            "mean_sojourn": self.mean_sojourn,
-            "time_avg_in_system": self.time_avg_in_system,
-            "horizon": self.horizon,
-            "effective_arrival_rate": self.effective_arrival_rate,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _batch_errors(waits: np.ndarray) -> tuple[float | None, float | None]:
@@ -103,53 +89,59 @@ def _time_average_in_system(
     return float(occupied.sum() / (t1 - t0))
 
 
+def _check_warmup(warmup_fraction: float) -> None:
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ConfigError(f"warmup_fraction must lie in [0, 1), got {warmup_fraction!r}")
+
+
+def _wait_moments(trace: SimTrace, warmup_fraction: float) -> tuple:
+    """The retained waits, then the figures ``qvar compare`` reports: mean
+    wait, its batch-means error, ``ddof=1`` variance, its error, P(W > 0)."""
+    _check_warmup(warmup_fraction)
+    skip = int(trace.n * warmup_fraction)
+    if skip >= trace.n:
+        raise EmptyAfterWarmupError(f"warm-up of {skip} customers leaves none of {trace.n}")
+    waits = trace.service_starts[skip:] - trace.arrivals[skip:]
+    var_wait = float(waits.var(ddof=1)) if len(waits) >= 2 else 0.0
+    se_mean, se_var = _batch_errors(waits)
+    # Waits are never negative, so the nonzero ones are exactly those > 0.
+    frac_waiting = float(np.count_nonzero(waits) / len(waits))
+    return waits, float(waits.mean()), se_mean, var_wait, se_var, frac_waiting
+
+
 def compute_stats(
     trace: SimTrace, warmup_fraction: float = DEFAULT_WARMUP
 ) -> WaitStats:
     """Summarize ``trace`` after dropping the first ``warmup_fraction`` customers.
 
-    The discard count is ``floor(n * warmup_fraction)``.  The occupancy
-    window (and hence the effective arrival rate) runs from the first
-    retained arrival to the last retained departure; all customers are
-    clipped to it, so early arrivals that linger into the window still
-    count toward occupancy.
+    The discard count is ``floor(n * warmup_fraction)``.  The wait moments
+    are ``qvar compare``'s; E[W²|W>0], service, sojourn and occupancy are
+    computed only here.  The occupancy window (and hence the effective
+    arrival rate) runs from the first retained arrival to the last retained
+    departure; all customers are clipped to it, so early arrivals that
+    linger into the window still count toward occupancy.
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigError(
-            f"warmup_fraction must lie in [0, 1), got {warmup_fraction!r}"
-        )
-    skip = int(trace.n * warmup_fraction)
-    if skip >= trace.n:
-        raise EmptyAfterWarmupError(
-            f"warm-up of {skip} customers leaves none of {trace.n}"
-        )
-    arrivals = trace.arrivals[skip:]
+    waits, mean_wait, se_mean, var_wait, se_var, frac = _wait_moments(trace, warmup_fraction)
+    count = len(waits)
+    skip = trace.n - count
     starts = trace.service_starts[skip:]
     departures = trace.departures[skip:]
-    count = len(arrivals)
 
     # Each full-length temporary is dropped after its last reader.
-    waits = starts - arrivals
-    mean_wait = float(waits.mean())
-    var_wait = float(waits.var(ddof=1)) if count >= 2 else 0.0
-    se_mean, se_var = _batch_errors(waits)
     positive = waits[waits > 0.0]
     del waits
-    frac_waiting = float(len(positive) / count)
     positive *= positive
     second_moment = float(positive.mean()) if len(positive) else None
     del positive
     mean_service = float((departures - starts).mean())
-    mean_sojourn = mean_wait + mean_service
 
-    t0 = float(arrivals[0])
+    t0 = float(trace.arrivals[skip])
     t1 = float(departures.max())
     horizon = t1 - t0
     if horizon <= 0.0:
         # Single retained customer with zero wait; occupancy is undefined,
         # report zeros rather than dividing by zero.
-        time_avg = 0.0
-        eff_rate = 0.0
+        time_avg = eff_rate = 0.0
     else:
         # Occupancy counts *every* customer overlapping the window, warm-up
         # ones included, so the Little's-law comparison against
@@ -165,9 +157,9 @@ def compute_stats(
         se_mean_wait=se_mean,
         se_var_wait=se_var,
         second_moment_given_wait=second_moment,
-        frac_waiting=frac_waiting,
+        frac_waiting=frac,
         mean_service=mean_service,
-        mean_sojourn=mean_sojourn,
+        mean_sojourn=mean_wait + mean_service,
         time_avg_in_system=time_avg,
         horizon=horizon,
         effective_arrival_rate=eff_rate,

@@ -177,9 +177,8 @@ def test_compare_seeds_follow_the_config_seed_rule():
         compare_disciplines(BASE, [1.7])
     table = compare_disciplines(replace(BASE, num_arrivals=2_000), [np.int64(3)])
     assert table.seeds == (3,) and type(table.seeds[0]) is int
-    assert table.per_seed["fcfs"] == compare_disciplines(
-        replace(BASE, num_arrivals=2_000), [3]
-    ).per_seed["fcfs"]
+    (row,) = table.per_seed["fcfs"]
+    assert_same_figures(row, compute_stats(run_simulation(replace(BASE, num_arrivals=2_000, seed=3))))
 
 
 def test_oracle_requires_exponential():
@@ -239,14 +238,30 @@ def test_parallel_matches_serial(monkeypatch):
     assert serial.rows == parallel.rows
 
 
+def assert_same_figures(row, stats):
+    """A one-seed compare row holds the five figures ``compute_stats`` gives
+    for the same run, bit for bit and of the same types (``repr`` tells
+    -0.0 from 0.0 and a numpy scalar from a float).  Compare computes
+    nothing else, so the other ``WaitStats`` fields are not part of this."""
+    assert row.seed_count == 1
+    got = (row.mean_wait, row.se_mean, row.var_wait, row.se_var, row.p_wait)
+    want = (stats.mean_wait, stats.se_mean_wait, stats.var_wait, stats.se_var_wait,
+            stats.frac_waiting)
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
 # The id names the trajectory model, the manifests' constant "coupling".
 @pytest.mark.parametrize("coupling", ["position"])
 def test_compare_matches_separate_runs(coupling):
     # Each seed's draws and trajectory are shared by its disciplines; the
-    # statistics must equal those of one run per (discipline, seed).
+    # figures must equal those of one run per (discipline, seed).
     cfg = replace(BASE, num_arrivals=3_000)
     assert cfg.to_dict()["coupling"] == coupling
-    table = compare_disciplines(cfg, [4, 5])
-    for d, stats in table.per_seed.items():
-        for seed, s in zip(table.seeds, stats):
-            assert s == compute_stats(run_simulation(replace(cfg, discipline=d, seed=seed)))
+    table = compare_disciplines(cfg, [4, 5], oracle=True)
+    for pooled, (d, rows) in zip(table.rows, table.per_seed.items()):
+        assert [r.discipline for r in rows] == [d, d]
+        assert {r.predicted_var for r in rows} == {pooled.predicted_var}
+        for seed, row in zip(table.seeds, rows):
+            assert_same_figures(
+                row, compute_stats(run_simulation(replace(cfg, discipline=d, seed=seed)))
+            )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qvar.cli as cli
+import qvar.simulate as simulate
 from qvar import (
     ExtremalityViolationError,
     lcfs_permutation,
@@ -107,6 +108,26 @@ def test_simulate_bad_warmup(capsys):
         "--seed", "1", "--warmup", "1.0",
     )
     assert code == 2
+
+
+def test_bad_warmup_is_refused_before_any_draw(capsys, monkeypatch):
+    built = []
+    compute_slots = simulate._compute_slots
+
+    def counted(*args):
+        built.append(1)
+        return compute_slots(*args)
+
+    monkeypatch.setattr(simulate, "_compute_slots", counted)
+    for command in (["simulate", "--seed", "1"], ["compare", "--seeds", "1,2"]):
+        for warmup in ("1.5", "-0.1", "nan"):
+            code, out, err = run(
+                capsys, *command, "--lambda", "0.5", "--mu", "1", "--arrivals", "1000",
+                "--warmup", warmup,
+            )
+            assert (code, out) == (2, "")
+            assert f"warmup_fraction must lie in [0, 1), got {warmup}" in err
+    assert built == []
 
 
 def test_simulate_out_and_manifest(tmp_path, capsys):
