@@ -4,15 +4,19 @@ These feed the exhaustive and descent checks with instances that are
 uniform in the combinatorial sense that matters: which arrivals interleave
 with which service starts.  Timestamps are i.i.d. uniform draws, so every
 interleaving pattern of the 2(n-1) free timestamps is equally likely and
-all timestamps are distinct with probability one.
+all timestamps are distinct with probability one.  Service orders are
+uniform over the realizable orders of a period, placed from the last
+customer to the first by the rule of :mod:`qvar.permutations`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .busy_period import BusyPeriod, Permutation
-from .permutations import _choices, _slot_floors
+from .permutations import _slot_floors
 from .variates import _check_count
 
 __all__ = ["random_busy_period", "random_realizable_permutation"]
@@ -59,21 +63,19 @@ def random_busy_period(rng: np.random.Generator, n: int) -> BusyPeriod:
 def random_realizable_permutation(
     rng: np.random.Generator, bp: BusyPeriod
 ) -> Permutation:
-    """A random realizable service order on ``bp``.
+    """A uniform random realizable service order on ``bp``.
 
-    Slots are assigned to customers in arrival order, each choosing
-    uniformly among the slots :func:`~qvar.permutations._choices` allows:
-    free, opening after the customer arrives, and leaving every later
-    customer a slot (Hall's condition on the slot floors, the rule
-    enumeration and the extremality oracle share).  Every realizable order
-    has positive probability, though the distribution over orders is not
-    uniform.  O(n) per customer.
+    Customers are placed from the last to the first, each taking a uniform
+    pick among its ``i + 1 - floor_i`` free allowed slots, so every
+    realizable order has probability one over their number (the rule of
+    :mod:`qvar.permutations`).  One draw per customer, last to first, all
+    from one ``rng.integers`` call; O(n) per customer for the list of free
+    slots.
     """
     floors = _slot_floors(bp)
-    used, mapping = 1, [1]
-    for i in range(1, bp.n):
-        choices = _choices(floors, i, used)
-        j = choices[int(rng.integers(len(choices)))]
-        used |= 1 << j
-        mapping.append(j + 1)
-    return Permutation(tuple(mapping))
+    last_first = range(bp.n - 1, 0, -1)
+    picks = rng.integers([i + 1 - floors[i] for i in last_first]).tolist()
+    free, mapping = list(range(1, bp.n)), [1] * bp.n
+    for i, pick in zip(last_first, picks):
+        mapping[i] = free.pop(bisect_left(free, floors[i]) + pick) + 1
+    return Permutation._trusted(tuple(mapping))

@@ -16,9 +16,14 @@ provides
   -- the maximum by the rearrangement inequality, the minimum by an
   LP-duality certificate -- and raises if they do not.
 
-Enumeration and the sampler in :mod:`qvar.instances` grow an order
-customer by customer with one rule, :func:`_choices`: the free slots a
-customer may take that leave every later customer a slot.
+Orders are grown from the last customer to the first.  Customer ``i``
+(0-based) may take the slots at or above its floor (:func:`_slot_floors`),
+and the floors never fall, so every later customer holds a slot at or
+above ``floor_i``: whatever they took, exactly ``i + 1 - floor_i`` allowed
+slots are still free.  So every pick completes and each order is one
+sequence of picks: enumeration never reaches a dead end, a uniform pick
+per customer (the sampler in :mod:`qvar.instances`) is uniform over
+realizable orders, and the product of the counts is their number.
 
 The stack order is computed by bracket matching: interleave the arrival and
 service-start timestamps on the time axis, read arrivals as ``(`` and
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -110,29 +116,6 @@ def _slot_floors(bp: BusyPeriod) -> list[int]:
     return floors
 
 
-def _choices(floors: list[int], i: int, used: int) -> list[int]:
-    """The slots customer ``i`` (0-based) may take so that every later
-    customer can still be placed, in increasing order.
-
-    ``used`` is the bitmask of the slots customers ``0..i-1`` hold.  The
-    allowed slots of customers ``r >= i`` are the nested suffixes
-    ``[floors[r], n)``, so by Hall's condition the customers after ``i``
-    can be placed iff, for each ``r > i``, at least ``n - r`` slots at or
-    above ``floors[r]`` stay free.  A constraint that holds with equality
-    now (``r - floors[r]`` of those slots are used) forbids ``i`` every
-    slot at or above ``floors[r]``; the smallest such ``r`` caps the
-    choice.  O(n) per call.
-    """
-    n = len(floors)
-    cap = n
-    for r in range(i + 1, n):
-        f = floors[r]
-        if (used >> f).bit_count() == r - f:
-            cap = f
-            break
-    return [j for j in range(floors[i], cap) if not used >> j & 1]
-
-
 # Largest period enumerated unless the caller raises the limit: 10
 # customers have at most 9! = 362,880 realizable orders.
 DEFAULT_MAX_N = 10
@@ -143,31 +126,32 @@ def enumerate_realizable(
 ) -> list[Permutation]:
     """Every realizable service order, in lexicographic mapping order.
 
-    Backtracking over customers in arrival order; customer ``i`` tries the
-    slots :func:`_choices` allows, so every branch ends in an order.
-    Refuses periods with more than ``max_n`` customers (the count can grow
-    factorially).
+    Backtracking over customers from the last to the first by the rule of
+    the module docstring, so every branch ends in an order; the orders are
+    then sorted.  Refuses periods with more than ``max_n`` customers (the
+    count can grow factorially).
     """
     if bp.n > max_n:
         raise TooLargeError(
             f"refusing a busy period of {bp.n} customers "
             f"(limit {max_n}); raise max_n explicitly if you mean it"
         )
-    n = bp.n
     floors = _slot_floors(bp)
-    prefix = [1] + [0] * (n - 1)
-    out: list[Permutation] = []
+    free, mapping = list(range(1, bp.n)), [1] * bp.n
+    out: list[tuple[int, ...]] = []
 
-    def extend(i: int, used: int) -> None:
-        if i == n:
-            out.append(Permutation(tuple(prefix)))
+    def place(i: int) -> None:
+        if i == 0:
+            out.append(tuple(mapping))
             return
-        for j in _choices(floors, i, used):
-            prefix[i] = j + 1
-            extend(i + 1, used | 1 << j)
+        for k in range(bisect_left(free, floors[i]), len(free)):
+            j = free.pop(k)
+            mapping[i] = j + 1
+            place(i - 1)
+            free.insert(k, j)
 
-    extend(1, 1)
-    return out
+    place(bp.n - 1)
+    return [Permutation._trusted(m) for m in sorted(out)]
 
 
 @dataclass(frozen=True)
@@ -428,8 +412,8 @@ def check_extremality(bp: BusyPeriod) -> ExtremalityReport:
     orders, and it is realizable.  The stack order is proved the minimizer
     by the duality certificate of :func:`_improvement`, which does not use
     the bracket matching it audits, at any length.  ``num_realizable`` is
-    the product formula: customer ``i`` (0-based) has ``i + 1 - floor_i``
-    choices once every later customer holds a slot.  Raises
+    the product of the counts ``i + 1 - floor_i`` of the last-to-first
+    rule in the module docstring.  Raises
     :class:`ExtremalityViolationError`, naming a strictly better order, on
     any violation -- a counterexample to the theorem, not a data problem.
     """

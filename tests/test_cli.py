@@ -581,8 +581,8 @@ def _expand_removed(out, bp):
         (
             40,
             ["--start", "random", "--seed", "3"],
-            483,
-            "ec8a940e2f13c60305f4f3ba19fd6463cfbfd43fce0bee5f22c60616a4af83e1",
+            481,
+            "91f42254b26438004967f9435c85c452547bf8e4e54f9a54e2d6121bd0723e5e",
         ),
     ],
     ids=["identity-n80", "random-start-n40"],
@@ -615,16 +615,17 @@ def test_descent_expands_to_one_line_per_bracket(tmp_path, capsys, n, start, lin
         ),
         (
             ["descent", "--input", "BP40", "--start", "random", "--seed", "3"],
-            23,
-            "72f688b5a2fa5582155553a9d534a3b0e67f5bddb7b473b59fd413b2e7e8db2f",
+            27,
+            "d7ddf466ebf4a9ddfa7cbdee7239b07bd73101cf875c4b4ec53bf0dddcf6ed67",
         ),
     ],
     ids=["enumerate-n9", "enumerate-n14", "descent-random-start"],
 )
 def test_extension_rule_stdout_is_pinned(tmp_path, capsys, argv, lines, digest):
-    # The oracle's reports and a descent from a sampled order both follow
-    # the rule that extends an order (the sample also follows the rng
-    # stream), so these digests pin that rule byte for byte.
+    # The oracle's counts and a descent from a sampled order both follow
+    # the rule that places an order from the last customer to the first
+    # (the sample also follows the rng stream), so these digests pin that
+    # rule byte for byte.
     path = tmp_path / "bp.json"
     path.write_text(json.dumps(random_busy_period(np.random.default_rng(80), 40).to_dict()))
     code, out, err = run(capsys, *(str(path) if a == "BP40" else a for a in argv))

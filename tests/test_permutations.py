@@ -295,29 +295,24 @@ def busy_periods(draw, lattice: bool, max_n: int = 8):
     return BusyPeriod(tuple(arrivals), tuple(starts))
 
 
-def _assert_choices_are_exact(bp):
-    # Every prefix of a realizable order, and the slots (0-based) that some
-    # realizable order continues it with.
-    continuations = {}
-    for mapping in brute_force_realizable(bp):
-        for i in range(1, bp.n):
-            continuations.setdefault(mapping[:i], set()).add(mapping[i] - 1)
-    floors = permutations._slot_floors(bp)
-    for prefix, slots in continuations.items():
-        used = sum(1 << (m - 1) for m in prefix)
-        assert permutations._choices(floors, len(prefix), used) == sorted(slots)
+def _assert_enumeration_is_exact(bp):
+    # A placement rule with a dead end, or one that misses an order, fails
+    # here, ties included.
+    listed = [p.mapping for p in enumerate_realizable(bp)]
+    assert listed == brute_force_realizable(bp)
+    assert len(listed) == check_extremality(bp).num_realizable
 
 
 @given(busy_periods(lattice=False, max_n=7))
 @settings(max_examples=100, deadline=None)
-def test_choices_are_exactly_the_completable_slots(bp):
-    _assert_choices_are_exact(bp)
+def test_enumeration_is_exactly_the_realizable_orders(bp):
+    _assert_enumeration_is_exact(bp)
 
 
 @given(busy_periods(lattice=True, max_n=7))
 @settings(max_examples=100, deadline=None)
-def test_choices_are_exactly_the_completable_slots_on_a_lattice(bp):
-    _assert_choices_are_exact(bp)
+def test_enumeration_is_exactly_the_realizable_orders_on_a_lattice(bp):
+    _assert_enumeration_is_exact(bp)
 
 
 def _exhaustive_reference(bp):
