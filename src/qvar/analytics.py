@@ -26,6 +26,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ConfigError
 from .simulate import (
     Discipline,
@@ -261,16 +263,17 @@ def _stats_for(
 ) -> list[DisciplineSummary]:
     cfg, disciplines, warmup, prediction = job
     shared = Trajectory(cfg)
-    # [1:] drops the waits; neither they nor the trace outlive their row.
-    return [
-        DisciplineSummary(
-            d.value,
-            1,
-            *_wait_moments(run_simulation(replace(cfg, discipline=d), shared), warmup)[1:],
-            prediction.variance_for(d) if prediction is not None else None,
+    rows = []
+    for d in disciplines:
+        waits, *moments = _wait_moments(
+            run_simulation(replace(cfg, discipline=d), shared), warmup
         )
-        for d in disciplines
-    ]
+        # Waits are never negative, so the nonzero ones are exactly those > 0.
+        p_wait = float(np.count_nonzero(waits) / len(waits))
+        del waits  # neither the waits nor the trace outlive their row
+        predicted = prediction.variance_for(d) if prediction is not None else None
+        rows.append(DisciplineSummary(d.value, 1, *moments, p_wait, predicted))
+    return rows
 
 
 def _resolve_workers() -> int:

@@ -261,7 +261,7 @@ class Trajectory:
         n = len(starts)
         queue = np.empty(n, dtype=_index_dtype(n))
         bounds = np.append(heads, n)
-        for p, q in _period_blocks(bounds):
+        for p, q in _period_blocks(bounds, _BLOCK):
             lo, hi = bounds[p], bounds[q]
             m = hi - lo
             order = np.argsort(
@@ -401,7 +401,7 @@ def _slot_customers(
     n = len(queue)
     served = np.arange(n, dtype=queue.dtype)
     bounds = np.append(heads, n)
-    for p, q in _period_blocks(bounds):
+    for p, q in _period_blocks(bounds, _BLOCK):
         lo, hi = bounds[p], bounds[q]
         block = queue[lo:hi]
         contested = block >= 2
@@ -479,20 +479,26 @@ def _random_pick(queue: np.ndarray, decisions: np.ndarray) -> np.ndarray:
 
 
 # Customers per block of the waiter count, the slot assignment, the
-# extraction pass, iteration over its result and the occupancy sum in
-# :mod:`qvar.stats`, and per chunk of equal-size rows in the trajectory sums.
-# Period blocks hold whole periods (a longer period gets one block to
-# itself), so a block's temporary arrays stay a few MB at any trace length.
+# extraction pass, the wait sums and the occupancy sum in :mod:`qvar.stats`,
+# and per chunk of equal-size rows in the trajectory sums.  Period blocks
+# hold whole periods (a longer period gets one block to itself), so a
+# block's temporary arrays stay a few MB at any trace length.
 _BLOCK = 1 << 16
+# Customers per block that iterating an extracted view turns into tuples at
+# once.  A customer's Python floats and ints take about 110 bytes, so this
+# block is smaller: the numpy passes keep ``_BLOCK``, since the random-order
+# lockstep walk takes more steps over smaller blocks.
+_TUPLE_BLOCK = 1 << 13
 
 
-def _period_blocks(bounds: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Consecutive ranges ``[p, q)`` of period indices, about ``_BLOCK``
-    customers each; ``bounds`` holds every period's first customer and then
-    the number of customers."""
+def _period_blocks(bounds: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges ``[p, q)`` of period indices, about ``size``
+    customers each (``_BLOCK`` or ``_TUPLE_BLOCK``); a period longer than
+    ``size`` gets a range of its own.  ``bounds`` holds every period's first
+    customer and then the number of customers."""
     p, last = 0, len(bounds) - 1
     while p < last:
-        q = int(np.searchsorted(bounds, bounds[p] + _BLOCK, side="right")) - 1
+        q = int(np.searchsorted(bounds, bounds[p] + size, side="right")) - 1
         q = max(q, p + 1)
         yield p, q
         p = q
@@ -505,8 +511,10 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
     Holds the trace's own arrivals and service starts, each customer's
     1-based slot rank within its period, and the period bounds (each
     period's first customer, then the number of customers).  A period's
-    slots are its starts placed at their ranks, rebuilt per block or period
-    on access.  A pair's objects live only as long as the caller keeps them.
+    slots are its starts placed at their ranks, rebuilt on access: for one
+    period when indexed, and when iterated for blocks of whole periods of
+    about ``_TUPLE_BLOCK`` customers, one block's tuples at a time.  A
+    pair's objects live only as long as the caller keeps them.
     """
 
     # A plain class: a dataclass would add about 1 ms to importing qvar.
@@ -530,7 +538,7 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
     def __iter__(self) -> Iterator[tuple[BusyPeriod, Permutation]]:
         # Each block's arrays become tuples once; a pair gets their slices.
         bp, perm = BusyPeriod._trusted, Permutation._trusted
-        for p, q in _period_blocks(self.bounds):
+        for p, q in _period_blocks(self.bounds, _TUPLE_BLOCK):
             lo, hi = self.bounds[p], self.bounds[q]
             cuts = self.bounds[p : q + 1] - lo
             shift = np.repeat(cuts[:-1] - 1, np.diff(cuts))
@@ -540,9 +548,12 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
             del a, slots, ranks  # before the next block's are built
 
     def _columns(self, lo: int, hi: int, shift: np.ndarray | int) -> tuple[tuple, ...]:
-        """The arrivals, slots and ranks of customers ``[lo, hi)`` as tuples: a
-        period's slots are its starts placed at their ranks, a customer's at
-        ``shift + rank``, ``shift`` being its period's head from ``lo`` less one."""
+        """The arrivals, slots and ranks of customers ``[lo, hi)`` as tuples of
+        Python floats and ints: a period's slots are its starts placed at
+        their ranks, a customer's at ``shift + rank``, ``shift`` being its
+        period's head from ``lo`` less one (an int64 array over a block, ``-1``
+        for one period; the ranks are signed, so ``-1 + rank`` stays in their
+        type)."""
         ranks = self.ranks[lo:hi]
         slots = np.empty(hi - lo)
         slots[shift + ranks] = self.starts[lo:hi]
@@ -574,13 +585,18 @@ def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
     :class:`MalformedTraceError`.
 
     The result is a lazy :class:`BusyPeriodView`: beside the trace's own
-    arrays it keeps only the ranks (4 bytes per customer below 2**31
-    customers), and builds each pair only when it is indexed or iterated.
+    arrays it keeps only the ranks and the period bounds, and builds each
+    pair only when it is indexed or iterated.  A rank is a position within
+    its period, so the longest period bounds it: the ranks take 2 bytes per
+    customer (int16) when every period has fewer than 2**15 customers, else
+    the run's index type.
     """
     bounds = np.append(trace.period_starts, trace.n)
-    ranks = np.empty(trace.n, dtype=_index_dtype(trace.n))
+    longest = int(np.diff(bounds).max())
+    dtype = np.int16 if longest < 1 << 15 else _index_dtype(trace.n)
+    ranks = np.empty(trace.n, dtype=dtype)
     prev_end = -inf
-    for p, q in _period_blocks(bounds):
+    for p, q in _period_blocks(bounds, _BLOCK):
         lo, hi = bounds[p], bounds[q]
         ranks[lo:hi], prev_end = _check_block(trace, bounds[p : q + 1], prev_end)
     ranks.flags.writeable = False
@@ -667,7 +683,7 @@ def per_period_wait_sums(trace: SimTrace) -> np.ndarray:
     """
     bounds = np.append(trace.period_starts, trace.n)
     sums = np.empty(trace.num_periods)
-    for p, q in _period_blocks(bounds):
+    for p, q in _period_blocks(bounds, _BLOCK):
         lo, hi = bounds[p], bounds[q]
         gaps = np.sort(trace.service_starts[lo:hi]) - trace.arrivals[lo:hi]
         sums[p:q] = np.add.reduceat(gaps, bounds[p:q] - lo)

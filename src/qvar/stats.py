@@ -95,8 +95,10 @@ def _check_warmup(warmup_fraction: float) -> None:
 
 
 def _wait_moments(trace: SimTrace, warmup_fraction: float) -> tuple:
-    """The retained waits, then the figures ``qvar compare`` reports: mean
-    wait, its batch-means error, ``ddof=1`` variance, its error, P(W > 0)."""
+    """The retained waits, then the moments ``qvar compare`` reports: mean
+    wait, its batch-means error, ``ddof=1`` variance and its error.  P(W > 0)
+    is left to the caller: ``compute_stats`` reads it off the mask it builds
+    for E[W²|W>0], ``qvar compare`` counts the nonzero waits."""
     _check_warmup(warmup_fraction)
     skip = int(trace.n * warmup_fraction)
     if skip >= trace.n:
@@ -104,9 +106,7 @@ def _wait_moments(trace: SimTrace, warmup_fraction: float) -> tuple:
     waits = trace.service_starts[skip:] - trace.arrivals[skip:]
     var_wait = float(waits.var(ddof=1)) if len(waits) >= 2 else 0.0
     se_mean, se_var = _batch_errors(waits)
-    # Waits are never negative, so the nonzero ones are exactly those > 0.
-    frac_waiting = float(np.count_nonzero(waits) / len(waits))
-    return waits, float(waits.mean()), se_mean, var_wait, se_var, frac_waiting
+    return waits, float(waits.mean()), se_mean, var_wait, se_var
 
 
 def compute_stats(
@@ -121,7 +121,7 @@ def compute_stats(
     departure; all customers are clipped to it, so early arrivals that
     linger into the window still count toward occupancy.
     """
-    waits, mean_wait, se_mean, var_wait, se_var, frac = _wait_moments(trace, warmup_fraction)
+    waits, mean_wait, se_mean, var_wait, se_var = _wait_moments(trace, warmup_fraction)
     count = len(waits)
     skip = trace.n - count
     starts = trace.service_starts[skip:]
@@ -130,6 +130,7 @@ def compute_stats(
     # Each full-length temporary is dropped after its last reader.
     positive = waits[waits > 0.0]
     del waits
+    frac = float(len(positive) / count)
     positive *= positive
     second_moment = float(positive.mean()) if len(positive) else None
     del positive

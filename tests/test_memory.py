@@ -39,13 +39,14 @@ LONE_TRACE_BUDGET = 26.9
 # A first-come trace is its trajectory's arrays; the other two add their
 # starts and ends, and the trajectory keeps the queue they counted.
 SHARED_TRACES_BUDGET = 66.4
-# The ranks as int32 and the period bounds as int64 (about one period per
-# 20 customers at rate 0.95); the arrivals and starts are the trace's.
-EXTRACT_BUDGET = 4.8
-# Iterating a view turns one block of whole periods (``_BLOCK`` customers,
-# a third of this run) at a time into tuples of Python floats and ints.
-# Keeping a block's tuples while the next block's are built reads about 64.
-ITER_BUDGET = 40.4
+# The ranks as int16 (every period here is far below 2**15 customers) and
+# the period bounds as int64 (about one period per 20 customers at rate
+# 0.95); the arrivals and starts are the trace's.
+EXTRACT_BUDGET = 2.6
+# Iterating a view turns one block of whole periods (about
+# ``_TUPLE_BLOCK`` = 8,192 customers) at a time into tuples of Python floats
+# and ints.  Turning a ``_BLOCK`` of 65,536 at a time reads 36.7 and fails.
+ITER_BUDGET = 5.5
 
 
 def traced(fn, *args):
@@ -76,11 +77,11 @@ def test_whole_trace_run_stays_in_its_memory_budget(rate, discipline):
     assert stats_bytes <= STATS_BUDGET, stats_bytes
 
 
-def test_extracted_periods_keep_four_bytes_per_customer():
-    # Ranks as int32; the slots are read from the trace's own starts.
+def test_extracted_periods_keep_two_bytes_per_customer():
+    # Ranks as int16; the slots are read from the trace's own starts.
     trace = run_simulation(replace(CONFIG, num_arrivals=20_000))
     view = extract_busy_periods(trace)
-    assert view.ranks.nbytes == 4 * 20_000
+    assert view.ranks.nbytes == 2 * 20_000
     assert np.shares_memory(view.arrivals, trace.arrivals)
     assert np.shares_memory(view.starts, trace.service_starts)
 

@@ -546,6 +546,7 @@ def test_extract_blocks_do_not_change_the_result(monkeypatch):
     assert max(len(a) for a, _, _ in whole) > 5
     for block in (1, 3, 7):
         monkeypatch.setattr(simulate, "_BLOCK", block)
+        monkeypatch.setattr(simulate, "_TUPLE_BLOCK", block)
         assert pair_tuples(extract_busy_periods(trace)) == whole
 
 
@@ -563,6 +564,7 @@ def test_extracted_slots_are_each_periods_sorted_starts(monkeypatch, discipline,
     assert max(len(a) for a, _, _ in expected) > 7
     if block is not None:
         monkeypatch.setattr(simulate, "_BLOCK", block)
+        monkeypatch.setattr(simulate, "_TUPLE_BLOCK", block)
     view = extract_busy_periods(trace)
     assert pair_tuples(view) == expected
     last = len(expected) - 1
@@ -570,6 +572,49 @@ def test_extracted_slots_are_each_periods_sorted_starts(monkeypatch, discipline,
         assert pair_tuples([view[k]]) == [expected[k]]
     for cut in (slice(2, 9), slice(-6, None), slice(None, None, -3)):
         assert pair_tuples(view[cut]) == expected[cut]
+
+
+def joined_trace(parts):
+    """One trace of the given traces in turn, each moved to start one time
+    unit after the previous one ends.  On integer times the moves are exact."""
+    arrivals, starts, deps, heads = [], [], [], []
+    offset = 0.0
+    n = 0
+    for t in parts:
+        arrivals.append(t.arrivals + offset)
+        starts.append(t.service_starts + offset)
+        deps.append(t.departures + offset)
+        heads.append(t.period_starts + n)
+        offset = deps[-1].max() + 1.0
+        n += t.n
+    return hand_trace(*map(np.concatenate, (arrivals, starts, deps, heads)))
+
+
+@pytest.mark.parametrize("longest, dtype", [((1 << 15) - 1, np.int16), (1 << 15, np.int32)])
+def test_ranks_are_int16_below_two_to_the_fifteen(longest, dtype):
+    # Deterministic runs on integer times: one-customer periods, and last
+    # come first on overloaded stretches, one period each.
+    parts = [
+        run_simulation(det_config(1.0, 2.0, 5, "lcfs")),
+        run_simulation(det_config(2.0, 1.0, 4)),
+        run_simulation(det_config(1.0, 2.0, longest, "lcfs")),
+        run_simulation(det_config(1.0, 2.0, 7, "lcfs")),
+        run_simulation(det_config(2.0, 1.0, 3)),
+    ]
+    trace = joined_trace(parts)
+    bounds = trace.period_starts.tolist() + [trace.n]
+    expected = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        a, s = trace.arrivals[lo:hi], trace.service_starts[lo:hi]
+        slots = np.sort(s)
+        ranks = np.searchsorted(slots, s) + 1
+        expected.append((tuple(a.tolist()), tuple(slots.tolist()), tuple(ranks.tolist())))
+    assert [len(a) for a, _, _ in expected] == [5, 1, 1, 1, 1, longest, 7, 1, 1, 1]
+    view = extract_busy_periods(trace)
+    assert view.ranks.dtype == dtype
+    assert pair_tuples(view) == expected
+    assert pair_tuples([view[5], view[-1]]) == [expected[5], expected[-1]]
+    assert pair_tuples(view[::-3]) == expected[::-3]
 
 
 def test_extract_overlap_found_across_blocks(monkeypatch):
