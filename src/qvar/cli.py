@@ -65,8 +65,7 @@ RANDOM_MAX_N = 14
 
 def _rng(seed: int) -> np.random.Generator:
     """The generator behind ``enumerate --random`` and ``descent --start random``."""
-    seq = np.random.SeedSequence(_check_seed(seed))
-    return np.random.Generator(np.random.PCG64(seq))
+    return np.random.default_rng(_check_seed(seed))
 
 
 def _write_manifest(
@@ -448,7 +447,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except QvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, OverflowError) as exc:  # an objective past the float range
+    # OverflowError: an objective past the float range; MemoryError: a run
+    # too long to hold.
+    except (OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

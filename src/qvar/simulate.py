@@ -31,14 +31,14 @@ then assigns customers to slots.  Last-come (bracket matching) and random
 order (all runs of a block walked in lockstep) act only on contested runs:
 slots finding two or more waiters and the slot emptying the list after
 them.  Any other slot, and any under first-come, serves its own customer.
-Random order replays the decision stream from its start block by block,
-one draw per slot, so no run keeps a full-length array of decisions.  The
-trace places each slot's times at its customer.
+Random order makes the seed's decision stream afresh and reads it block
+by block, one draw per slot, so no run keeps a full-length array of
+decisions and the trajectory holds no generator.  The trace places each
+slot's times at its customer.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import weakref
 from collections.abc import Iterator, Sequence
@@ -221,18 +221,19 @@ class Trajectory:
     """The arrivals of one run and the server trajectory they give: each
     slot's start and end, the busy periods and the waiters each slot finds.
 
-    Runs that differ only in discipline share one: it is a pure function
-    of the config without its discipline.  :func:`run_simulation` reuses
-    the one a live first-come-first-served trace of the config holds, and
-    it lives as long as such a trace does.  The service durations are
-    folded into the slots and not kept.  Nor are the decisions: the
-    decision stream is kept at its starting state, and each random-order
-    run replays it block by block.  The waiters are counted on first use.
+    Runs that differ only in discipline share one: it holds only its
+    config and arrays, a pure function of the config without its
+    discipline.  :func:`run_simulation` reuses the one a live
+    first-come-first-served trace of the config holds, and it lives as
+    long as such a trace does.  The service durations are folded into the
+    slots and not kept.  Nor is the decision stream: no discipline but
+    random order reads it, and that run makes it from the seed.  The
+    waiters are counted on first use.
     """
 
     def __init__(self, config: SimConfig) -> None:
         arrival, service = config.distributions()
-        arrival_rng, service_rng, self._decision_rng = make_streams(config.seed)
+        arrival_rng, service_rng, _ = make_streams(config.seed)
         n = config.num_arrivals
         self.config = config
         self.arrivals = np.zeros(n, dtype=np.float64)
@@ -242,10 +243,6 @@ class Trajectory:
         self.slots = _compute_slots(
             self.arrivals, draw_variates(service, service_rng, n)
         )
-
-    def decisions(self) -> np.random.Generator:
-        """A fresh copy of the decision stream at its starting state."""
-        return copy.deepcopy(self._decision_rng)
 
     @cached_property
     def queue(self) -> np.ndarray:
@@ -261,8 +258,7 @@ class Trajectory:
         n = len(starts)
         queue = np.empty(n, dtype=_index_dtype(n))
         bounds = np.append(heads, n)
-        for p, q in _period_blocks(bounds, _BLOCK):
-            lo, hi = bounds[p], bounds[q]
+        for _, _, lo, hi in _period_blocks(bounds, _BLOCK):
             m = hi - lo
             order = np.argsort(
                 np.concatenate((starts[lo:hi], self.arrivals[lo:hi])), kind="stable"
@@ -298,8 +294,9 @@ def run_simulation(
     random-order traces keep no trajectory, so the reuse lasts as long as
     a first-come trace of the config lives.  Deterministic: equal configs
     give bitwise-equal traces, on a reused trajectory or a new one.  The
-    decision stream is read only when the discipline is random-order, and
-    each such run reads it from its start.
+    decision stream is made only when the discipline is random-order: each
+    such run takes the seed's stream at its start,
+    ``make_streams(config.seed)[2]``.
     """
     if trajectory is None:
         key = replace(config, discipline=Discipline.FCFS)
@@ -314,7 +311,7 @@ def run_simulation(
         return SimTrace(
             trajectory.arrivals, slot_starts, slot_ends, heads, config, trajectory
         )
-    picks = trajectory.decisions() if d is Discipline.RANDOM_ORDER else None
+    picks = make_streams(config.seed)[2] if d is Discipline.RANDOM_ORDER else None
     served = _slot_customers(trajectory.queue, heads, picks)
     starts, ends = np.empty_like(slot_starts), np.empty_like(slot_ends)
     starts[served], ends[served] = slot_starts, slot_ends
@@ -401,8 +398,7 @@ def _slot_customers(
     n = len(queue)
     served = np.arange(n, dtype=queue.dtype)
     bounds = np.append(heads, n)
-    for p, q in _period_blocks(bounds, _BLOCK):
-        lo, hi = bounds[p], bounds[q]
+    for _, _, lo, hi in _period_blocks(bounds, _BLOCK):
         block = queue[lo:hi]
         contested = block >= 2
         contested[1:] |= block[:-1] >= 2
@@ -491,16 +487,20 @@ _BLOCK = 1 << 16
 _TUPLE_BLOCK = 1 << 13
 
 
-def _period_blocks(bounds: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
-    """Consecutive ranges ``[p, q)`` of period indices, about ``size``
-    customers each (``_BLOCK`` or ``_TUPLE_BLOCK``); a period longer than
-    ``size`` gets a range of its own.  ``bounds`` holds every period's first
-    customer and then the number of customers."""
+def _period_blocks(
+    bounds: np.ndarray, size: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """Consecutive blocks of whole periods, about ``size`` customers each
+    (``_BLOCK`` or ``_TUPLE_BLOCK``); a period longer than ``size`` gets a
+    block of its own.  ``bounds`` holds every period's first customer and
+    then the number of customers.  Each block is ``(p, q, lo, hi)``: periods
+    ``[p, q)`` and their customers ``[lo, hi)``, all Python ints."""
     p, last = 0, len(bounds) - 1
     while p < last:
-        q = int(np.searchsorted(bounds, bounds[p] + size, side="right")) - 1
-        q = max(q, p + 1)
-        yield p, q
+        lo = int(bounds[p])
+        q = max(int(np.searchsorted(bounds, lo + size, side="right")) - 1, p + 1)
+        hi = int(bounds[q])
+        yield p, q, lo, hi
         p = q
 
 
@@ -538,8 +538,7 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
     def __iter__(self) -> Iterator[tuple[BusyPeriod, Permutation]]:
         # Each block's arrays become tuples once; a pair gets their slices.
         bp, perm = BusyPeriod._trusted, Permutation._trusted
-        for p, q in _period_blocks(self.bounds, _TUPLE_BLOCK):
-            lo, hi = self.bounds[p], self.bounds[q]
+        for p, q, lo, hi in _period_blocks(self.bounds, _TUPLE_BLOCK):
             cuts = self.bounds[p : q + 1] - lo
             shift = np.repeat(cuts[:-1] - 1, np.diff(cuts))
             a, slots, ranks = self._columns(lo, hi, shift)
@@ -596,8 +595,7 @@ def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
     dtype = np.int16 if longest < 1 << 15 else _index_dtype(trace.n)
     ranks = np.empty(trace.n, dtype=dtype)
     prev_end = -inf
-    for p, q in _period_blocks(bounds, _BLOCK):
-        lo, hi = bounds[p], bounds[q]
+    for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
         ranks[lo:hi], prev_end = _check_block(trace, bounds[p : q + 1], prev_end)
     ranks.flags.writeable = False
     return BusyPeriodView(trace.arrivals, trace.service_starts, ranks, bounds)
@@ -683,8 +681,7 @@ def per_period_wait_sums(trace: SimTrace) -> np.ndarray:
     """
     bounds = np.append(trace.period_starts, trace.n)
     sums = np.empty(trace.num_periods)
-    for p, q in _period_blocks(bounds, _BLOCK):
-        lo, hi = bounds[p], bounds[q]
+    for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
         gaps = np.sort(trace.service_starts[lo:hi]) - trace.arrivals[lo:hi]
         sums[p:q] = np.add.reduceat(gaps, bounds[p:q] - lo)
     return sums

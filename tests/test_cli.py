@@ -417,6 +417,19 @@ def test_timestamps_out_of_range_exit_cleanly(tmp_path, capsys):
         assert (code, out) == (1, "") and "too large for a float" in err
 
 
+def test_run_too_long_to_hold_exits_1(capsys, monkeypatch):
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 6.94 EiB")
+
+    monkeypatch.setattr(simulate, "_compute_slots", refuse)
+    for command in (["simulate", "--seed", "1"], ["compare", "--seeds", "1,2"]):
+        code, out, err = run(
+            capsys, *command, "--lambda", "0.5", "--mu", "1", "--arrivals", "1000"
+        )
+        assert (code, out) == (1, ""), command
+        assert err.startswith("error:") and "Traceback" not in err, command
+
+
 def test_enumerate_violation_exits_3(tmp_path, capsys, monkeypatch):
     def boom(bp):
         raise ExtremalityViolationError("fabricated for the exit-code path")

@@ -536,6 +536,26 @@ def test_trace_rejects_bad_period_starts():
             hand_trace([0, 1, 2, 3], [0, 1, 2, 3], [0.5, 1.5, 2.5, 3.5], heads)
 
 
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=30),
+    size=st.sampled_from([1, 3, 7]),
+    long_at=st.integers(0, 29),
+)
+@settings(max_examples=200, deadline=None)
+def test_period_blocks_cover_each_period_once(sizes, size, long_at):
+    sizes = list(sizes)
+    sizes[long_at % len(sizes)] = size + 1  # a period longer than the block
+    bounds = np.cumsum([0] + sizes)
+    blocks = list(simulate._period_blocks(bounds, size))
+    assert [p for p, _, _, _ in blocks] == [0] + [q for _, q, _, _ in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == len(sizes)
+    for p, q, lo, hi in blocks:
+        assert p < q
+        assert type(lo) is int and type(hi) is int
+        assert (lo, hi) == (bounds[p], bounds[q])
+        assert hi - lo <= size or q == p + 1
+
+
 def pair_tuples(periods):
     return [(bp.arrivals, bp.service_starts, perm.mapping) for bp, perm in periods]
 
@@ -816,6 +836,8 @@ def test_trajectory_keeps_no_durations_or_decisions():
     held = [v for v in vars(shared).values() if isinstance(v, np.ndarray)]
     held += [a for v in vars(shared).values() if isinstance(v, tuple) for a in v]
     assert sorted(map(id, held)) == sorted(map(id, kept))
+    # Random order makes its decision stream from the seed; none is kept.
+    assert not any(isinstance(v, np.random.Generator) for v in vars(shared).values())
 
 
 def swap_pop_reference(arrived, queue, decisions):
