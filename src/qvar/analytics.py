@@ -336,7 +336,7 @@ def compare_disciplines(
                 "distributions"
             )
         prediction = mm1_predict(base.arrival_rate, base.service_rate)
-    _check_warmup(warmup_fraction)
+    warmup_fraction = _check_warmup(warmup_fraction)
 
     jobs = [(c, disciplines, warmup_fraction, prediction) for c in configs]
     workers = _resolve_workers()

@@ -24,17 +24,17 @@ statement.
 
 A run takes three steps.  The trajectory (each slot's start and end, bitwise
 equal to adding the durations slot by slot, the busy periods, and the
-waiters each slot finds) is computed once with array operations, and reused
-by runs of the same config while a first-come trace of it lives; the
-service durations are summed into the slots and not kept.  The discipline
-then assigns customers to slots.  Last-come (bracket matching) and random
-order (all runs of a block walked in lockstep) act only on contested runs:
-slots finding two or more waiters and the slot emptying the list after
-them.  Any other slot, and any under first-come, serves its own customer.
-Random order makes the seed's decision stream afresh and reads it block
-by block, one draw per slot, so no run keeps a full-length array of
-decisions and the trajectory holds no generator.  The trace places each
-slot's times at its customer.
+waiters each slot finds) is computed once with array operations; the
+service durations are summed into the slots and not kept.  First come
+serves each slot's own customer, so the trajectory is its trace.  Last come
+(bracket matching) and random order (all runs of a block walked in
+lockstep) assign customers only on contested runs: slots finding two or
+more waiters and the slot emptying the list after them; any other slot
+serves its own customer.  Random order makes the seed's decision stream
+afresh and reads it block by block, one draw per slot, so no run keeps a
+full-length array of decisions.  Their traces place each slot's times at
+its customer and keep no trajectory: runs of a config reuse its trajectory
+only while its first-come trace lives.
 """
 
 from __future__ import annotations
@@ -162,13 +162,8 @@ class SimTrace:
     ``period_starts`` holds the 0-based customer index opening each busy
     period (always starting with 0).  Arrays are float64/int64 and frozen
     read-only; a customer's wait is ``service_starts - arrivals`` and its
-    sojourn ``departures - arrivals``.
-
-    A first-come-first-served trace from :func:`run_simulation` keeps its
-    :class:`Trajectory` alive.  Its arrays are the trajectory's arrivals,
-    slot starts, slot ends and heads, so the only extra memory is the
-    waiter count, once another discipline has counted it.  While the trace
-    lives, runs of its config under any discipline reuse that trajectory.
+    sojourn ``departures - arrivals``.  A first-come-first-served trace
+    from :func:`run_simulation` is a :class:`Trajectory`.
     """
 
     arrivals: np.ndarray
@@ -176,7 +171,6 @@ class SimTrace:
     departures: np.ndarray
     period_starts: np.ndarray
     config: SimConfig | None = field(default=None, compare=False)
-    _trajectory: Trajectory | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, dtype in (
@@ -217,31 +211,36 @@ class SimTrace:
         return self.departures - self.service_starts
 
 
-class Trajectory:
-    """The arrivals of one run and the server trajectory they give: each
-    slot's start and end, the busy periods and the waiters each slot finds.
+class Trajectory(SimTrace):
+    """The first-come trace of a config, built from the config alone: each
+    slot's start and end, the busy periods, and :attr:`queue`, the waiters
+    each slot finds, counted on first use.  Its ``config`` is first come.
 
-    Runs that differ only in discipline share one: it holds only its
-    config and arrays, a pure function of the config without its
-    discipline.  :func:`run_simulation` reuses the one a live
-    first-come-first-served trace of the config holds, and it lives as
-    long as such a trace does.  The service durations are folded into the
-    slots and not kept.  Nor is the decision stream: no discipline but
-    random order reads it, and that run makes it from the seed.  The
-    waiters are counted on first use.
+    Runs that differ only in discipline share one, a pure function of the
+    config without its discipline; :func:`run_simulation` reuses it while
+    it lives.  It keeps neither the service durations, folded into the
+    slots, nor the decision stream, which only random order reads and makes
+    from the seed.  Slot ends past the float range raise :class:`ConfigError`.
     """
 
     def __init__(self, config: SimConfig) -> None:
         arrival, service = config.distributions()
         arrival_rng, service_rng, _ = make_streams(config.seed)
         n = config.num_arrivals
-        self.config = config
-        self.arrivals = np.zeros(n, dtype=np.float64)
+        arrivals = np.zeros(n, dtype=np.float64)
         if n > 1:
-            np.cumsum(draw_variates(arrival, arrival_rng, n - 1), out=self.arrivals[1:])
-        # Slot starts, slot ends and the period heads.
-        self.slots = _compute_slots(
-            self.arrivals, draw_variates(service, service_rng, n)
+            np.cumsum(draw_variates(arrival, arrival_rng, n - 1), out=arrivals[1:])
+        starts, ends, heads = _compute_slots(
+            arrivals, draw_variates(service, service_rng, n)
+        )
+        # The last slot ends after every arrival, start and departure.
+        if not isfinite(ends[-1]):
+            raise ConfigError(
+                f"arrival rate {config.arrival_rate!r} and service rate "
+                f"{config.service_rate!r} give times beyond the float range"
+            )
+        super().__init__(
+            arrivals, starts, ends, heads, replace(config, discipline=Discipline.FCFS)
         )
 
     @cached_property
@@ -254,8 +253,7 @@ class Trajectory:
         one stable sort with the starts first, so a start sorts before an
         equal arrival: slot ``k`` lands after the ``k`` starts before it and
         the arrivals strictly before it."""
-        starts, _, heads = self.slots
-        n = len(starts)
+        starts, heads, n = self.service_starts, self.period_starts, self.n
         queue = np.empty(n, dtype=_index_dtype(n))
         bounds = np.append(heads, n)
         for _, _, lo, hi in _period_blocks(bounds, _BLOCK):
@@ -274,7 +272,7 @@ def _index_dtype(n: int) -> type[np.signedinteger]:
 
 
 # The trajectories drawn by run_simulation, by config with the discipline
-# set to first-come.  A first-come trace holds its trajectory; nothing else
+# set to first-come.  A first-come trace is its trajectory; nothing else
 # here keeps one alive.
 _drawn: weakref.WeakValueDictionary[SimConfig, Trajectory] = (
     weakref.WeakValueDictionary()
@@ -287,35 +285,31 @@ def run_simulation(
     """Simulate ``config.num_arrivals`` customers and return the full trace.
 
     ``trajectory`` may come from a config that differs from ``config`` only
-    in discipline; its arrivals, slots and queue are then reused, not
-    recomputed.  Without one, the run reuses the trajectory that a live
-    first-come-first-served trace of the same config, discipline aside,
-    holds, and draws one only if there is none.  Last-come and
-    random-order traces keep no trajectory, so the reuse lasts as long as
-    a first-come trace of the config lives.  Deterministic: equal configs
-    give bitwise-equal traces, on a reused trajectory or a new one.  The
-    decision stream is made only when the discipline is random-order: each
-    such run takes the seed's stream at its start,
-    ``make_streams(config.seed)[2]``.
+    in discipline; it is then reused, not recomputed.  Without one, the run
+    reuses the live :class:`Trajectory` of the config, discipline aside, and
+    draws one only if there is none.  A first-come run returns the
+    trajectory itself; last-come and random-order traces keep none.
+    Deterministic: equal configs give bitwise-equal traces, on a reused
+    trajectory or a new one.  The decision stream is made only when the
+    discipline is random-order: each such run takes the seed's stream at
+    its start, ``make_streams(config.seed)[2]``.
     """
+    key = replace(config, discipline=Discipline.FCFS)
     if trajectory is None:
-        key = replace(config, discipline=Discipline.FCFS)
         trajectory = _drawn.get(key)
         if trajectory is None:
-            trajectory = _drawn[key] = Trajectory(config)
-    elif replace(trajectory.config, discipline=config.discipline) != config:
+            trajectory = _drawn[key] = Trajectory(key)
+    elif trajectory.config != key:
         raise ConfigError("the trajectory was drawn for another configuration")
     d = config.discipline
-    slot_starts, slot_ends, heads = trajectory.slots
     if d is Discipline.FCFS:
-        return SimTrace(
-            trajectory.arrivals, slot_starts, slot_ends, heads, config, trajectory
-        )
+        return trajectory
     picks = make_streams(config.seed)[2] if d is Discipline.RANDOM_ORDER else None
-    served = _slot_customers(trajectory.queue, heads, picks)
-    starts, ends = np.empty_like(slot_starts), np.empty_like(slot_ends)
-    starts[served], ends[served] = slot_starts, slot_ends
-    return SimTrace(trajectory.arrivals, starts, ends, heads, config)
+    served = _slot_customers(trajectory.queue, trajectory.period_starts, picks)
+    starts = np.empty_like(trajectory.service_starts)
+    ends = np.empty_like(trajectory.departures)
+    starts[served], ends[served] = trajectory.service_starts, trajectory.departures
+    return SimTrace(trajectory.arrivals, starts, ends, trajectory.period_starts, config)
 
 
 def _compute_slots(

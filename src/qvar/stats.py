@@ -19,6 +19,7 @@ is self-consistent rather than assuming stationarity.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -89,9 +90,16 @@ def _time_average_in_system(
     return float(occupied.sum() / (t1 - t0))
 
 
-def _check_warmup(warmup_fraction: float) -> None:
-    if not 0.0 <= warmup_fraction < 1.0:
+def _check_warmup(warmup_fraction: object) -> float:
+    """``warmup_fraction`` as a Python float if it is a real number in
+    [0, 1) (numpy floats included, bools not), else :class:`ConfigError`."""
+    if (
+        isinstance(warmup_fraction, bool)
+        or not isinstance(warmup_fraction, Real)
+        or not 0.0 <= warmup_fraction < 1.0
+    ):
         raise ConfigError(f"warmup_fraction must lie in [0, 1), got {warmup_fraction!r}")
+    return float(warmup_fraction)
 
 
 def _wait_moments(trace: SimTrace, warmup_fraction: float) -> tuple:
@@ -99,8 +107,7 @@ def _wait_moments(trace: SimTrace, warmup_fraction: float) -> tuple:
     wait, its batch-means error, ``ddof=1`` variance and its error.  P(W > 0)
     is left to the caller: ``compute_stats`` reads it off the mask it builds
     for E[W²|W>0], ``qvar compare`` counts the nonzero waits."""
-    _check_warmup(warmup_fraction)
-    skip = int(trace.n * warmup_fraction)
+    skip = int(trace.n * _check_warmup(warmup_fraction))
     if skip >= trace.n:
         raise EmptyAfterWarmupError(f"warm-up of {skip} customers leaves none of {trace.n}")
     waits = trace.service_starts[skip:] - trace.arrivals[skip:]

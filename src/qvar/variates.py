@@ -100,7 +100,7 @@ class Distribution:
         elif self.kind == "deterministic":
             if self.value is None or not np.isfinite(self.value) or self.value <= 0:
                 raise ConfigError(
-                    f"deterministic value must be positive, got {self.value!r}"
+                    f"deterministic value must be positive finite, got {self.value!r}"
                 )
         elif self.kind == "uniform":
             if (

@@ -181,6 +181,18 @@ def test_compare_seeds_follow_the_config_seed_rule():
     assert_same_figures(row, compute_stats(run_simulation(replace(BASE, num_arrivals=2_000, seed=3))))
 
 
+def test_compare_warmup_is_a_real_number():
+    cfg = replace(BASE, num_arrivals=100_000)
+    for bad in ("0.1", False):
+        with pytest.raises(ConfigError, match="warmup_fraction must lie in"):
+            compare_disciplines(cfg, [1], warmup_fraction=bad)
+    # Bitwise the table of the equal Python float, not a float16 overflow.
+    for warmup in (np.float16(0.5), np.float64(0.1)):
+        got = compare_disciplines(cfg, [1], warmup_fraction=warmup)
+        want = compare_disciplines(cfg, [1], warmup_fraction=float(warmup))
+        assert got.to_csv() == want.to_csv(), warmup
+
+
 def test_oracle_requires_exponential():
     mdi = replace(BASE, service_dist="deterministic")
     with pytest.raises(ConfigError):

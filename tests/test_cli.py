@@ -530,6 +530,36 @@ def test_rate_errors_name_the_flag(capsys):
         assert f"error: {flag} must be a positive finite number, got nan" in err
 
 
+# numpy warns of the overflow before the refusal.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "rates, dist, message",
+    [
+        (("1e-320", "1"), (), "arrival rate 1e-320 and service rate 1.0 give times beyond"),
+        (("1e-321", "1e-320"), (), "arrival rate 1e-321 and service rate 1e-320 give times"),
+        (
+            ("1e-320", "1"),
+            ("--arrival-dist", "deterministic"),
+            "deterministic value must be positive finite, got inf",
+        ),
+        (
+            ("1e-321", "1e-320"),
+            ("--service-dist", "deterministic"),
+            "deterministic value must be positive finite, got inf",
+        ),
+    ],
+)
+def test_time_scale_past_the_float_range_exits_2(capsys, rates, dist, message):
+    lam, mu = rates
+    for argv in (
+        ("simulate", "--lambda", lam, "--mu", mu, "--arrivals", "5", "--seed", "1", *dist),
+        ("compare", "--lambda", lam, "--mu", mu, "--arrivals", "5", "--seeds", "1,2", *dist),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"error: {message}" in err and "Traceback" not in err, err
+
+
 def test_enumerate_random_max_n_capped(tmp_path, capsys):
     # Refused before any period is drawn.
     for k in ("1", "15", "100"):

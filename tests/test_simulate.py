@@ -323,6 +323,43 @@ def test_config_validation():
             )
 
 
+# Rates whose times pass the float range: the last slot end overflows.
+OVERFLOWING_RATES = [
+    (1e-320, 1.0, "exponential", "exponential"),
+    (1.0, 1e-320, "exponential", "exponential"),
+    (1e-308, 1.0, "deterministic", "exponential"),
+    (1.0, 1e-308, "exponential", "deterministic"),
+]
+
+
+# numpy warns of the overflow before the refusal.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("arrival_rate, service_rate, arrival, service", OVERFLOWING_RATES)
+def test_time_scale_past_the_float_range_is_refused(
+    arrival_rate, service_rate, arrival, service
+):
+    cfg = SimConfig(arrival_rate, service_rate, 5, 1, arrival_dist=arrival, service_dist=service)
+    message = (
+        f"arrival rate {arrival_rate!r} and service rate {service_rate!r} "
+        "give times beyond the float range"
+    )
+    for d in ("fcfs", "lcfs", "random"):
+        with pytest.raises(ConfigError, match=message):
+            run_simulation(replace(cfg, discipline=d))
+    assert cfg not in simulate._drawn
+
+
+@pytest.mark.parametrize(
+    "arrival_rate, service_rate, arrival, service",
+    [(1e-320, 1.0, "deterministic", "exponential"), (1.0, 1e-320, "exponential", "deterministic")],
+)
+def test_deterministic_mean_past_the_float_range_is_refused(
+    arrival_rate, service_rate, arrival, service
+):
+    with pytest.raises(ConfigError, match="deterministic value must be positive finite, got inf"):
+        SimConfig(arrival_rate, service_rate, 5, 1, arrival_dist=arrival, service_dist=service)
+
+
 def test_numpy_integer_seeds():
     cfg = mm1(0.5, 50, seed=np.int64(1))
     assert type(cfg.seed) is int and cfg == mm1(0.5, 50, seed=1)
@@ -425,6 +462,28 @@ def trace_digest(trace):
 def test_golden_trace_digests(run, discipline):
     cfg = replace(GOLDEN_RUNS[run], discipline=discipline)
     assert trace_digest(run_simulation(cfg)) == GOLDEN_DIGESTS[run, discipline]
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_first_come_trace_is_the_trajectory(run):
+    configs = [replace(GOLDEN_RUNS[run], discipline=d) for d in ("fcfs", "lcfs", "random")]
+    fcfs = run_simulation(configs[0])
+    assert isinstance(fcfs, Trajectory)
+    assert simulate._drawn[configs[0]] is fcfs
+    assert run_simulation(fcfs.config) is fcfs
+    for cfg in configs:
+        trajectory = Trajectory(cfg)
+        assert trajectory.config == replace(cfg, discipline="fcfs")
+        # Runs on a trajectory built from any discipline's config equal
+        # runs without one and the golden digests.
+        for other in configs:
+            fresh = trace_digest(run_simulation(other))
+            assert trace_digest(run_simulation(other, trajectory)) == fresh
+            assert fresh == GOLDEN_DIGESTS[run, other.discipline.value]
+        assert run_simulation(configs[0], trajectory) is trajectory
+    for other in (replace(configs[1], seed=99), replace(configs[1], service_dist="exponential")):
+        with pytest.raises(ConfigError, match="another configuration"):
+            run_simulation(other, fcfs)
 
 
 # Per run: the periods the exact oracle checked, of all its periods.
@@ -787,7 +846,7 @@ def test_queue_equals_slot_loop(monkeypatch, block, run):
     queue = trajectory.queue
     assert queue.dtype == np.int32
     assert queue.tolist() == found
-    assert (queue[trajectory.slots[2]] == 1).all()
+    assert (queue[trajectory.period_starts] == 1).all()
     assert queue.min() >= 1
     if run == "dd1-ties-rho100":
         assert queue.max() == 1
@@ -805,7 +864,7 @@ LONG_PERIOD_RUNS = {
 def test_period_past_sixteen_bits_equals_slot_loop(run):
     cfg = LONG_PERIOD_RUNS[run]
     trajectory = Trajectory(cfg)
-    assert trajectory.slots[2].tolist() == [0]
+    assert trajectory.period_starts.tolist() == [0]
     assert cfg.num_arrivals > simulate._BLOCK == 1 << 16
     for d in ("fcfs", "lcfs", "random"):
         one = replace(cfg, discipline=d)
@@ -831,8 +890,13 @@ def test_trajectory_keeps_no_durations_or_decisions():
     shared = Trajectory(cfg)
     for d in ("random", "lcfs", "fcfs"):
         run_simulation(replace(cfg, discipline=d), shared)
-    starts, ends, heads = shared.slots
-    kept = [shared.arrivals, starts, ends, heads, shared.queue]
+    kept = [
+        shared.arrivals,
+        shared.service_starts,
+        shared.departures,
+        shared.period_starts,
+        shared.queue,
+    ]
     held = [v for v in vars(shared).values() if isinstance(v, np.ndarray)]
     held += [a for v in vars(shared).values() if isinstance(v, tuple) for a in v]
     assert sorted(map(id, held)) == sorted(map(id, kept))
@@ -941,7 +1005,7 @@ def test_random_order_follows_its_exact_law():
     # floor_i is the first slot k with k + q_k > i.  The longest period of a
     # short run, tiled into many periods, goes through one assignment call.
     trajectory = Trajectory(SimConfig(0.9, 1.0, 400, 1, discipline="random"))
-    queue, heads = trajectory.queue, trajectory.slots[2]
+    queue, heads = trajectory.queue, trajectory.period_starts
     sizes = np.diff(heads, append=len(queue))
     head, m = heads[np.argmax(sizes)], sizes.max()
     q = queue[head : head + m]
@@ -1037,7 +1101,7 @@ def test_live_fcfs_trace_lends_its_trajectory(monkeypatch):
         assert trace.arrivals is fcfs.arrivals
         assert trace_digest(trace) == fresh[c.discipline]
     assert len(built) == 1
-    assert simulate._drawn[cfg] is fcfs._trajectory
+    assert simulate._drawn[cfg] is fcfs
     del fcfs, trace
     gc.collect()
     assert cfg not in simulate._drawn

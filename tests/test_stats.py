@@ -65,10 +65,16 @@ def test_warmup_floor():
 
 def test_warmup_validation():
     trace = det_trace(2.0, 1.0, 10)
-    with pytest.raises(ConfigError):
-        compute_stats(trace, warmup_fraction=1.0)
-    with pytest.raises(ConfigError):
-        compute_stats(trace, warmup_fraction=-0.1)
+    for bad in (1.0, -0.1, float("nan"), "0.1", False, True, None, np.bool_(False)):
+        with pytest.raises(ConfigError, match="warmup_fraction must lie in"):
+            compute_stats(trace, warmup_fraction=bad)
+    # A numpy float gives bitwise the stats of the equal Python float: the
+    # discard count is not computed in float16, which overflows at 100,000.
+    trace = run_simulation(SimConfig(0.9, 1.0, 100_000, 5))
+    for warmup in (np.float16(0.5), np.float32(0.1), np.float64(0.1)):
+        want = compute_stats(trace, float(warmup))
+        assert repr(compute_stats(trace, warmup)) == repr(want), warmup
+    assert compute_stats(trace, np.float16(0.5)).warmup_discarded == 50_000
 
 
 def test_batch_errors_shrink_with_sample_size():
