@@ -26,16 +26,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ConfigError
-from .simulate import (
-    Discipline,
-    SimConfig,
-    Trajectory,
-    _check_discipline,
-    run_simulation,
-)
+from .simulate import Discipline, SimConfig, _check_discipline, run_simulation
 from .stats import DEFAULT_WARMUP, WaitStats, _check_warmup, _wait_moments
 from .variates import _check_rate, _check_stable
 
@@ -262,17 +254,15 @@ def _stats_for(
     job: tuple[SimConfig, tuple[Discipline, ...], float, MM1Prediction | None]
 ) -> list[DisciplineSummary]:
     cfg, disciplines, warmup, prediction = job
-    shared = Trajectory(cfg)
+    # Held for the loop, the first-come trace lends every run its trajectory.
+    first_come = run_simulation(replace(cfg, discipline=Discipline.FCFS))
     rows = []
     for d in disciplines:
-        waits, *moments = _wait_moments(
-            run_simulation(replace(cfg, discipline=d), shared), warmup
-        )
-        # Waits are never negative, so the nonzero ones are exactly those > 0.
-        p_wait = float(np.count_nonzero(waits) / len(waits))
-        del waits  # neither the waits nor the trace outlive their row
+        trace = run_simulation(replace(first_come.config, discipline=d))
+        waits, *moments = _wait_moments(trace, warmup)
+        del trace, waits  # neither the waits nor the trace outlive their row
         predicted = prediction.variance_for(d) if prediction is not None else None
-        rows.append(DisciplineSummary(d.value, 1, *moments, p_wait, predicted))
+        rows.append(DisciplineSummary(d.value, 1, *moments, predicted))
     return rows
 
 
@@ -304,8 +294,9 @@ def compare_disciplines(
     """Run every discipline on every seed and aggregate the wait moments.
 
     All runs share ``base`` except for discipline and seed, so matched seeds
-    share their arrival and service draws exactly; each seed's draws and
-    trajectory are computed once for all its disciplines.  Each seed must
+    share their arrival and service draws exactly; each seed's first-come
+    trace is held while its disciplines run, so its trajectory is drawn
+    once, whether or not first come is among them.  Each seed must
     pass :class:`SimConfig`'s seed rule, each discipline is a
     :class:`Discipline` or its word, at least one is required, and seeds
     and disciplines must not repeat.  With ``oracle=True`` the closed-form

@@ -33,8 +33,8 @@ more waiters and the slot emptying the list after them; any other slot
 serves its own customer.  Random order makes the seed's decision stream
 afresh and reads it block by block, one draw per slot, so no run keeps a
 full-length array of decisions.  Their traces place each slot's times at
-its customer and keep no trajectory: runs of a config reuse its trajectory
-only while its first-come trace lives.
+its customer and keep no trajectory: the runs of a config share one only
+while something holds its first-come trace.
 """
 
 from __future__ import annotations
@@ -217,10 +217,11 @@ class Trajectory(SimTrace):
     each slot finds, counted on first use.  Its ``config`` is first come.
 
     Runs that differ only in discipline share one, a pure function of the
-    config without its discipline; :func:`run_simulation` reuses it while
-    it lives.  It keeps neither the service durations, folded into the
-    slots, nor the decision stream, which only random order reads and makes
-    from the seed.  Slot ends past the float range raise :class:`ConfigError`.
+    config without its discipline: :func:`run_simulation` reuses the one it
+    drew while anyone holds it.  It keeps neither the service durations,
+    folded into the slots, nor the decision stream, which only random order
+    reads and makes from the seed.  Slot ends past the float range raise
+    :class:`ConfigError`.
     """
 
     def __init__(self, config: SimConfig) -> None:
@@ -279,28 +280,23 @@ _drawn: weakref.WeakValueDictionary[SimConfig, Trajectory] = (
 )
 
 
-def run_simulation(
-    config: SimConfig, trajectory: Trajectory | None = None
-) -> SimTrace:
+def run_simulation(config: SimConfig) -> SimTrace:
     """Simulate ``config.num_arrivals`` customers and return the full trace.
 
-    ``trajectory`` may come from a config that differs from ``config`` only
-    in discipline; it is then reused, not recomputed.  Without one, the run
-    reuses the live :class:`Trajectory` of the config, discipline aside, and
-    draws one only if there is none.  A first-come run returns the
-    trajectory itself; last-come and random-order traces keep none.
-    Deterministic: equal configs give bitwise-equal traces, on a reused
-    trajectory or a new one.  The decision stream is made only when the
-    discipline is random-order: each such run takes the seed's stream at
-    its start, ``make_streams(config.seed)[2]``.
+    The run reuses the :class:`Trajectory` of the config, discipline aside,
+    while its first-come trace lives, and draws one only if there is none;
+    so callers share a trajectory across disciplines by holding the
+    first-come trace.  A first-come run returns the trajectory itself;
+    last-come and random-order traces keep none.  Deterministic: equal
+    configs give bitwise-equal traces, on a reused trajectory or a new one.
+    The decision stream is made only when the discipline is random-order:
+    each such run takes the seed's stream at its start,
+    ``make_streams(config.seed)[2]``.
     """
     key = replace(config, discipline=Discipline.FCFS)
+    trajectory = _drawn.get(key)
     if trajectory is None:
-        trajectory = _drawn.get(key)
-        if trajectory is None:
-            trajectory = _drawn[key] = Trajectory(key)
-    elif trajectory.config != key:
-        raise ConfigError("the trajectory was drawn for another configuration")
+        trajectory = _drawn[key] = Trajectory(key)
     d = config.discipline
     if d is Discipline.FCFS:
         return trajectory

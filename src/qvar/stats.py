@@ -19,6 +19,7 @@ is self-consistent rather than assuming stationarity.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import isfinite
 from numbers import Real
 
 import numpy as np
@@ -103,17 +104,27 @@ def _check_warmup(warmup_fraction: object) -> float:
 
 
 def _wait_moments(trace: SimTrace, warmup_fraction: float) -> tuple:
-    """The retained waits, then the moments ``qvar compare`` reports: mean
-    wait, its batch-means error, ``ddof=1`` variance and its error.  P(W > 0)
-    is left to the caller: ``compute_stats`` reads it off the mask it builds
-    for E[W²|W>0], ``qvar compare`` counts the nonzero waits."""
+    """The retained waits, then the figures ``qvar compare`` reports: mean
+    wait, its batch-means error, ``ddof=1`` variance and its error, and
+    P(W > 0): waits are never negative, so the nonzero ones are exactly
+    those that wait.  A figure past the float range raises
+    :class:`ConfigError`."""
     skip = int(trace.n * _check_warmup(warmup_fraction))
     if skip >= trace.n:
         raise EmptyAfterWarmupError(f"warm-up of {skip} customers leaves none of {trace.n}")
     waits = trace.service_starts[skip:] - trace.arrivals[skip:]
     var_wait = float(waits.var(ddof=1)) if len(waits) >= 2 else 0.0
     se_mean, se_var = _batch_errors(waits)
-    return waits, float(waits.mean()), se_mean, var_wait, se_var
+    moments = float(waits.mean()), se_mean, var_wait, se_var
+    _check_finite("mean wait, its error, variance, its error", moments)
+    return waits, *moments, float(np.count_nonzero(waits) / len(waits))
+
+
+def _check_finite(names: str, figures: tuple) -> None:
+    """Raise :class:`ConfigError` unless every figure is finite or None:
+    sums and squares of long waits can pass the float range."""
+    if not all(f is None or isfinite(f) for f in figures):
+        raise ConfigError(f"waits too long for finite moments: ({names}) = {figures!r}")
 
 
 def compute_stats(
@@ -122,13 +133,13 @@ def compute_stats(
     """Summarize ``trace`` after dropping the first ``warmup_fraction`` customers.
 
     The discard count is ``floor(n * warmup_fraction)``.  The wait moments
-    are ``qvar compare``'s; E[W²|W>0], service, sojourn and occupancy are
-    computed only here.  The occupancy window (and hence the effective
-    arrival rate) runs from the first retained arrival to the last retained
-    departure; all customers are clipped to it, so early arrivals that
-    linger into the window still count toward occupancy.
+    and P(W > 0) are ``qvar compare``'s; E[W²|W>0], service, sojourn and
+    occupancy are computed only here.  The occupancy window (and hence the
+    effective arrival rate) runs from the first retained arrival to the last
+    retained departure; all customers are clipped to it, so early arrivals
+    that linger into the window still count toward occupancy.
     """
-    waits, mean_wait, se_mean, var_wait, se_var = _wait_moments(trace, warmup_fraction)
+    waits, mean_wait, se_mean, var_wait, se_var, frac = _wait_moments(trace, warmup_fraction)
     count = len(waits)
     skip = trace.n - count
     starts = trace.service_starts[skip:]
@@ -137,10 +148,10 @@ def compute_stats(
     # Each full-length temporary is dropped after its last reader.
     positive = waits[waits > 0.0]
     del waits
-    frac = float(len(positive) / count)
     positive *= positive
     second_moment = float(positive.mean()) if len(positive) else None
     del positive
+    _check_finite("E[W²|W>0]", (second_moment,))
     mean_service = float((departures - starts).mean())
 
     t0 = float(trace.arrivals[skip])

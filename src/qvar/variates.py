@@ -181,6 +181,10 @@ def parse_distribution(spec: str, rate: float) -> Distribution:
         return Distribution.deterministic(1.0 / rate)
     if word == "uniform":
         if not tail:
+            if not isfinite(2.0 / rate):
+                raise ConfigError(
+                    f"uniform on (0, 2/rate) needs a finite 2/rate, got rate {rate!r}"
+                )
             return Distribution.uniform(0.0, 2.0 / rate)
         try:
             lo_s, hi_s = tail.split(",")

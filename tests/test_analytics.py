@@ -17,6 +17,7 @@ from qvar import (
     mm1_predict,
     run_simulation,
 )
+from qvar import simulate
 from qvar.analytics import COMPARISON_CSV_COLUMNS, _resolve_workers
 
 RHO_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -277,3 +278,22 @@ def test_compare_matches_separate_runs(coupling):
             assert_same_figures(
                 row, compute_stats(run_simulation(replace(cfg, discipline=d, seed=seed)))
             )
+
+
+@pytest.mark.parametrize("disciplines", [("fcfs", "lcfs", "random"), ("lcfs", "random")])
+def test_compare_draws_each_seed_trajectory_once(monkeypatch, disciplines):
+    # The held first-come trace lends every discipline of a seed its
+    # trajectory, whether or not first come is among them.
+    built = []
+    compute_slots = simulate._compute_slots
+
+    def counted(*args):
+        built.append(1)
+        return compute_slots(*args)
+
+    monkeypatch.setattr(simulate, "_compute_slots", counted)
+    monkeypatch.delenv("QVAR_THREADS", raising=False)
+    cfg = replace(BASE, num_arrivals=3_000)
+    table = compare_disciplines(cfg, [31, 32, 33], disciplines=disciplines)
+    assert [r.discipline for r in table.rows] == list(disciplines)
+    assert len(built) == 3

@@ -547,6 +547,22 @@ def test_rate_errors_name_the_flag(capsys):
             ("--service-dist", "deterministic"),
             "deterministic value must be positive finite, got inf",
         ),
+        (
+            ("1e-320", "1"),
+            ("--arrival-dist", "uniform"),
+            "uniform on (0, 2/rate) needs a finite 2/rate, got rate 1e-320",
+        ),
+        (
+            ("1e-321", "1e-320"),
+            ("--service-dist", "uniform"),
+            "uniform on (0, 2/rate) needs a finite 2/rate, got rate 1e-320",
+        ),
+        # Finite times, but waits whose squares pass the float range.
+        (
+            ("0.9e-200", "1e-200"),
+            (),
+            "waits too long for finite moments: (mean wait, its error, variance, its error)",
+        ),
     ],
 )
 def test_time_scale_past_the_float_range_exits_2(capsys, rates, dist, message):

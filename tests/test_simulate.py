@@ -467,23 +467,23 @@ def test_golden_trace_digests(run, discipline):
 @pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
 def test_first_come_trace_is_the_trajectory(run):
     configs = [replace(GOLDEN_RUNS[run], discipline=d) for d in ("fcfs", "lcfs", "random")]
+    # With no first-come trace alive, each run draws its own trajectory.
+    assert configs[0] not in simulate._drawn
+    fresh = {cfg.discipline.value: trace_digest(run_simulation(cfg)) for cfg in configs}
+    assert fresh == {d: GOLDEN_DIGESTS[run, d] for d in fresh}
     fcfs = run_simulation(configs[0])
     assert isinstance(fcfs, Trajectory)
     assert simulate._drawn[configs[0]] is fcfs
     assert run_simulation(fcfs.config) is fcfs
     for cfg in configs:
+        # A trajectory built from any discipline's config is the first-come trace.
         trajectory = Trajectory(cfg)
         assert trajectory.config == replace(cfg, discipline="fcfs")
-        # Runs on a trajectory built from any discipline's config equal
-        # runs without one and the golden digests.
-        for other in configs:
-            fresh = trace_digest(run_simulation(other))
-            assert trace_digest(run_simulation(other, trajectory)) == fresh
-            assert fresh == GOLDEN_DIGESTS[run, other.discipline.value]
-        assert run_simulation(configs[0], trajectory) is trajectory
-    for other in (replace(configs[1], seed=99), replace(configs[1], service_dist="exponential")):
-        with pytest.raises(ConfigError, match="another configuration"):
-            run_simulation(other, fcfs)
+        assert trace_digest(trajectory) == fresh["fcfs"]
+        # Runs on the held first-come trace equal fresh runs.
+        trace = run_simulation(cfg)
+        assert trace.arrivals is fcfs.arrivals
+        assert trace_digest(trace) == fresh[cfg.discipline.value]
 
 
 # Per run: the periods the exact oracle checked, of all its periods.
@@ -813,15 +813,21 @@ def test_traces_equal_slot_loop(
         arrival_dist=arrival,
         service_dist=service,
     )
-    shared = Trajectory(cfg)
     # Random order twice: each run replays the decision stream from its start.
+    loops = []
     for d in ("fcfs", "random", "lcfs", "random"):
-        one = replace(cfg, discipline=d)
-        found = []
-        expected = trace_digest(slot_loop_reference(one, found))
-        assert trace_digest(run_simulation(one)) == expected, d
-        assert trace_digest(run_simulation(one, shared)) == expected, d
-        assert shared.queue.tolist() == found, d
+        one, found = replace(cfg, discipline=d), []
+        loops.append((one, trace_digest(slot_loop_reference(one, found)), found))
+    # No first-come trace lives yet, so each run draws its own trajectory.
+    for one, expected, _ in loops:
+        assert trace_digest(run_simulation(one)) == expected, one.discipline
+    # Drawn after the patch, the held trace counts its queue in patched blocks.
+    held = run_simulation(cfg)
+    for one, expected, found in loops:
+        trace = run_simulation(one)
+        assert trace.arrivals is held.arrivals, one.discipline
+        assert trace_digest(trace) == expected, one.discipline
+        assert held.queue.tolist() == found, one.discipline
 
 
 # D/D/1 at rho=1 ties every completion with the next arrival; the slot
@@ -863,33 +869,35 @@ LONG_PERIOD_RUNS = {
 @pytest.mark.parametrize("run", sorted(LONG_PERIOD_RUNS))
 def test_period_past_sixteen_bits_equals_slot_loop(run):
     cfg = LONG_PERIOD_RUNS[run]
-    trajectory = Trajectory(cfg)
-    assert trajectory.period_starts.tolist() == [0]
+    held = run_simulation(cfg)
+    assert held.period_starts.tolist() == [0]
     assert cfg.num_arrivals > simulate._BLOCK == 1 << 16
     for d in ("fcfs", "lcfs", "random"):
         one = replace(cfg, discipline=d)
         found = []
         expected = trace_digest(slot_loop_reference(one, found))
-        assert trace_digest(run_simulation(one, trajectory)) == expected, d
-        assert trajectory.queue.tolist() == found, d
+        trace = run_simulation(one)
+        assert trace.arrivals is held.arrivals, d
+        assert trace_digest(trace) == expected, d
+        assert held.queue.tolist() == found, d
 
 
 def test_queue_is_counted_once_per_trajectory():
     cfg = mm1(0.9, 2_000, seed=3)
-    shared = Trajectory(cfg)
-    run_simulation(cfg, shared)
+    shared = run_simulation(cfg)
+    assert run_simulation(cfg) is shared
     assert "queue" not in vars(shared)  # first come first needs no count
-    run_simulation(replace(cfg, discipline="lcfs"), shared)
+    run_simulation(replace(cfg, discipline="lcfs"))
     queue = vars(shared)["queue"]
-    run_simulation(replace(cfg, discipline="random"), shared)
+    run_simulation(replace(cfg, discipline="random"))
     assert vars(shared)["queue"] is queue
 
 
 def test_trajectory_keeps_no_durations_or_decisions():
     cfg = mm1(0.9, 5_000, seed=2, discipline="random")
-    shared = Trajectory(cfg)
+    shared = run_simulation(replace(cfg, discipline="fcfs"))
     for d in ("random", "lcfs", "fcfs"):
-        run_simulation(replace(cfg, discipline=d), shared)
+        assert run_simulation(replace(cfg, discipline=d)).arrivals is shared.arrivals, d
     kept = [
         shared.arrivals,
         shared.service_starts,
@@ -1073,15 +1081,6 @@ def test_random_order_equals_slot_loop_on_long_runs(monkeypatch, block, rho, arr
     assert trace_digest(trace) == trace_digest(slot_loop_reference(cfg))
 
 
-def test_shared_trajectory_must_match_config():
-    cfg = mm1(0.5, 100, seed=1)
-    shared = Trajectory(cfg)
-    assert run_simulation(replace(cfg, discipline="lcfs"), shared).config.discipline == "lcfs"
-    for other in (replace(cfg, seed=2), replace(cfg, num_arrivals=99)):
-        with pytest.raises(ConfigError, match="another configuration"):
-            run_simulation(other, shared)
-
-
 def test_live_fcfs_trace_lends_its_trajectory(monkeypatch):
     built = []
     compute_slots = simulate._compute_slots
@@ -1093,7 +1092,9 @@ def test_live_fcfs_trace_lends_its_trajectory(monkeypatch):
     monkeypatch.setattr(simulate, "_compute_slots", counted)
     cfg = mm1(0.9, 3_000, seed=21)
     others = [replace(cfg, discipline=d) for d in ("lcfs", "random")]
-    fresh = {c.discipline: trace_digest(run_simulation(c, Trajectory(c))) for c in others}
+    # With no first-come trace alive, each run draws its own trajectory.
+    fresh = {c.discipline: trace_digest(run_simulation(c)) for c in others + [cfg]}
+    assert len(built) == 3
     built.clear()
     fcfs = run_simulation(cfg)
     for c in others:
@@ -1111,6 +1112,4 @@ def test_live_fcfs_trace_lends_its_trajectory(monkeypatch):
     built.clear()
     digests = [trace_digest(run_simulation(c)) for c in others + [cfg]]
     assert len(built) == 3
-    assert digests == [fresh[c.discipline] for c in others] + [
-        trace_digest(run_simulation(cfg, Trajectory(cfg)))
-    ]
+    assert digests == [fresh[c.discipline] for c in others + [cfg]]

@@ -3,7 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qvar import ConfigError, SimConfig, WaitStats, compute_stats, run_simulation
+from qvar import (
+    ConfigError,
+    SimConfig,
+    SimTrace,
+    WaitStats,
+    compare_disciplines,
+    compute_stats,
+    run_simulation,
+)
 
 
 def det_trace(interarrival, service, n, discipline="fcfs"):
@@ -75,6 +83,30 @@ def test_warmup_validation():
         want = compute_stats(trace, float(warmup))
         assert repr(compute_stats(trace, warmup)) == repr(want), warmup
     assert compute_stats(trace, np.float16(0.5)).warmup_discarded == 50_000
+
+
+# numpy warns of the overflow before the refusal.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_moments_past_the_float_range_are_refused():
+    # Finite waits of about 1e201 have squares past the float range: no
+    # report may carry an inf or nan figure.
+    cfg = SimConfig(0.9e-200, 1e-200, 1_000, 1)
+    trace = run_simulation(cfg)
+    assert np.isfinite(trace.departures).all()
+    message = r"waits too long for finite moments: \(mean wait, its error, variance"
+    with pytest.raises(ConfigError, match=message):
+        compute_stats(trace)
+    with pytest.raises(ConfigError, match=message):
+        compare_disciplines(cfg, [1, 2])
+    # Waits of 0, b and 2b keep Var[W] = b² finite, but not E[W²|W>0] = 2.5b².
+    big = 9e153
+    trace = SimTrace(
+        np.array([0.0, 1.0, 2.0]), np.array([0.0, big, 2 * big]),
+        np.array([big, 2 * big, 3 * big]), np.array([0]),
+    )
+    assert np.isfinite(trace.waits().var(ddof=1))
+    with pytest.raises(ConfigError, match=r"\(E\[W²\|W>0\]\) = \(inf,\)"):
+        compute_stats(trace, warmup_fraction=0.0)
 
 
 def test_batch_errors_shrink_with_sample_size():

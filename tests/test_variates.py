@@ -5,6 +5,7 @@ from qvar import (
     ConfigError,
     Distribution,
     InvalidRateError,
+    SimConfig,
     draw_variates,
     make_streams,
     parse_distribution,
@@ -108,6 +109,17 @@ def test_parse_words():
     assert parse_distribution("exponential", 2.0) == Distribution.exponential(2.0)
     assert parse_distribution("deterministic", 2.0) == Distribution.deterministic(0.5)
     assert parse_distribution("uniform", 2.0) == Distribution.uniform(0.0, 1.0)
+
+
+def test_bare_uniform_past_the_float_range_names_the_rate():
+    # uniform on (0, 2/rate) has no finite upper bound: the rate is named,
+    # not bounds that nobody gave.
+    for rate in (1e-320, 5e-309):
+        with pytest.raises(ConfigError, match=f"finite 2/rate, got rate {rate!r}$"):
+            parse_distribution("uniform", rate)
+    with pytest.raises(ConfigError, match="got rate 1e-320$"):
+        SimConfig(1e-320, 1.0, 5, 1, arrival_dist="uniform")
+    assert parse_distribution("uniform", 2.3e-308).hi == 2.0 / 2.3e-308
 
 
 def test_parse_explicit_uniform_bounds():
