@@ -73,7 +73,6 @@ from .simulate import (
     Discipline,
     SimConfig,
     SimTrace,
-    Trajectory,
     extract_busy_periods,
     per_period_wait_sums,
     read_trace_jsonl,
@@ -125,7 +124,6 @@ __all__ = [
     "SimConfig",
     "SimTrace",
     "BusyPeriodView",
-    "Trajectory",
     "run_simulation",
     "extract_busy_periods",
     "per_period_wait_sums",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
@@ -437,7 +438,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     args.raw_argv = raw
     try:
-        return int(args.func(args))
+        # numpy's overflow warnings would precede a refusal's one ``error:``
+        # line; forked ``compare`` workers inherit the filter.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return int(args.func(args))
     except ExtremalityViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 3

@@ -23,10 +23,11 @@ service-start times.  The variance comparison is then a per-busy-period
 statement.
 
 A run takes three steps.  The trajectory (each slot's start and end, bitwise
-equal to adding the durations slot by slot, the busy periods, and the
-waiters each slot finds) is computed once with array operations; the
-service durations are summed into the slots and not kept.  First come
-serves each slot's own customer, so the trajectory is its trace.  Last come
+equal to adding the durations slot by slot, and the busy periods) is
+computed once with array operations; the service durations are summed into
+the slots and not kept.  First come serves each slot's own customer, so the
+trajectory is its trace.  The waiters each slot finds follow from the slots
+alone, so every trace counts them alike (:attr:`SimTrace.queue`).  Last come
 (bracket matching) and random order (all runs of a block walked in
 lockstep) assign customers only on contested runs: slots finding two or
 more waiters and the slot emptying the list after them; any other slot
@@ -67,7 +68,6 @@ __all__ = [
     "SimConfig",
     "SimTrace",
     "BusyPeriodView",
-    "Trajectory",
     "run_simulation",
     "extract_busy_periods",
     "per_period_wait_sums",
@@ -162,8 +162,10 @@ class SimTrace:
     ``period_starts`` holds the 0-based customer index opening each busy
     period (always starting with 0).  Arrays are float64/int64 and frozen
     read-only; a customer's wait is ``service_starts - arrivals`` and its
-    sojourn ``departures - arrivals``.  A first-come-first-served trace
-    from :func:`run_simulation` is a :class:`Trajectory`.
+    sojourn ``departures - arrivals``.  :attr:`queue` counts the waiters
+    each slot finds.  A first-come trace from :func:`run_simulation` is the
+    config's trajectory, which its other disciplines' runs share while it
+    lives.
     """
 
     arrivals: np.ndarray
@@ -210,50 +212,19 @@ class SimTrace:
     def service_times(self) -> np.ndarray:
         return self.departures - self.service_starts
 
-
-class Trajectory(SimTrace):
-    """The first-come trace of a config, built from the config alone: each
-    slot's start and end, the busy periods, and :attr:`queue`, the waiters
-    each slot finds, counted on first use.  Its ``config`` is first come.
-
-    Runs that differ only in discipline share one, a pure function of the
-    config without its discipline: :func:`run_simulation` reuses the one it
-    drew while anyone holds it.  It keeps neither the service durations,
-    folded into the slots, nor the decision stream, which only random order
-    reads and makes from the seed.  Slot ends past the float range raise
-    :class:`ConfigError`.
-    """
-
-    def __init__(self, config: SimConfig) -> None:
-        arrival, service = config.distributions()
-        arrival_rng, service_rng, _ = make_streams(config.seed)
-        n = config.num_arrivals
-        arrivals = np.zeros(n, dtype=np.float64)
-        if n > 1:
-            np.cumsum(draw_variates(arrival, arrival_rng, n - 1), out=arrivals[1:])
-        starts, ends, heads = _compute_slots(
-            arrivals, draw_variates(service, service_rng, n)
-        )
-        # The last slot ends after every arrival, start and departure.
-        if not isfinite(ends[-1]):
-            raise ConfigError(
-                f"arrival rate {config.arrival_rate!r} and service rate "
-                f"{config.service_rate!r} give times beyond the float range"
-            )
-        super().__init__(
-            arrivals, starts, ends, heads, replace(config, discipline=Discipline.FCFS)
-        )
-
     @cached_property
     def queue(self) -> np.ndarray:
         """The waiters when each slot opens, its own customer included: the
         customers arrived strictly before it (a completion wins a tie) less
         the slots before it.  A period's head finds only its own customer.
+        Read-only, counted on first use.  It depends on the slots and not on
+        who takes them, so every discipline's trace of a config gives the
+        first-come trace's count, bitwise.
 
-        Each block's slot starts and arrivals, both sorted, are merged by
-        one stable sort with the starts first, so a start sorts before an
-        equal arrival: slot ``k`` lands after the ``k`` starts before it and
-        the arrivals strictly before it."""
+        Each block's starts, in any order, and arrivals are merged by one
+        stable sort with the starts first, so a start sorts before an equal
+        arrival: slot ``k`` lands after the ``k`` starts before it and the
+        arrivals strictly before it."""
         starts, heads, n = self.service_starts, self.period_starts, self.n
         queue = np.empty(n, dtype=_index_dtype(n))
         bounds = np.append(heads, n)
@@ -264,6 +235,7 @@ class Trajectory(SimTrace):
             )
             queue[lo:hi] = np.flatnonzero(order < m) - 2 * np.arange(m)
         queue[heads] = 1
+        queue.flags.writeable = False
         return queue
 
 
@@ -272,31 +244,31 @@ def _index_dtype(n: int) -> type[np.signedinteger]:
     return np.int32 if n < 1 << 31 else np.int64
 
 
-# The trajectories drawn by run_simulation, by config with the discipline
-# set to first-come.  A first-come trace is its trajectory; nothing else
+# The first-come traces drawn by run_simulation, by config; nothing else
 # here keeps one alive.
-_drawn: weakref.WeakValueDictionary[SimConfig, Trajectory] = (
-    weakref.WeakValueDictionary()
-)
+_drawn: weakref.WeakValueDictionary[SimConfig, SimTrace] = weakref.WeakValueDictionary()
 
 
 def run_simulation(config: SimConfig) -> SimTrace:
     """Simulate ``config.num_arrivals`` customers and return the full trace.
 
-    The run reuses the :class:`Trajectory` of the config, discipline aside,
-    while its first-come trace lives, and draws one only if there is none;
-    so callers share a trajectory across disciplines by holding the
-    first-come trace.  A first-come run returns the trajectory itself;
-    last-come and random-order traces keep none.  Deterministic: equal
-    configs give bitwise-equal traces, on a reused trajectory or a new one.
-    The decision stream is made only when the discipline is random-order:
-    each such run takes the seed's stream at its start,
-    ``make_streams(config.seed)[2]``.
+    The first-come trace is the trajectory: each slot's start and end and
+    the busy periods, a pure function of the config without its discipline.
+    The run reuses the first-come trace of the config, discipline aside,
+    while it lives, and draws one only if there is none; so callers share a
+    trajectory across disciplines by holding the first-come trace, which a
+    first-come run returns.  Last-come and random-order traces place each
+    slot's times at its customer and keep no trajectory.  Deterministic:
+    equal configs give bitwise-equal traces, on a reused trajectory or a new
+    one.  The decision stream is made only when the discipline is
+    random-order: each such run takes the seed's stream at its start,
+    ``make_streams(config.seed)[2]``.  Slot ends past the float range raise
+    :class:`ConfigError`.
     """
     key = replace(config, discipline=Discipline.FCFS)
     trajectory = _drawn.get(key)
     if trajectory is None:
-        trajectory = _drawn[key] = Trajectory(key)
+        trajectory = _drawn[key] = _draw(key)
     d = config.discipline
     if d is Discipline.FCFS:
         return trajectory
@@ -306,6 +278,26 @@ def run_simulation(config: SimConfig) -> SimTrace:
     ends = np.empty_like(trajectory.departures)
     starts[served], ends[served] = trajectory.service_starts, trajectory.departures
     return SimTrace(trajectory.arrivals, starts, ends, trajectory.period_starts, config)
+
+
+def _draw(config: SimConfig) -> SimTrace:
+    """The first-come trace of a first-come ``config``, from its arrival and
+    service streams.  The service durations are folded into the slots and
+    not kept."""
+    arrival, service = config.distributions()
+    arrival_rng, service_rng, _ = make_streams(config.seed)
+    n = config.num_arrivals
+    arrivals = np.zeros(n, dtype=np.float64)
+    if n > 1:
+        np.cumsum(draw_variates(arrival, arrival_rng, n - 1), out=arrivals[1:])
+    starts, ends, heads = _compute_slots(arrivals, draw_variates(service, service_rng, n))
+    # The last slot ends after every arrival, start and departure.
+    if not isfinite(ends[-1]):
+        raise ConfigError(
+            f"arrival rate {config.arrival_rate!r} and service rate "
+            f"{config.service_rate!r} give times beyond the float range"
+        )
+    return SimTrace(arrivals, starts, ends, heads, config)
 
 
 def _compute_slots(

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +14,14 @@ import pytest
 import qvar.cli as cli
 import qvar.simulate as simulate
 from qvar import (
+    ConfigError,
     ExtremalityViolationError,
+    SimConfig,
+    compute_stats,
     lcfs_permutation,
     random_busy_period,
     read_trace_jsonl,
+    run_simulation,
 )
 from qvar.cli import main
 
@@ -530,8 +537,6 @@ def test_rate_errors_name_the_flag(capsys):
         assert f"error: {flag} must be a positive finite number, got nan" in err
 
 
-# numpy warns of the overflow before the refusal.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "rates, dist, message",
     [
@@ -574,6 +579,28 @@ def test_time_scale_past_the_float_range_exits_2(capsys, rates, dist, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert f"error: {message}" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("rates", [("1e-320", "1"), ("0.9e-200", "1e-200")])
+def test_refusal_past_the_float_range_prints_one_line(rates):
+    # A fresh process, compare's seeds in two worker processes: numpy's
+    # overflow warnings do not precede the error line.
+    lam, mu = rates
+    env = dict(os.environ, QVAR_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    flags = ("--lambda", lam, "--mu", mu, "--arrivals", "1000")
+    for argv in (("simulate", "--seed", "1", *flags), ("compare", "--seeds", "1,2", *flags)):
+        done = subprocess.run(
+            [sys.executable, "-m", "qvar", *argv], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stdout) == (2, ""), argv
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stderr.startswith("error: "), done.stderr
+    # Called as a library, numpy still warns.
+    with pytest.warns(RuntimeWarning), pytest.raises(ConfigError):
+        compute_stats(run_simulation(SimConfig(float(lam), float(mu), 1000, 1)))
 
 
 def test_enumerate_random_max_n_capped(tmp_path, capsys):

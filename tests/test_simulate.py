@@ -20,7 +20,6 @@ from qvar import (
     Permutation,
     SimConfig,
     SimTrace,
-    Trajectory,
     ValidationError,
     check_extremality,
     draw_variates,
@@ -472,12 +471,12 @@ def test_first_come_trace_is_the_trajectory(run):
     fresh = {cfg.discipline.value: trace_digest(run_simulation(cfg)) for cfg in configs}
     assert fresh == {d: GOLDEN_DIGESTS[run, d] for d in fresh}
     fcfs = run_simulation(configs[0])
-    assert isinstance(fcfs, Trajectory)
     assert simulate._drawn[configs[0]] is fcfs
     assert run_simulation(fcfs.config) is fcfs
     for cfg in configs:
-        # A trajectory built from any discipline's config is the first-come trace.
-        trajectory = Trajectory(cfg)
+        # Any discipline's config, set to first come, gives the held trace.
+        trajectory = run_simulation(replace(cfg, discipline="fcfs"))
+        assert trajectory is fcfs
         assert trajectory.config == replace(cfg, discipline="fcfs")
         assert trace_digest(trajectory) == fresh["fcfs"]
         # Runs on the held first-come trace equal fresh runs.
@@ -848,9 +847,9 @@ def test_queue_equals_slot_loop(monkeypatch, block, run):
     cfg = QUEUE_RUNS[run]
     found = []
     slot_loop_reference(cfg, found)
-    trajectory = Trajectory(cfg)
+    trajectory = run_simulation(cfg)  # first come
     queue = trajectory.queue
-    assert queue.dtype == np.int32
+    assert queue.dtype == np.int32 and not queue.flags.writeable
     assert queue.tolist() == found
     assert (queue[trajectory.period_starts] == 1).all()
     assert queue.min() >= 1
@@ -891,6 +890,37 @@ def test_queue_is_counted_once_per_trajectory():
     queue = vars(shared)["queue"]
     run_simulation(replace(cfg, discipline="random"))
     assert vars(shared)["queue"] is queue
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS) + ["mm1-rho130"])
+def test_every_trace_counts_the_first_come_queue(tmp_path, run):
+    # The count reads only the slots, so it does not depend on who takes them.
+    cfg = GOLDEN_RUNS.get(run) or QUEUE_RUNS[run]
+    fcfs = run_simulation(cfg)
+    copy = replace(fcfs)
+    assert copy is not fcfs and trace_digest(copy) == trace_digest(fcfs)
+    path = tmp_path / "trace.jsonl"
+    for d in ("lcfs", "random"):
+        trace = run_simulation(replace(cfg, discipline=d))
+        write_trace_jsonl(trace, path)
+        for one in (trace, read_trace_jsonl(path)):
+            assert one.queue.dtype == fcfs.queue.dtype, d
+            assert np.array_equal(one.queue, fcfs.queue), d
+            assert not one.queue.flags.writeable, d
+    assert np.array_equal(copy.queue, fcfs.queue)
+
+
+def test_shared_queue_is_read_only():
+    cfg = mm1(0.9, 3_000, seed=8)
+    others = [replace(cfg, discipline=d) for d in ("lcfs", "random")]
+    fresh = [trace_digest(run_simulation(c)) for c in others]
+    fcfs = run_simulation(cfg)
+    with pytest.raises(ValueError):
+        fcfs.queue[:] = 1
+    for c, digest in zip(others, fresh):
+        trace = run_simulation(c)
+        assert trace.arrivals is fcfs.arrivals, c.discipline
+        assert trace_digest(trace) == digest, c.discipline
 
 
 def test_trajectory_keeps_no_durations_or_decisions():
@@ -1012,7 +1042,7 @@ def test_random_order_follows_its_exact_law():
     # probability (1/q_j) * prod(1 - 1/q_l for floor_i <= l < j), where
     # floor_i is the first slot k with k + q_k > i.  The longest period of a
     # short run, tiled into many periods, goes through one assignment call.
-    trajectory = Trajectory(SimConfig(0.9, 1.0, 400, 1, discipline="random"))
+    trajectory = run_simulation(SimConfig(0.9, 1.0, 400, 1))
     queue, heads = trajectory.queue, trajectory.period_starts
     sizes = np.diff(heads, append=len(queue))
     head, m = heads[np.argmax(sizes)], sizes.max()
