@@ -22,6 +22,7 @@ any one of them cannot survive.
 from __future__ import annotations
 
 import os
+import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -266,6 +267,12 @@ def _stats_for(
     return rows
 
 
+def _use_filters(filters: list) -> None:
+    """Start a worker with its caller's warning filters, as a forked one has
+    them; a spawned one would start with the defaults."""
+    warnings.filters[:] = filters
+
+
 def _resolve_workers() -> int:
     env = os.environ.get("QVAR_THREADS", "").strip()
     if env:
@@ -303,9 +310,10 @@ def compare_disciplines(
     variances are attached where they exist, which requires exponential
     arrival and service distributions.  Seeds fan out across the number of
     processes the ``QVAR_THREADS`` environment variable names (default 1,
-    serial); results reduce in (discipline, seed) order either way.  Only
-    the wait moments are computed, bitwise as in ``compute_stats``;
-    occupancy and E[W²|W>0] come from ``qvar simulate``.
+    serial), each started with the caller's warning filters; results reduce
+    in (discipline, seed) order either way.  Only the wait moments are
+    computed, bitwise as in ``compute_stats``; occupancy and E[W²|W>0] come
+    from ``qvar simulate``.
     """
     if not seeds:
         raise ConfigError("at least one seed is required")
@@ -332,7 +340,9 @@ def compare_disciplines(
     jobs = [(c, disciplines, warmup_fraction, prediction) for c in configs]
     workers = _resolve_workers()
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_use_filters, initargs=(warnings.filters[:],)
+        ) as pool:
             by_seed = list(pool.map(_stats_for, jobs))
     else:
         by_seed = [_stats_for(j) for j in jobs]

@@ -439,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.raw_argv = raw
     try:
         # numpy's overflow warnings would precede a refusal's one ``error:``
-        # line; forked ``compare`` workers inherit the filter.
+        # line; ``compare`` starts its workers with the filter.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return int(args.func(args))

@@ -33,9 +33,10 @@ lockstep) assign customers only on contested runs: slots finding two or
 more waiters and the slot emptying the list after them; any other slot
 serves its own customer.  Random order makes the seed's decision stream
 afresh and reads it block by block, one draw per slot, so no run keeps a
-full-length array of decisions.  Their traces place each slot's times at
-its customer and keep no trajectory: the runs of a config share one only
-while something holds its first-come trace.
+full-length array of decisions.  Every trace holds the trajectory's arrays,
+in slot order; one that is not first-come adds only each customer's rank
+within its period.  So the runs of a config share one trajectory, buffers
+and all, while something holds its first-come trace.
 """
 
 from __future__ import annotations
@@ -155,41 +156,58 @@ class SimConfig:
         }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SimTrace:
-    """Per-customer times of one run, in arrival order, plus period heads.
+    """One run: the server's trajectory and the slot each customer takes.
 
-    ``period_starts`` holds the 0-based customer index opening each busy
-    period (always starting with 0).  Arrays are float64/int64 and frozen
-    read-only; a customer's wait is ``service_starts - arrivals`` and its
-    sojourn ``departures - arrivals``.  :attr:`queue` counts the waiters
-    each slot finds.  A first-come trace from :func:`run_simulation` is the
-    config's trajectory, which its other disciplines' runs share while it
-    lives.
+    The trajectory is the ``arrivals`` in customer order, ``slot_starts``
+    and ``slot_ends`` in slot order (each period's services as they start),
+    and ``period_starts``, the 0-based customer and slot opening each busy
+    period (always starting with 0), all float64/int64.  ``ranks`` holds
+    each customer's 1-based slot within its period: int16 while every
+    period has fewer than 2**15 customers, else the run's index type; None
+    when every customer takes its own slot, as under first come.  Every
+    array is read-only.  ``service_starts`` and ``departures`` are then each
+    customer's: the slot arrays themselves without ranks, else new arrays
+    gathered on each access.  A customer's wait is ``service_starts -
+    arrivals`` (:meth:`waits`) and its sojourn ``departures - arrivals``.
+    :attr:`queue` counts the waiters each slot finds.
+
+    The constructor takes per-customer times, as :func:`read_trace_jsonl`
+    reads them, sorts each period's starts into its slots (ties kept in
+    customer order) with the departures alongside, and ranks each customer
+    at its own start; so ``service_starts`` and ``departures`` give back
+    the values passed, bitwise.  A first-come trace from
+    :func:`run_simulation` is the config's trajectory, whose arrays its
+    other disciplines' traces share while it lives.
     """
 
     arrivals: np.ndarray
+    # Properties below, and fields for ``dataclasses.replace`` and the repr:
+    # each property is its field's class attribute, which no generated
+    # ``__init__`` reads.
     service_starts: np.ndarray
     departures: np.ndarray
     period_starts: np.ndarray
     config: SimConfig | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        for name, dtype in (
-            ("arrivals", np.float64),
-            ("service_starts", np.float64),
-            ("departures", np.float64),
-            ("period_starts", np.int64),
-        ):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        n = len(self.arrivals)
-        if not (len(self.service_starts) == n and len(self.departures) == n):
+    def __init__(
+        self,
+        arrivals: np.ndarray,
+        service_starts: np.ndarray,
+        departures: np.ndarray,
+        period_starts: np.ndarray,
+        config: SimConfig | None = None,
+    ) -> None:
+        arrivals, starts, deps = (
+            np.asarray(a, dtype=np.float64) for a in (arrivals, service_starts, departures)
+        )
+        heads = np.asarray(period_starts, dtype=np.int64)
+        n = len(arrivals)
+        if not (len(starts) == n and len(deps) == n):
             raise MalformedTraceError("trace arrays must have equal lengths")
         if n == 0:
             raise MalformedTraceError("a trace must contain at least one customer")
-        heads = self.period_starts
         if len(heads) == 0 or heads[0] != 0:
             raise MalformedTraceError("the first customer must open a busy period")
         if np.any(heads[1:] <= heads[:-1]) or heads[-1] >= n:
@@ -197,6 +215,67 @@ class SimTrace:
                 "period starts must be strictly increasing customer indices "
                 f"below {n}"
             )
+        # Slot order: by period, then start, ties kept in customer order.
+        head = np.repeat(heads, np.diff(heads, append=n))
+        served = np.lexsort((starts, head))
+        ranks = None
+        if np.any(served != np.arange(n)):
+            ranks = np.empty(n, dtype=_rank_dtype(np.append(heads, n)))
+            ranks[served] = np.arange(1, n + 1) - head
+            starts, deps = starts[served], deps[served]
+        self._set(arrivals, starts, deps, ranks, heads, config)
+
+    @classmethod
+    def _trusted(cls, *arrays) -> SimTrace:
+        """A trace of the simulator's arrays, taken as they are: the arrivals,
+        slot starts, slot ends, ranks, period heads and the config."""
+        trace = object.__new__(cls)
+        trace._set(*arrays)
+        return trace
+
+    def _set(self, *values) -> None:
+        names = ("arrivals", "slot_starts", "slot_ends", "ranks", "period_starts", "config")
+        for name, value in zip(names, values):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def service_starts(self) -> np.ndarray:
+        return self._by_customer(self.slot_starts)
+
+    @property
+    def departures(self) -> np.ndarray:
+        return self._by_customer(self.slot_ends)
+
+    def _by_customer(self, column: np.ndarray) -> np.ndarray:
+        """A slot-order ``column`` in customer order, read-only."""
+        if self.ranks is None:
+            return column
+        out = np.empty(self.n)
+        for lo, hi, slots in self._chunks():
+            out[lo:hi] = column[slots]
+        out.flags.writeable = False
+        return out
+
+    def _chunks(self, skip: int = 0) -> Iterator[tuple[int, int, slice | np.ndarray]]:
+        """The slots of customers ``skip`` to ``n``, ``_TUPLE_BLOCK`` customers
+        at a time: ``(lo, hi, slots)``, where ``slots`` indexes the slot
+        arrays at customers ``[lo, hi)`` in turn; a slice when there are no
+        ranks."""
+        heads, n = self.period_starts, self.n
+        for lo in range(skip, n, _TUPLE_BLOCK):
+            hi = min(lo + _TUPLE_BLOCK, n)
+            if self.ranks is None:
+                yield lo, hi, slice(lo, hi)
+                continue
+            # The periods meeting [lo, hi): the one holding lo, then those
+            # opening after it.
+            p = int(np.searchsorted(heads, lo, side="right")) - 1
+            first = heads[p : int(np.searchsorted(heads, hi))]
+            slots = np.repeat(first - 1, np.diff(np.maximum(first, lo), append=hi))
+            slots += self.ranks[lo:hi]
+            yield lo, hi, slots
 
     @property
     def n(self) -> int:
@@ -207,7 +286,16 @@ class SimTrace:
         return len(self.period_starts)
 
     def waits(self) -> np.ndarray:
-        return self.service_starts - self.arrivals
+        return self._waits(0)
+
+    def _waits(self, skip: int) -> np.ndarray:
+        """The waits of customers ``skip`` to ``n``, in a new array."""
+        waits = np.empty(self.n - skip)
+        for lo, hi, slots in self._chunks(skip):
+            np.subtract(
+                self.slot_starts[slots], self.arrivals[lo:hi], out=waits[lo - skip : hi - skip]
+            )
+        return waits
 
     def service_times(self) -> np.ndarray:
         return self.departures - self.service_starts
@@ -221,11 +309,11 @@ class SimTrace:
         who takes them, so every discipline's trace of a config gives the
         first-come trace's count, bitwise.
 
-        Each block's starts, in any order, and arrivals are merged by one
-        stable sort with the starts first, so a start sorts before an equal
-        arrival: slot ``k`` lands after the ``k`` starts before it and the
-        arrivals strictly before it."""
-        starts, heads, n = self.service_starts, self.period_starts, self.n
+        Each block's slot starts and arrivals are merged by one stable sort
+        with the starts first, so a start sorts before an equal arrival:
+        slot ``k`` lands after the ``k`` starts before it and the arrivals
+        strictly before it."""
+        starts, heads, n = self.slot_starts, self.period_starts, self.n
         queue = np.empty(n, dtype=_index_dtype(n))
         bounds = np.append(heads, n)
         for _, _, lo, hi in _period_blocks(bounds, _BLOCK):
@@ -257,13 +345,13 @@ def run_simulation(config: SimConfig) -> SimTrace:
     The run reuses the first-come trace of the config, discipline aside,
     while it lives, and draws one only if there is none; so callers share a
     trajectory across disciplines by holding the first-come trace, which a
-    first-come run returns.  Last-come and random-order traces place each
-    slot's times at its customer and keep no trajectory.  Deterministic:
-    equal configs give bitwise-equal traces, on a reused trajectory or a new
-    one.  The decision stream is made only when the discipline is
-    random-order: each such run takes the seed's stream at its start,
-    ``make_streams(config.seed)[2]``.  Slot ends past the float range raise
-    :class:`ConfigError`.
+    first-come run returns.  A last-come or random-order trace holds the
+    trajectory's own arrays and adds only each customer's rank within its
+    period.  Deterministic: equal configs give bitwise-equal traces, on a
+    reused trajectory or a new one.  The decision stream is made only when
+    the discipline is random-order: each such run takes the seed's stream
+    at its start, ``make_streams(config.seed)[2]``.  Slot ends past the
+    float range raise :class:`ConfigError`.
     """
     key = replace(config, discipline=Discipline.FCFS)
     trajectory = _drawn.get(key)
@@ -273,11 +361,11 @@ def run_simulation(config: SimConfig) -> SimTrace:
     if d is Discipline.FCFS:
         return trajectory
     picks = make_streams(config.seed)[2] if d is Discipline.RANDOM_ORDER else None
-    served = _slot_customers(trajectory.queue, trajectory.period_starts, picks)
-    starts = np.empty_like(trajectory.service_starts)
-    ends = np.empty_like(trajectory.departures)
-    starts[served], ends[served] = trajectory.service_starts, trajectory.departures
-    return SimTrace(trajectory.arrivals, starts, ends, trajectory.period_starts, config)
+    heads = trajectory.period_starts
+    ranks = _slot_ranks(trajectory.queue, heads, picks)
+    return SimTrace._trusted(
+        trajectory.arrivals, trajectory.slot_starts, trajectory.slot_ends, ranks, heads, config
+    )
 
 
 def _draw(config: SimConfig) -> SimTrace:
@@ -297,7 +385,7 @@ def _draw(config: SimConfig) -> SimTrace:
             f"arrival rate {config.arrival_rate!r} and service rate "
             f"{config.service_rate!r} give times beyond the float range"
         )
-    return SimTrace(arrivals, starts, ends, heads, config)
+    return SimTrace._trusted(arrivals, starts, ends, None, heads, config)
 
 
 def _compute_slots(
@@ -369,18 +457,20 @@ def _period_sums(
     return ends
 
 
-def _slot_customers(
+def _slot_ranks(
     queue: np.ndarray, heads: np.ndarray, decisions: np.random.Generator | None
-) -> np.ndarray:
-    """The customer each slot serves, from the waiters each slot finds
+) -> np.ndarray | None:
+    """Each customer's rank in its period, from the waiters each slot finds
     (counted once per trajectory): last come first when ``decisions`` is
     None, else random order, drawing one decision per slot of each block in
     turn.  Each rule sees only a block's contested slots, numbered
-    consecutively; any other slot finds just its own customer."""
+    consecutively; any other slot serves its own customer.  None when every
+    slot does."""
     n = len(queue)
-    served = np.arange(n, dtype=queue.dtype)
     bounds = np.append(heads, n)
-    for _, _, lo, hi in _period_blocks(bounds, _BLOCK):
+    ranks = np.empty(n, dtype=_rank_dtype(bounds))
+    moved = False
+    for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
         block = queue[lo:hi]
         contested = block >= 2
         contested[1:] |= block[:-1] >= 2
@@ -389,8 +479,12 @@ def _slot_customers(
             picked = _stack_match(block[slots])
         else:
             picked = _random_pick(block[slots], decisions.random(hi - lo)[slots])
-        served[lo + slots] = lo + slots[picked]
-    return served
+        own = np.arange(1, hi - lo + 1) - _heads_of(bounds[p : q + 1])
+        # Slot slots[k] serves customer slots[picked[k]].
+        own[slots[picked]] = own[slots]
+        ranks[lo:hi] = own
+        moved = moved or bool((picked != np.arange(len(picked))).any())
+    return ranks if moved else None
 
 
 def _stack_match(queue: np.ndarray) -> np.ndarray:
@@ -462,10 +556,12 @@ def _random_pick(queue: np.ndarray, decisions: np.ndarray) -> np.ndarray:
 # hold whole periods (a longer period gets one block to itself), so a
 # block's temporary arrays stay a few MB at any trace length.
 _BLOCK = 1 << 16
-# Customers per block that iterating an extracted view turns into tuples at
-# once.  A customer's Python floats and ints take about 110 bytes, so this
-# block is smaller: the numpy passes keep ``_BLOCK``, since the random-order
-# lockstep walk takes more steps over smaller blocks.
+# Customers per chunk of the passes that fill a full-length result beside
+# the trace: a trace's gathers into customer order, and the tuples that
+# iterating an extracted view builds at once.  A customer's Python floats
+# and ints take about 110 bytes, and a gathered one 16 bytes of index and
+# value, so this chunk is smaller: the other numpy passes keep ``_BLOCK``,
+# since the random-order lockstep walk takes more steps over smaller blocks.
 _TUPLE_BLOCK = 1 << 13
 
 
@@ -486,17 +582,30 @@ def _period_blocks(
         p = q
 
 
+def _heads_of(bounds: np.ndarray) -> np.ndarray:
+    """Each customer's period head over a block of whole periods with bounds
+    ``bounds``, counted from the block's first customer."""
+    return np.repeat(bounds[:-1] - bounds[0], np.diff(bounds))
+
+
+def _rank_dtype(bounds: np.ndarray) -> type[np.signedinteger]:
+    """The type of the ranks of the periods with bounds ``bounds``: int16
+    while every period is below 2**15 customers, else the run's index type."""
+    return np.int16 if np.diff(bounds).max() < 1 << 15 else _index_dtype(int(bounds[-1]))
+
+
 class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
     """Read-only sequence of the ``(BusyPeriod, Permutation)`` pairs of a
     checked trace, built on access.
 
-    Holds the trace's own arrivals and service starts, each customer's
-    1-based slot rank within its period, and the period bounds (each
-    period's first customer, then the number of customers).  A period's
-    slots are its starts placed at their ranks, rebuilt on access: for one
-    period when indexed, and when iterated for blocks of whole periods of
-    about ``_TUPLE_BLOCK`` customers, one block's tuples at a time.  A
-    pair's objects live only as long as the caller keeps them.
+    Holds the trace's own arrivals and slot starts, each customer's 1-based
+    slot rank within its period (the trace's own ranks, where it has them),
+    and the period bounds (each period's first customer, then the number of
+    customers).  A period's arrivals, slots and ranks are read off these
+    arrays on access: for one period when indexed, and when iterated for
+    blocks of whole periods of about ``_TUPLE_BLOCK`` customers, one
+    block's tuples at a time.  A pair's objects live only as long as the
+    caller keeps them.
     """
 
     # A plain class: a dataclass would add about 1 ms to importing qvar.
@@ -514,49 +623,40 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
         if isinstance(index, slice):
             return [self[p] for p in range(len(self))[index]]
         p = range(len(self))[index]
-        a, slots, ranks = self._columns(self.bounds[p], self.bounds[p + 1], -1)
+        a, slots, ranks = self._columns(self.bounds[p], self.bounds[p + 1])
         return BusyPeriod._trusted(a, slots), Permutation._trusted(ranks)
 
     def __iter__(self) -> Iterator[tuple[BusyPeriod, Permutation]]:
         # Each block's arrays become tuples once; a pair gets their slices.
         bp, perm = BusyPeriod._trusted, Permutation._trusted
         for p, q, lo, hi in _period_blocks(self.bounds, _TUPLE_BLOCK):
-            cuts = self.bounds[p : q + 1] - lo
-            shift = np.repeat(cuts[:-1] - 1, np.diff(cuts))
-            a, slots, ranks = self._columns(lo, hi, shift)
-            for i, j in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            cuts = (self.bounds[p : q + 1] - lo).tolist()
+            a, slots, ranks = self._columns(lo, hi)
+            for i, j in zip(cuts, cuts[1:]):
                 yield bp(a[i:j], slots[i:j]), perm(ranks[i:j])
             del a, slots, ranks  # before the next block's are built
 
-    def _columns(self, lo: int, hi: int, shift: np.ndarray | int) -> tuple[tuple, ...]:
-        """The arrivals, slots and ranks of customers ``[lo, hi)`` as tuples of
-        Python floats and ints: a period's slots are its starts placed at
-        their ranks, a customer's at ``shift + rank``, ``shift`` being its
-        period's head from ``lo`` less one (an int64 array over a block, ``-1``
-        for one period; the ranks are signed, so ``-1 + rank`` stays in their
-        type)."""
-        ranks = self.ranks[lo:hi]
-        slots = np.empty(hi - lo)
-        slots[shift + ranks] = self.starts[lo:hi]
-        return tuple(tuple(c.tolist()) for c in (self.arrivals[lo:hi], slots, ranks))
+    def _columns(self, lo: int, hi: int) -> tuple[tuple, ...]:
+        """The arrivals, slots and ranks of customers ``[lo, hi)`` as tuples
+        of Python floats and ints."""
+        return tuple(tuple(c[lo:hi].tolist()) for c in (self.arrivals, self.starts, self.ranks))
 
 
 def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
     """Split a trace into validated busy periods with their service orders.
 
-    Within each period the service starts are sorted into slot order, and
-    each customer is assigned the rank of its own start.  An arrival may
-    coincide with a later slot of its period; as in the simulator, that
-    slot opens first, so the customer arriving then cannot take it.  The
-    checks run as element-wise array comparisons over blocks of whole
-    periods:
+    The trajectory is checked in slot order, and each customer's rank only
+    for realizability.  An arrival may coincide with a later slot of its
+    period; as in the simulator, that slot opens first, so the customer
+    arriving then cannot take it.  The checks run as element-wise array
+    comparisons over blocks of whole periods:
 
     * work conservation, exactly: a period opens no earlier than the
       previous one ended, its first slot coincides with its opening
-      arrival, and every later slot equals the previous departure;
+      arrival, and every later slot equals the previous slot's end;
     * every :class:`BusyPeriod` invariant on the arrivals and slots;
-    * realizability: every customer but the first arrives before its own
-      service starts.
+    * realizability: every customer but the first arrives before the slot
+      its rank names starts.
 
     The first offending period, in period order, raises.  Within it the
     checks apply in the order above: overlap, first slot and idling raise
@@ -565,45 +665,41 @@ def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
     :func:`validate_busy_period`; an unrealizable order raises
     :class:`MalformedTraceError`.
 
-    The result is a lazy :class:`BusyPeriodView`: beside the trace's own
-    arrays it keeps only the ranks and the period bounds, and builds each
-    pair only when it is indexed or iterated.  A rank is a position within
-    its period, so the longest period bounds it: the ranks take 2 bytes per
+    The result is a lazy :class:`BusyPeriodView` over the trace's own
+    arrivals, slot starts and ranks, which keeps only the period bounds
+    beside them and builds each pair only when it is indexed or iterated.
+    A trace with no ranks, each customer in its own slot, gets its ranks
+    counted here, in the type :class:`SimTrace` gives ranks: 2 bytes per
     customer (int16) when every period has fewer than 2**15 customers, else
     the run's index type.
     """
     bounds = np.append(trace.period_starts, trace.n)
-    longest = int(np.diff(bounds).max())
-    dtype = np.int16 if longest < 1 << 15 else _index_dtype(trace.n)
-    ranks = np.empty(trace.n, dtype=dtype)
+    ranks = trace.ranks
+    if ranks is None:
+        ranks = np.empty(trace.n, dtype=_rank_dtype(bounds))
+        for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
+            ranks[lo:hi] = np.arange(hi - lo) - _heads_of(bounds[p : q + 1]) + 1
+        ranks.flags.writeable = False
     prev_end = -inf
     for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
-        ranks[lo:hi], prev_end = _check_block(trace, bounds[p : q + 1], prev_end)
-    ranks.flags.writeable = False
-    return BusyPeriodView(trace.arrivals, trace.service_starts, ranks, bounds)
+        prev_end = _check_block(trace, bounds[p : q + 1], ranks[lo:hi], prev_end)
+    return BusyPeriodView(trace.arrivals, trace.slot_starts, ranks, bounds)
 
 
 def _check_block(
-    trace: SimTrace, bounds: np.ndarray, prev_end: float
-) -> tuple[np.ndarray, float]:
-    """Check the periods with bounds ``bounds`` as described in
-    :func:`extract_busy_periods`, given the end of the period before them;
-    return their customers' ranks and the end of the last one."""
+    trace: SimTrace, bounds: np.ndarray, ranks: np.ndarray, prev_end: float
+) -> float:
+    """Check the periods with bounds ``bounds`` and their customers' ranks
+    as described in :func:`extract_busy_periods`, given the end of the
+    period before them; return the end of the last one."""
     lo, hi = int(bounds[0]), int(bounds[-1])
-    m = hi - lo
     heads = bounds[:-1] - lo
     sizes = np.diff(bounds)
     a = trace.arrivals[lo:hi]
-    s = trace.service_starts[lo:hi]
-    period = np.repeat(np.arange(len(heads)), sizes)
-    # Slot order: by period, then start, ties kept in customer order.
-    by_slot = np.lexsort((s, period))
-    slots = s[by_slot]
-    deps = trace.departures[lo:hi][by_slot]
-    offset = np.arange(m) - np.repeat(heads, sizes)  # position in the period
-    ranks = np.empty(m, dtype=np.int64)
-    ranks[by_slot] = offset + 1
-    later = offset > 0
+    slots = trace.slot_starts[lo:hi]
+    deps = trace.slot_ends[lo:hi]
+    head = _heads_of(bounds)
+    later = np.arange(hi - lo) > head  # not a period's first slot
 
     prev = np.concatenate(([prev_end], deps[heads[1:] - 1]))
     overlap = a[heads] < prev
@@ -615,7 +711,8 @@ def _check_block(
     broken = ~(np.isfinite(a) & np.isfinite(slots))
     broken[1:] |= later[1:] & ~((a[1:] > a[:-1]) & (slots[1:] > slots[:-1]))
     broken |= later & ~(a < slots)
-    unrealizable = later & ~(a < s)  # served before arriving
+    # Served before arriving: each customer's own slot is slot head + rank - 1.
+    unrealizable = later & ~(a < slots[head + ranks - 1])
     bad = (
         overlap
         | first
@@ -647,7 +744,7 @@ def _check_block(
             f"period opening at t={a[i]!r} serves a customer no later than "
             f"it arrives under the recorded order {tuple(ranks[i:j].tolist())}"
         )
-    return ranks, float(deps[-1])
+    return float(deps[-1])
 
 
 def per_period_wait_sums(trace: SimTrace) -> np.ndarray:
@@ -656,15 +753,15 @@ def per_period_wait_sums(trace: SimTrace) -> np.ndarray:
     Within a period the k-th smallest service start is never earlier than
     the k-th arrival, so the sorted-start-minus-arrival differences are
     small and nonnegative; summing those (instead of differencing two
-    large timestamp sums) avoids cancellation.  Traces sharing timestamps
-    but not service orders reduce in the exact same sequence and agree
-    bitwise.  Periods must not interleave, as in every work-conserving
-    trace, so that each block of whole periods can be sorted on its own.
+    large timestamp sums) avoids cancellation.  The sums read only the
+    trajectory, so traces sharing it agree bitwise whatever their ranks.
+    Periods must not interleave, as in every work-conserving trace, so that
+    each block of whole periods can be sorted on its own.
     """
     bounds = np.append(trace.period_starts, trace.n)
     sums = np.empty(trace.num_periods)
     for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
-        gaps = np.sort(trace.service_starts[lo:hi]) - trace.arrivals[lo:hi]
+        gaps = np.sort(trace.slot_starts[lo:hi]) - trace.arrivals[lo:hi]
         sums[p:q] = np.add.reduceat(gaps, bounds[p:q] - lo)
     return sums
 

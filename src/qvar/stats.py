@@ -25,7 +25,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigError, EmptyAfterWarmupError
-from .simulate import _BLOCK, SimTrace
+from .simulate import SimTrace
 
 __all__ = ["WaitStats", "compute_stats", "DEFAULT_WARMUP", "DEFAULT_BATCHES"]
 
@@ -74,19 +74,19 @@ def _batch_errors(waits: np.ndarray) -> tuple[float | None, float | None]:
     return se_mean, se_var
 
 
-def _time_average_in_system(
-    arrivals: np.ndarray, departures: np.ndarray, t0: float, t1: float
-) -> float:
+def _time_average_in_system(trace: SimTrace, t0: float, t1: float) -> float:
     """Mean of the number-in-system step function over [t0, t1].
 
     Every customer contributes the overlap of its [arrival, departure]
     interval with the window; dividing the summed overlap by the window
-    length gives the time average.
+    length gives the time average.  The overlaps are gathered a block of
+    customers at a time into one array, in customer order.
     """
-    occupied = np.minimum(departures, t1)
-    # max(arrivals, t0) a block at a time: no second full-length buffer.
-    for i in range(0, len(occupied), _BLOCK):
-        occupied[i : i + _BLOCK] -= np.maximum(arrivals[i : i + _BLOCK], t0)
+    occupied = np.empty(trace.n)
+    for lo, hi, slots in trace._chunks():
+        chunk = occupied[lo:hi]
+        np.minimum(trace.slot_ends[slots], t1, out=chunk)
+        chunk -= np.maximum(trace.arrivals[lo:hi], t0)
     np.clip(occupied, 0.0, None, out=occupied)
     return float(occupied.sum() / (t1 - t0))
 
@@ -112,7 +112,7 @@ def _wait_moments(trace: SimTrace, warmup_fraction: float) -> tuple:
     skip = int(trace.n * _check_warmup(warmup_fraction))
     if skip >= trace.n:
         raise EmptyAfterWarmupError(f"warm-up of {skip} customers leaves none of {trace.n}")
-    waits = trace.service_starts[skip:] - trace.arrivals[skip:]
+    waits = trace._waits(skip)
     var_wait = float(waits.var(ddof=1)) if len(waits) >= 2 else 0.0
     se_mean, se_var = _batch_errors(waits)
     moments = float(waits.mean()), se_mean, var_wait, se_var
@@ -142,8 +142,6 @@ def compute_stats(
     waits, mean_wait, se_mean, var_wait, se_var, frac = _wait_moments(trace, warmup_fraction)
     count = len(waits)
     skip = trace.n - count
-    starts = trace.service_starts[skip:]
-    departures = trace.departures[skip:]
 
     # Each full-length temporary is dropped after its last reader.
     positive = waits[waits > 0.0]
@@ -152,10 +150,18 @@ def compute_stats(
     second_moment = float(positive.mean()) if len(positive) else None
     del positive
     _check_finite("E[W²|W>0]", (second_moment,))
-    mean_service = float((departures - starts).mean())
+    # The retained service times, and the largest of each block's departures.
+    service = np.empty(count)
+    last = []
+    for lo, hi, slots in trace._chunks(skip):
+        ends = trace.slot_ends[slots]
+        np.subtract(ends, trace.slot_starts[slots], out=service[lo - skip : hi - skip])
+        last.append(ends.max())
+    mean_service = float(service.mean())
+    del service
 
     t0 = float(trace.arrivals[skip])
-    t1 = float(departures.max())
+    t1 = float(np.max(last))
     horizon = t1 - t0
     if horizon <= 0.0:
         # Single retained customer with zero wait; occupancy is undefined,
@@ -166,7 +172,7 @@ def compute_stats(
         # ones included, so the Little's-law comparison against
         # (retained rate) x (retained mean sojourn) stays a genuine
         # two-route check rather than an identity.
-        time_avg = _time_average_in_system(trace.arrivals, trace.departures, t0, t1)
+        time_avg = _time_average_in_system(trace, t0, t1)
         eff_rate = count / horizon
     return WaitStats(
         count=count,

@@ -603,6 +603,29 @@ def test_refusal_past_the_float_range_prints_one_line(rates):
         compute_stats(run_simulation(SimConfig(float(lam), float(mu), 1000, 1)))
 
 
+def test_spawned_compare_workers_keep_the_warning_filter():
+    # Spawned workers start afresh, not with a copy of the caller: compare
+    # hands them its filters, so numpy's warnings stay silent there too.
+    env = dict(os.environ, QVAR_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    argv = ["compare", "--lambda", "0.9e-200", "--mu", "1e-200", "--arrivals", "1000",
+            "--seeds", "1,2"]
+    script = (
+        "import multiprocessing, sys\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "from qvar import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("error: "), done.stderr
+
+
 def test_enumerate_random_max_n_capped(tmp_path, capsys):
     # Refused before any period is drawn.
     for k in ("1", "15", "100"):

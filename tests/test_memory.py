@@ -1,11 +1,14 @@
 """Traced memory of whole-trace runs, in bytes per simulated customer.
 
 Each budget is the peak that ``tracemalloc`` (which also sees numpy's
-array buffers) recorded for this run plus 10%.  The trace a run returns
-holds three float64 arrays, 24 bytes per customer; the rest of a run's
-peak is its trajectory and its per-block temporaries, which at this size
-are still a large share.  A retained budget is measured after the call, on
-what it returns, plus 10%.
+array buffers) recorded for this run plus 10%.  A trace holds its
+trajectory: the arrivals, slot starts and slot ends as float64 arrays, 24
+bytes per customer, and the period heads.  A last-come or random-order
+trace adds each customer's rank within its period, 2 bytes as int16, and
+shares the trajectory's arrays with the other traces of its config.  The
+rest of a run's peak is its trajectory and its per-block temporaries,
+which at this size are still a large share.  A retained budget is measured
+after the call, on what it returns, plus 10%.
 """
 
 import tracemalloc
@@ -32,17 +35,20 @@ RUN_BUDGET = {
     (0.5, "random"): 59.4,
 }
 STATS_BUDGET = 16.4
-# A last-come or random-order trace keeps no trajectory: three float64
-# arrays and the period heads.  Pinning the trajectory would add its slot
-# starts, slot ends and queue, 20 bytes more.
+# A lone last-come or random-order trace: the trajectory's arrays and
+# heads, and its ranks.  The first-come trace that held them is gone, and
+# with it the queue that the run counted, 4 bytes more.
 LONE_TRACE_BUDGET = 26.9
-# A first-come trace is its trajectory's arrays; the other two add their
-# starts and ends, and the trajectory keeps the queue they counted.
-SHARED_TRACES_BUDGET = 66.4
-# The ranks as int16 (every period here is far below 2**15 customers) and
-# the period bounds as int64 (about one period per 20 customers at rate
-# 0.95); the arrivals and starts are the trace's.
+# A first-come trace is its trajectory's arrays; the other two share them
+# and add their ranks, and the trajectory keeps the queue they counted.
+SHARED_TRACES_BUDGET = 35.6
+# The ranks of a first-come trace as int16 (every period here is far below
+# 2**15 customers) and the period bounds as int64 (about one period per 20
+# customers at rate 0.95); the arrivals and slot starts are the trace's.
 EXTRACT_BUDGET = 2.6
+# The three traces of one config and their extracted views: each view
+# adds its period bounds, and only the first-come one ranks of its own.
+AUDIT_BUDGET = 39.1
 # Iterating a view turns one block of whole periods (about
 # ``_TUPLE_BLOCK`` = 8,192 customers) at a time into tuples of Python floats
 # and ints.  Turning a ``_BLOCK`` of 65,536 at a time reads 36.7 and fails.
@@ -115,3 +121,19 @@ def test_live_traces_of_one_config_share_a_trajectory():
         lambda: [run_simulation(replace(CONFIG, discipline=d)) for d in disciplines]
     )
     assert kept <= SHARED_TRACES_BUDGET, kept
+
+
+def test_views_of_one_config_share_its_trajectory():
+    # The shape of a sample-path audit: every discipline's trace and view.
+    disciplines = ("fcfs", "lcfs", "random")
+    extract_busy_periods(run_simulation(replace(CONFIG, num_arrivals=1_000, discipline="random")))
+
+    def audit():
+        traces = [run_simulation(replace(CONFIG, discipline=d)) for d in disciplines]
+        return traces, [extract_busy_periods(t) for t in traces]
+
+    (traces, views), _, kept = traced(audit)
+    assert kept <= AUDIT_BUDGET, kept
+    for trace, view in zip(traces, views):
+        assert np.shares_memory(view.starts, traces[0].slot_starts)
+        assert trace.ranks is None or view.ranks is trace.ranks

@@ -586,6 +586,36 @@ def test_extract_first_offending_period_raises():
         extract_busy_periods(trace)
 
 
+@pytest.mark.parametrize("block", [1, 3, 7, None])
+@pytest.mark.parametrize("rate", [0.5, 0.95, 1.3])
+def test_constructor_ranks_equal_the_simulators(monkeypatch, rate, block):
+    # The constructor sorts each period's starts into its slots, as a
+    # read-back trace is built; on a simulated trace it recovers the ranks
+    # the simulator assigned and every per-customer array, bitwise.
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        monkeypatch.setattr(simulate, "_TUPLE_BLOCK", block)
+    fcfs = run_simulation(mm1(rate, 2_000, seed=5))
+    for d in ("fcfs", "lcfs", "random"):
+        trace = run_simulation(replace(fcfs.config, discipline=d))
+        assert trace.slot_starts is fcfs.slot_starts and trace.slot_ends is fcfs.slot_ends
+        rebuilt = SimTrace(
+            trace.arrivals, trace.service_starts, trace.departures, trace.period_starts
+        )
+        if d == "fcfs":
+            assert trace.ranks is rebuilt.ranks is None
+        else:
+            assert rebuilt.ranks.dtype == trace.ranks.dtype == np.int16, d
+            assert np.array_equal(rebuilt.ranks, trace.ranks), d
+            assert not rebuilt.ranks.flags.writeable and not trace.ranks.flags.writeable
+        for name in ("slot_starts", "slot_ends", "service_starts", "departures", "queue"):
+            got, want = getattr(rebuilt, name), getattr(trace, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (d, name)
+            assert not got.flags.writeable, (d, name)
+        assert rebuilt.waits().tobytes() == trace.waits().tobytes(), d
+        assert trace_digest(rebuilt) == trace_digest(trace), d
+
+
 def test_trace_rejects_bad_period_starts():
     # Extraction slices the trace at these indices, so an empty or
     # out-of-range period must not get that far.
@@ -1049,10 +1079,10 @@ def test_random_order_follows_its_exact_law():
     q = queue[head : head + m]
     assert (m, q.max()) == (345, 58)
     copies = 10_000
-    served = simulate._slot_customers(
+    ranks = simulate._slot_ranks(
         np.tile(q, copies), np.arange(copies) * m, np.random.default_rng(1)
     )
-    counts = np.bincount(served % m * m + np.arange(m * copies) % m, minlength=m * m)
+    counts = np.bincount(np.arange(m * copies) % m * m + ranks - 1, minlength=m * m)
     law = np.zeros((m, m))  # customer, slot
     floors = np.searchsorted(np.arange(m) + q, np.arange(m), side="right")
     for i, f in enumerate(floors):
