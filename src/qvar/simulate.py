@@ -34,9 +34,10 @@ more waiters and the slot emptying the list after them; any other slot
 serves its own customer.  Random order makes the seed's decision stream
 afresh and reads it block by block, one draw per slot, so no run keeps a
 full-length array of decisions.  Every trace holds the trajectory's arrays,
-in slot order; one that is not first-come adds only each customer's rank
-within its period.  So the runs of a config share one trajectory, buffers
-and all, while something holds its first-come trace.
+in slot order; one that is not first-come adds only each customer's slot
+offset: customer ``c`` takes slot ``c + offsets[c]``.  So the runs of a
+config share one trajectory, buffers and all, while something holds its
+first-come trace.
 """
 
 from __future__ import annotations
@@ -163,21 +164,24 @@ class SimTrace:
     The trajectory is the ``arrivals`` in customer order, ``slot_starts``
     and ``slot_ends`` in slot order (each period's services as they start),
     and ``period_starts``, the 0-based customer and slot opening each busy
-    period (always starting with 0), all float64/int64.  ``ranks`` holds
-    each customer's 1-based slot within its period: int16 while every
+    period (always starting with 0), all float64/int64.  ``offsets`` holds
+    each customer's slot less its own index: customer ``c`` takes slot ``c
+    + offsets[c]``, inside its own period.  They are int16 while every
     period has fewer than 2**15 customers, else the run's index type; None
     when every customer takes its own slot, as under first come.  Every
     array is read-only.  ``service_starts`` and ``departures`` are then each
-    customer's: the slot arrays themselves without ranks, else new arrays
+    customer's: the slot arrays themselves without offsets, else new arrays
     gathered on each access.  A customer's wait is ``service_starts -
     arrivals`` (:meth:`waits`) and its sojourn ``departures - arrivals``.
     :attr:`queue` counts the waiters each slot finds.
 
     The constructor takes per-customer times, as :func:`read_trace_jsonl`
     reads them, sorts each period's starts into its slots (ties kept in
-    customer order) with the departures alongside, and ranks each customer
-    at its own start; so ``service_starts`` and ``departures`` give back
-    the values passed, bitwise.  A first-come trace from
+    customer order) with the departures alongside, and points each
+    customer's offset at its own start; so ``service_starts`` and
+    ``departures`` give back the values passed, bitwise.  Period starts
+    that are not integers (floats, strings, bools) raise
+    :class:`MalformedTraceError`.  A first-come trace from
     :func:`run_simulation` is the config's trajectory, whose arrays its
     other disciplines' traces share while it lives.
     """
@@ -202,7 +206,7 @@ class SimTrace:
         arrivals, starts, deps = (
             np.asarray(a, dtype=np.float64) for a in (arrivals, service_starts, departures)
         )
-        heads = np.asarray(period_starts, dtype=np.int64)
+        heads = _check_heads(period_starts)
         n = len(arrivals)
         if not (len(starts) == n and len(deps) == n):
             raise MalformedTraceError("trace arrays must have equal lengths")
@@ -216,25 +220,24 @@ class SimTrace:
                 f"below {n}"
             )
         # Slot order: by period, then start, ties kept in customer order.
-        head = np.repeat(heads, np.diff(heads, append=n))
-        served = np.lexsort((starts, head))
-        ranks = None
+        served = np.lexsort((starts, np.repeat(heads, np.diff(heads, append=n))))
+        offsets = None
         if np.any(served != np.arange(n)):
-            ranks = np.empty(n, dtype=_rank_dtype(np.append(heads, n)))
-            ranks[served] = np.arange(1, n + 1) - head
+            offsets = np.empty(n, dtype=_offset_dtype(np.append(heads, n)))
+            offsets[served] = np.arange(n) - served
             starts, deps = starts[served], deps[served]
-        self._set(arrivals, starts, deps, ranks, heads, config)
+        self._set(arrivals, starts, deps, offsets, heads, config)
 
     @classmethod
     def _trusted(cls, *arrays) -> SimTrace:
         """A trace of the simulator's arrays, taken as they are: the arrivals,
-        slot starts, slot ends, ranks, period heads and the config."""
+        slot starts, slot ends, offsets, period heads and the config."""
         trace = object.__new__(cls)
         trace._set(*arrays)
         return trace
 
     def _set(self, *values) -> None:
-        names = ("arrivals", "slot_starts", "slot_ends", "ranks", "period_starts", "config")
+        names = ("arrivals", "slot_starts", "slot_ends", "offsets", "period_starts", "config")
         for name, value in zip(names, values):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -250,7 +253,7 @@ class SimTrace:
 
     def _by_customer(self, column: np.ndarray) -> np.ndarray:
         """A slot-order ``column`` in customer order, read-only."""
-        if self.ranks is None:
+        if self.offsets is None:
             return column
         out = np.empty(self.n)
         for lo, hi, slots in self._chunks():
@@ -261,21 +264,15 @@ class SimTrace:
     def _chunks(self, skip: int = 0) -> Iterator[tuple[int, int, slice | np.ndarray]]:
         """The slots of customers ``skip`` to ``n``, ``_TUPLE_BLOCK`` customers
         at a time: ``(lo, hi, slots)``, where ``slots`` indexes the slot
-        arrays at customers ``[lo, hi)`` in turn; a slice when there are no
-        ranks."""
-        heads, n = self.period_starts, self.n
+        arrays at customers ``[lo, hi)`` in turn, each customer's index plus
+        its offset; a slice when there are no offsets."""
+        n = self.n
         for lo in range(skip, n, _TUPLE_BLOCK):
             hi = min(lo + _TUPLE_BLOCK, n)
-            if self.ranks is None:
+            if self.offsets is None:
                 yield lo, hi, slice(lo, hi)
-                continue
-            # The periods meeting [lo, hi): the one holding lo, then those
-            # opening after it.
-            p = int(np.searchsorted(heads, lo, side="right")) - 1
-            first = heads[p : int(np.searchsorted(heads, hi))]
-            slots = np.repeat(first - 1, np.diff(np.maximum(first, lo), append=hi))
-            slots += self.ranks[lo:hi]
-            yield lo, hi, slots
+            else:
+                yield lo, hi, np.arange(lo, hi) + self.offsets[lo:hi]
 
     @property
     def n(self) -> int:
@@ -332,6 +329,18 @@ def _index_dtype(n: int) -> type[np.signedinteger]:
     return np.int32 if n < 1 << 31 else np.int64
 
 
+def _check_heads(period_starts) -> np.ndarray:
+    """``period_starts`` as int64, refusing any head that is not an integer
+    (floats, strings and bools) with :class:`MalformedTraceError`."""
+    if not (isinstance(period_starts, np.ndarray) and period_starts.dtype.kind in "iu"):
+        for h in period_starts:
+            if isinstance(h, (bool, np.bool_)) or not isinstance(h, (int, np.integer)):
+                raise MalformedTraceError(
+                    f"period starts must be integer customer indices, got {h!r}"
+                )
+    return np.asarray(period_starts, dtype=np.int64)
+
+
 # The first-come traces drawn by run_simulation, by config; nothing else
 # here keeps one alive.
 _drawn: weakref.WeakValueDictionary[SimConfig, SimTrace] = weakref.WeakValueDictionary()
@@ -346,9 +355,9 @@ def run_simulation(config: SimConfig) -> SimTrace:
     while it lives, and draws one only if there is none; so callers share a
     trajectory across disciplines by holding the first-come trace, which a
     first-come run returns.  A last-come or random-order trace holds the
-    trajectory's own arrays and adds only each customer's rank within its
-    period.  Deterministic: equal configs give bitwise-equal traces, on a
-    reused trajectory or a new one.  The decision stream is made only when
+    trajectory's own arrays and adds only each customer's slot offset.
+    Deterministic: equal configs give bitwise-equal traces, on a reused
+    trajectory or a new one.  The decision stream is made only when
     the discipline is random-order: each such run takes the seed's stream
     at its start, ``make_streams(config.seed)[2]``.  Slot ends past the
     float range raise :class:`ConfigError`.
@@ -362,9 +371,9 @@ def run_simulation(config: SimConfig) -> SimTrace:
         return trajectory
     picks = make_streams(config.seed)[2] if d is Discipline.RANDOM_ORDER else None
     heads = trajectory.period_starts
-    ranks = _slot_ranks(trajectory.queue, heads, picks)
+    offsets = _slot_offsets(trajectory.queue, heads, picks)
     return SimTrace._trusted(
-        trajectory.arrivals, trajectory.slot_starts, trajectory.slot_ends, ranks, heads, config
+        trajectory.arrivals, trajectory.slot_starts, trajectory.slot_ends, offsets, heads, config
     )
 
 
@@ -457,20 +466,20 @@ def _period_sums(
     return ends
 
 
-def _slot_ranks(
+def _slot_offsets(
     queue: np.ndarray, heads: np.ndarray, decisions: np.random.Generator | None
 ) -> np.ndarray | None:
-    """Each customer's rank in its period, from the waiters each slot finds
-    (counted once per trajectory): last come first when ``decisions`` is
-    None, else random order, drawing one decision per slot of each block in
-    turn.  Each rule sees only a block's contested slots, numbered
+    """Each customer's slot less its own index, from the waiters each slot
+    finds (counted once per trajectory): last come first when ``decisions``
+    is None, else random order, drawing one decision per slot of each block
+    in turn.  Each rule sees only a block's contested slots, numbered
     consecutively; any other slot serves its own customer.  None when every
     slot does."""
     n = len(queue)
     bounds = np.append(heads, n)
-    ranks = np.empty(n, dtype=_rank_dtype(bounds))
+    offsets = np.zeros(n, dtype=_offset_dtype(bounds))
     moved = False
-    for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
+    for _, _, lo, hi in _period_blocks(bounds, _BLOCK):
         block = queue[lo:hi]
         contested = block >= 2
         contested[1:] |= block[:-1] >= 2
@@ -479,12 +488,10 @@ def _slot_ranks(
             picked = _stack_match(block[slots])
         else:
             picked = _random_pick(block[slots], decisions.random(hi - lo)[slots])
-        own = np.arange(1, hi - lo + 1) - _heads_of(bounds[p : q + 1])
         # Slot slots[k] serves customer slots[picked[k]].
-        own[slots[picked]] = own[slots]
-        ranks[lo:hi] = own
+        offsets[lo + slots[picked]] = slots - slots[picked]
         moved = moved or bool((picked != np.arange(len(picked))).any())
-    return ranks if moved else None
+    return offsets if moved else None
 
 
 def _stack_match(queue: np.ndarray) -> np.ndarray:
@@ -588,9 +595,10 @@ def _heads_of(bounds: np.ndarray) -> np.ndarray:
     return np.repeat(bounds[:-1] - bounds[0], np.diff(bounds))
 
 
-def _rank_dtype(bounds: np.ndarray) -> type[np.signedinteger]:
-    """The type of the ranks of the periods with bounds ``bounds``: int16
-    while every period is below 2**15 customers, else the run's index type."""
+def _offset_dtype(bounds: np.ndarray) -> type[np.signedinteger]:
+    """The type of the slot offsets of the periods with bounds ``bounds``:
+    int16 while every period is below 2**15 customers, else the run's index
+    type."""
     return np.int16 if np.diff(bounds).max() < 1 << 15 else _index_dtype(int(bounds[-1]))
 
 
@@ -598,23 +606,26 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
     """Read-only sequence of the ``(BusyPeriod, Permutation)`` pairs of a
     checked trace, built on access.
 
-    Holds the trace's own arrivals and slot starts, each customer's 1-based
-    slot rank within its period (the trace's own ranks, where it has them),
-    and the period bounds (each period's first customer, then the number of
-    customers).  A period's arrivals, slots and ranks are read off these
-    arrays on access: for one period when indexed, and when iterated for
-    blocks of whole periods of about ``_TUPLE_BLOCK`` customers, one
-    block's tuples at a time.  A pair's objects live only as long as the
-    caller keeps them.
+    Holds the trace's own arrivals, slot starts and slot offsets (None when
+    every customer takes its own slot), and the period bounds (each
+    period's first customer, then the number of customers).  A period's
+    arrivals, slots and 1-based ranks are read off these arrays on access:
+    for one period when indexed, and when iterated for blocks of whole
+    periods of about ``_TUPLE_BLOCK`` customers, one block's tuples at a
+    time.  A pair's objects live only as long as the caller keeps them.
     """
 
     # A plain class: a dataclass would add about 1 ms to importing qvar.
-    __slots__ = ("arrivals", "starts", "ranks", "bounds")
+    __slots__ = ("arrivals", "starts", "offsets", "bounds")
 
     def __init__(
-        self, arrivals: np.ndarray, starts: np.ndarray, ranks: np.ndarray, bounds: np.ndarray
+        self,
+        arrivals: np.ndarray,
+        starts: np.ndarray,
+        offsets: np.ndarray | None,
+        bounds: np.ndarray,
     ) -> None:
-        self.arrivals, self.starts, self.ranks, self.bounds = arrivals, starts, ranks, bounds
+        self.arrivals, self.starts, self.offsets, self.bounds = arrivals, starts, offsets, bounds
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -623,7 +634,7 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
         if isinstance(index, slice):
             return [self[p] for p in range(len(self))[index]]
         p = range(len(self))[index]
-        a, slots, ranks = self._columns(self.bounds[p], self.bounds[p + 1])
+        a, slots, ranks = self._columns(p, p + 1)
         return BusyPeriod._trusted(a, slots), Permutation._trusted(ranks)
 
     def __iter__(self) -> Iterator[tuple[BusyPeriod, Permutation]]:
@@ -631,22 +642,30 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
         bp, perm = BusyPeriod._trusted, Permutation._trusted
         for p, q, lo, hi in _period_blocks(self.bounds, _TUPLE_BLOCK):
             cuts = (self.bounds[p : q + 1] - lo).tolist()
-            a, slots, ranks = self._columns(lo, hi)
+            a, slots, ranks = self._columns(p, q)
             for i, j in zip(cuts, cuts[1:]):
                 yield bp(a[i:j], slots[i:j]), perm(ranks[i:j])
             del a, slots, ranks  # before the next block's are built
 
-    def _columns(self, lo: int, hi: int) -> tuple[tuple, ...]:
-        """The arrivals, slots and ranks of customers ``[lo, hi)`` as tuples
-        of Python floats and ints."""
-        return tuple(tuple(c[lo:hi].tolist()) for c in (self.arrivals, self.starts, self.ranks))
+    def _columns(self, p: int, q: int) -> tuple[tuple, ...]:
+        """The arrivals, slots and ranks of periods ``[p, q)`` as tuples of
+        Python floats and ints: a customer's rank is its index less its
+        period's head, plus its offset, plus one."""
+        bounds = self.bounds[p : q + 1]
+        lo, hi = int(bounds[0]), int(bounds[-1])
+        ranks = np.arange(1, hi - lo + 1) - _heads_of(bounds)
+        if self.offsets is not None:
+            ranks += self.offsets[lo:hi]
+        return tuple(
+            tuple(c.tolist()) for c in (self.arrivals[lo:hi], self.starts[lo:hi], ranks)
+        )
 
 
 def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
     """Split a trace into validated busy periods with their service orders.
 
-    The trajectory is checked in slot order, and each customer's rank only
-    for realizability.  An arrival may coincide with a later slot of its
+    The trajectory is checked in slot order, and each customer's slot offset
+    only for realizability.  An arrival may coincide with a later slot of its
     period; as in the simulator, that slot opens first, so the customer
     arriving then cannot take it.  The checks run as element-wise array
     comparisons over blocks of whole periods:
@@ -656,7 +675,7 @@ def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
       arrival, and every later slot equals the previous slot's end;
     * every :class:`BusyPeriod` invariant on the arrivals and slots;
     * realizability: every customer but the first arrives before the slot
-      its rank names starts.
+      its offset names starts.
 
     The first offending period, in period order, raises.  Within it the
     checks apply in the order above: overlap, first slot and idling raise
@@ -666,40 +685,33 @@ def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
     :class:`MalformedTraceError`.
 
     The result is a lazy :class:`BusyPeriodView` over the trace's own
-    arrivals, slot starts and ranks, which keeps only the period bounds
+    arrivals, slot starts and offsets, which keeps only the period bounds
     beside them and builds each pair only when it is indexed or iterated.
-    A trace with no ranks, each customer in its own slot, gets its ranks
-    counted here, in the type :class:`SimTrace` gives ranks: 2 bytes per
-    customer (int16) when every period has fewer than 2**15 customers, else
-    the run's index type.
     """
     bounds = np.append(trace.period_starts, trace.n)
-    ranks = trace.ranks
-    if ranks is None:
-        ranks = np.empty(trace.n, dtype=_rank_dtype(bounds))
-        for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
-            ranks[lo:hi] = np.arange(hi - lo) - _heads_of(bounds[p : q + 1]) + 1
-        ranks.flags.writeable = False
+    offsets = trace.offsets
     prev_end = -inf
     for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
-        prev_end = _check_block(trace, bounds[p : q + 1], ranks[lo:hi], prev_end)
-    return BusyPeriodView(trace.arrivals, trace.slot_starts, ranks, bounds)
+        block = None if offsets is None else offsets[lo:hi]
+        prev_end = _check_block(trace, bounds[p : q + 1], block, prev_end)
+    return BusyPeriodView(trace.arrivals, trace.slot_starts, offsets, bounds)
 
 
 def _check_block(
-    trace: SimTrace, bounds: np.ndarray, ranks: np.ndarray, prev_end: float
+    trace: SimTrace, bounds: np.ndarray, offsets: np.ndarray | None, prev_end: float
 ) -> float:
-    """Check the periods with bounds ``bounds`` and their customers' ranks
-    as described in :func:`extract_busy_periods`, given the end of the
-    period before them; return the end of the last one."""
+    """Check the periods with bounds ``bounds`` and their customers' slot
+    offsets (None: each customer in its own slot) as described in
+    :func:`extract_busy_periods`, given the end of the period before them;
+    return the end of the last one."""
     lo, hi = int(bounds[0]), int(bounds[-1])
     heads = bounds[:-1] - lo
     sizes = np.diff(bounds)
     a = trace.arrivals[lo:hi]
     slots = trace.slot_starts[lo:hi]
     deps = trace.slot_ends[lo:hi]
-    head = _heads_of(bounds)
-    later = np.arange(hi - lo) > head  # not a period's first slot
+    own = np.arange(hi - lo)
+    later = own > _heads_of(bounds)  # not a period's first slot
 
     prev = np.concatenate(([prev_end], deps[heads[1:] - 1]))
     overlap = a[heads] < prev
@@ -707,17 +719,15 @@ def _check_block(
     idle = later.copy()
     idle[1:] &= slots[1:] != deps[:-1]
     # BusyPeriod invariants on arrivals and slots: finite, both strictly
-    # rising, each arrival before the slot of its rank.
+    # rising, each arrival but the first before the slot at its own index.
     broken = ~(np.isfinite(a) & np.isfinite(slots))
     broken[1:] |= later[1:] & ~((a[1:] > a[:-1]) & (slots[1:] > slots[:-1]))
     broken |= later & ~(a < slots)
-    # Served before arriving: each customer's own slot is slot head + rank - 1.
-    unrealizable = later & ~(a < slots[head + ranks - 1])
-    bad = (
-        overlap
-        | first
-        | np.logical_or.reduceat(idle | broken | unrealizable, heads)
-    )
+    # Served before arriving: each customer's slot is its index plus its
+    # offset.  In its own slot, that is the invariant just checked.
+    if offsets is not None:
+        broken |= later & ~(a < slots[own + offsets])
+    bad = overlap | first | np.logical_or.reduceat(idle | broken, heads)
     if bad.any():
         p = int(bad.argmax())
         i, j = heads[p], heads[p] + sizes[p]
@@ -740,9 +750,10 @@ def _check_block(
             )
         # Raises the broken invariant's own error, if there is one.
         validate_busy_period(a[i:j].tolist(), slots[i:j].tolist())
+        ranks = np.arange(1, j - i + 1) + offsets[i:j]
         raise MalformedTraceError(
             f"period opening at t={a[i]!r} serves a customer no later than "
-            f"it arrives under the recorded order {tuple(ranks[i:j].tolist())}"
+            f"it arrives under the recorded order {tuple(ranks.tolist())}"
         )
     return float(deps[-1])
 
@@ -754,7 +765,7 @@ def per_period_wait_sums(trace: SimTrace) -> np.ndarray:
     the k-th arrival, so the sorted-start-minus-arrival differences are
     small and nonnegative; summing those (instead of differencing two
     large timestamp sums) avoids cancellation.  The sums read only the
-    trajectory, so traces sharing it agree bitwise whatever their ranks.
+    trajectory, so traces sharing it agree bitwise whatever their offsets.
     Periods must not interleave, as in every work-conserving trace, so that
     each block of whole periods can be sorted on its own.
     """

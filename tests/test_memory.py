@@ -4,8 +4,9 @@ Each budget is the peak that ``tracemalloc`` (which also sees numpy's
 array buffers) recorded for this run plus 10%.  A trace holds its
 trajectory: the arrivals, slot starts and slot ends as float64 arrays, 24
 bytes per customer, and the period heads.  A last-come or random-order
-trace adds each customer's rank within its period, 2 bytes as int16, and
-shares the trajectory's arrays with the other traces of its config.  The
+trace adds each customer's slot offset, 2 bytes as int16, and shares the
+trajectory's arrays with the other traces of its config.  An extracted
+view keeps only its period bounds beside the trace's own arrays.  The
 rest of a run's peak is its trajectory and its per-block temporaries,
 which at this size are still a large share.  A retained budget is measured
 after the call, on what it returns, plus 10%.
@@ -36,19 +37,19 @@ RUN_BUDGET = {
 }
 STATS_BUDGET = 16.4
 # A lone last-come or random-order trace: the trajectory's arrays and
-# heads, and its ranks.  The first-come trace that held them is gone, and
+# heads, and its offsets.  The first-come trace that held them is gone, and
 # with it the queue that the run counted, 4 bytes more.
 LONE_TRACE_BUDGET = 26.9
 # A first-come trace is its trajectory's arrays; the other two share them
-# and add their ranks, and the trajectory keeps the queue they counted.
+# and add their offsets, and the trajectory keeps the queue they counted.
 SHARED_TRACES_BUDGET = 35.6
-# The ranks of a first-come trace as int16 (every period here is far below
-# 2**15 customers) and the period bounds as int64 (about one period per 20
-# customers at rate 0.95); the arrivals and slot starts are the trace's.
-EXTRACT_BUDGET = 2.6
+# The period bounds as int64 (about one period per 20 customers at rate
+# 0.95); the arrivals, slot starts and offsets (None under first come) are
+# the trace's.
+EXTRACT_BUDGET = 0.42
 # The three traces of one config and their extracted views: each view
-# adds its period bounds, and only the first-come one ranks of its own.
-AUDIT_BUDGET = 39.1
+# adds only its period bounds.
+AUDIT_BUDGET = 36.9
 # Iterating a view turns one block of whole periods (about
 # ``_TUPLE_BLOCK`` = 8,192 customers) at a time into tuples of Python floats
 # and ints.  Turning a ``_BLOCK`` of 65,536 at a time reads 36.7 and fails.
@@ -84,12 +85,16 @@ def test_whole_trace_run_stays_in_its_memory_budget(rate, discipline):
 
 
 def test_extracted_periods_keep_two_bytes_per_customer():
-    # Ranks as int16; the slots are read from the trace's own starts.
+    # A first-come view keeps no offsets; a last-come one keeps its trace's,
+    # as int16.  The slots are read from the trace's own starts.
     trace = run_simulation(replace(CONFIG, num_arrivals=20_000))
     view = extract_busy_periods(trace)
-    assert view.ranks.nbytes == 2 * 20_000
+    assert view.offsets is None
     assert np.shares_memory(view.arrivals, trace.arrivals)
     assert np.shares_memory(view.starts, trace.service_starts)
+    lcfs = run_simulation(replace(trace.config, discipline="lcfs"))
+    assert extract_busy_periods(lcfs).offsets is lcfs.offsets
+    assert lcfs.offsets.nbytes == 2 * 20_000
 
 
 def test_extraction_stays_in_its_retained_budget():
@@ -136,4 +141,4 @@ def test_views_of_one_config_share_its_trajectory():
     assert kept <= AUDIT_BUDGET, kept
     for trace, view in zip(traces, views):
         assert np.shares_memory(view.starts, traces[0].slot_starts)
-        assert trace.ranks is None or view.ranks is trace.ranks
+        assert view.offsets is trace.offsets

@@ -590,8 +590,8 @@ def test_extract_first_offending_period_raises():
 @pytest.mark.parametrize("rate", [0.5, 0.95, 1.3])
 def test_constructor_ranks_equal_the_simulators(monkeypatch, rate, block):
     # The constructor sorts each period's starts into its slots, as a
-    # read-back trace is built; on a simulated trace it recovers the ranks
-    # the simulator assigned and every per-customer array, bitwise.
+    # read-back trace is built; on a simulated trace it recovers the slot
+    # offsets the simulator assigned and every per-customer array, bitwise.
     if block is not None:
         monkeypatch.setattr(simulate, "_BLOCK", block)
         monkeypatch.setattr(simulate, "_TUPLE_BLOCK", block)
@@ -603,11 +603,11 @@ def test_constructor_ranks_equal_the_simulators(monkeypatch, rate, block):
             trace.arrivals, trace.service_starts, trace.departures, trace.period_starts
         )
         if d == "fcfs":
-            assert trace.ranks is rebuilt.ranks is None
+            assert trace.offsets is rebuilt.offsets is None
         else:
-            assert rebuilt.ranks.dtype == trace.ranks.dtype == np.int16, d
-            assert np.array_equal(rebuilt.ranks, trace.ranks), d
-            assert not rebuilt.ranks.flags.writeable and not trace.ranks.flags.writeable
+            assert rebuilt.offsets.dtype == trace.offsets.dtype == np.int16, d
+            assert np.array_equal(rebuilt.offsets, trace.offsets), d
+            assert not rebuilt.offsets.flags.writeable and not trace.offsets.flags.writeable
         for name in ("slot_starts", "slot_ends", "service_starts", "departures", "queue"):
             got, want = getattr(rebuilt, name), getattr(trace, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (d, name)
@@ -616,12 +616,51 @@ def test_constructor_ranks_equal_the_simulators(monkeypatch, rate, block):
         assert trace_digest(rebuilt) == trace_digest(trace), d
 
 
+@pytest.mark.parametrize("block", [1, 3, 7, None])
+@pytest.mark.parametrize("rate", [0.5, 0.95, 1.3])
+def test_offsets_map_each_period_onto_its_slots(monkeypatch, rate, block):
+    # Customer c takes slot c + offsets[c]: a bijection on its period's
+    # slots, at the rank of its own start among them, found independently.
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        monkeypatch.setattr(simulate, "_TUPLE_BLOCK", block)
+    fcfs = run_simulation(mm1(rate, 2_000, seed=5))
+    bounds = fcfs.period_starts.tolist() + [fcfs.n]
+    for d in ("lcfs", "random"):
+        trace = run_simulation(replace(fcfs.config, discipline=d))
+        slots = np.arange(trace.n) + trace.offsets
+        starts = trace.service_starts
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert sorted(slots[lo:hi].tolist()) == list(range(lo, hi)), (d, lo)
+            s = starts[lo:hi]
+            ranks = np.searchsorted(np.sort(s), s) + 1
+            assert np.array_equal(slots[lo:hi], lo + ranks - 1), (d, lo)
+
+
 def test_trace_rejects_bad_period_starts():
     # Extraction slices the trace at these indices, so an empty or
     # out-of-range period must not get that far.
     for heads in ([0, 2, 1], [0, 2, 2], [0, 4]):
         with pytest.raises(MalformedTraceError, match="period starts"):
             hand_trace([0, 1, 2, 3], [0, 1, 2, 3], [0.5, 1.5, 2.5, 3.5], heads)
+
+
+@pytest.mark.parametrize(
+    "heads, named",
+    [([0, 2.9], "2.9"), (["0", "2"], "'0'"), ([True, 2], "True")],
+    ids=["float", "string", "bool"],
+)
+def test_trace_refuses_heads_that_are_not_integers(heads, named):
+    # Not truncated to [0, 2], nor read as 1: each names the value refused.
+    with pytest.raises(MalformedTraceError, match=f"integer customer indices, got {named}"):
+        SimTrace([0.0, 1.0, 5.0], [0.0, 2.0, 5.0], [2.0, 3.0, 6.0], heads)
+
+
+def test_trace_takes_heads_of_any_integer_type():
+    for heads in ([0, 2], [np.int32(0), np.int64(2)], np.array([0, 2], dtype=np.uint8)):
+        trace = SimTrace([0.0, 1.0, 5.0], [0.0, 2.0, 5.0], [2.0, 3.0, 6.0], heads)
+        assert trace.period_starts.dtype == np.int64
+        assert trace.period_starts.tolist() == [0, 2]
 
 
 @given(
@@ -719,7 +758,8 @@ def test_ranks_are_int16_below_two_to_the_fifteen(longest, dtype):
         expected.append((tuple(a.tolist()), tuple(slots.tolist()), tuple(ranks.tolist())))
     assert [len(a) for a, _, _ in expected] == [5, 1, 1, 1, 1, longest, 7, 1, 1, 1]
     view = extract_busy_periods(trace)
-    assert view.ranks.dtype == dtype
+    assert view.offsets is trace.offsets
+    assert view.offsets.dtype == dtype
     assert pair_tuples(view) == expected
     assert pair_tuples([view[5], view[-1]]) == [expected[5], expected[-1]]
     assert pair_tuples(view[::-3]) == expected[::-3]
@@ -1079,10 +1119,11 @@ def test_random_order_follows_its_exact_law():
     q = queue[head : head + m]
     assert (m, q.max()) == (345, 58)
     copies = 10_000
-    ranks = simulate._slot_ranks(
+    offsets = simulate._slot_offsets(
         np.tile(q, copies), np.arange(copies) * m, np.random.default_rng(1)
     )
-    counts = np.bincount(np.arange(m * copies) % m * m + ranks - 1, minlength=m * m)
+    customers = np.arange(m * copies)
+    counts = np.bincount(customers % m * m + (customers + offsets) % m, minlength=m * m)
     law = np.zeros((m, m))  # customer, slot
     floors = np.searchsorted(np.arange(m) + q, np.arange(m), side="right")
     for i, f in enumerate(floors):
