@@ -7,9 +7,10 @@ package lets you see that from three independent directions --
 
 * a discrete-event simulator with first-come, last-come, and random-order
   disciplines sharing identical arrival/service randomness,
-* exact combinatorics on extracted busy periods (the extremes over every
-  realizable service order in exact arithmetic, a swap-by-swap descent from
-  any order to the stack order), and
+* exact combinatorics on extracted busy periods (a proof in exact
+  arithmetic that arrival order and the stack order are the extremes over
+  every realizable service order, and a swap-by-swap descent from any
+  order to the stack order), and
 * closed-form formulas for the memoryless queue to calibrate against.
 
 See the ``qvar`` command-line tool or import the pieces directly.
@@ -19,10 +20,8 @@ from .busy_period import (
     BusyPeriod,
     Permutation,
     is_realizable,
-    mean_square_wait,
     pairing_objective,
     validate_busy_period,
-    waiting_times,
 )
 from .errors import (
     ConfigError,
@@ -34,26 +33,20 @@ from .errors import (
     LengthMismatchError,
     MalformedInputError,
     MalformedTraceError,
-    NoBadPairsError,
     NotRealizableError,
     NotSortedError,
     QvarError,
     SizeMismatchError,
-    TooLargeError,
     UnstableError,
     ValidationError,
 )
 from .instances import random_busy_period, random_realizable_permutation
 from .permutations import (
-    BadPair,
     DescentStep,
     DescentTrace,
     ExtremalityReport,
-    bad_pairs,
     check_extremality,
-    descent_swap,
     descent_to_lcfs,
-    enumerate_realizable,
     fcfs_permutation,
     lcfs_permutation,
 )
@@ -97,18 +90,12 @@ __all__ = [
     "validate_busy_period",
     "is_realizable",
     "pairing_objective",
-    "waiting_times",
-    "mean_square_wait",
     # combinatorics
-    "BadPair",
     "DescentStep",
     "DescentTrace",
     "ExtremalityReport",
     "fcfs_permutation",
     "lcfs_permutation",
-    "enumerate_realizable",
-    "bad_pairs",
-    "descent_swap",
     "descent_to_lcfs",
     "check_extremality",
     # random instances
@@ -151,13 +138,11 @@ __all__ = [
     "InfeasibleError",
     "SizeMismatchError",
     "NotRealizableError",
-    "TooLargeError",
     "InvalidRateError",
     "UnstableError",
     "ConfigError",
     "MalformedInputError",
     "MalformedTraceError",
     "EmptyAfterWarmupError",
-    "NoBadPairsError",
     "ExtremalityViolationError",
 ]

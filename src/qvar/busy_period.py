@@ -64,8 +64,6 @@ __all__ = [
     "validate_busy_period",
     "is_realizable",
     "pairing_objective",
-    "waiting_times",
-    "mean_square_wait",
 ]
 
 
@@ -86,14 +84,17 @@ class BusyPeriod:
     Both sequences are strictly increasing tuples of floats of equal length
     with a shared first element; an arrival may equal a later slot, which
     it then cannot take.  See the module docstring for the full set of
-    invariants.  Instances are immutable and safe to share.
+    invariants.  Any sequences given are copied into tuples before the
+    checks, so instances are immutable, hashable and safe to share.
     """
 
     arrivals: tuple[float, ...]
     service_starts: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        a, b = self.arrivals, self.service_starts
+        a, b = tuple(self.arrivals), tuple(self.service_starts)
+        object.__setattr__(self, "arrivals", a)
+        object.__setattr__(self, "service_starts", b)
         if len(a) != len(b):
             raise LengthMismatchError(
                 f"got {len(a)} arrivals but {len(b)} service starts"
@@ -208,17 +209,20 @@ class Permutation:
     """A service order: customer ``i`` takes service slot ``mapping[i-1]``.
 
     Stored 1-based to match how positions are written in traces and proofs.
-    Construction verifies the mapping is a bijection on ``1..n``.
+    Construction copies the mapping into a tuple and verifies it is a
+    bijection on ``1..n``.
     """
 
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.mapping)
+        mapping = tuple(self.mapping)
+        object.__setattr__(self, "mapping", mapping)
+        n = len(mapping)
         if n == 0:
             raise ValidationError("a permutation needs at least one element")
         seen = [False] * n
-        for v in self.mapping:
+        for v in mapping:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValidationError(f"permutation entries must be ints, got {v!r}")
             if not 1 <= v <= n:
@@ -304,23 +308,3 @@ def pairing_objective(bp: BusyPeriod, perm: Permutation) -> float:
     _check_sizes(bp, perm)
     a, b, scale = _exact_times(bp)
     return _int_objective(a, b, perm.mapping) / (scale * scale)
-
-
-def waiting_times(bp: BusyPeriod, perm: Permutation) -> tuple[float, ...]:
-    """Per-customer waits ``b_{p(i)} - a_i``, in arrival order.
-
-    Raises :class:`NotRealizableError` for orders no discipline could produce
-    (which would imply a negative wait).
-    """
-    _require_realizable(bp, perm)
-    a, b, m = bp.arrivals, bp.service_starts, perm.mapping
-    return tuple(b[m[i] - 1] - a[i] for i in range(bp.n))
-
-
-def mean_square_wait(bp: BusyPeriod, perm: Permutation) -> float:
-    """Average of the squared waits over the period's customers."""
-    w = waiting_times(bp, perm)
-    total = 0.0
-    for x in w:
-        total += x * x
-    return total / len(w)

@@ -41,12 +41,7 @@ from .errors import (
 )
 from .analytics import compare_disciplines, csv_table
 from .instances import random_busy_period, random_realizable_permutation
-from .permutations import (
-    DEFAULT_MAX_N,
-    check_extremality,
-    descent_to_lcfs,
-    fcfs_permutation,
-)
+from .permutations import check_extremality, descent_to_lcfs, fcfs_permutation
 from .simulate import (
     Discipline,
     SimConfig,
@@ -59,6 +54,8 @@ from .variates import _check_rate, _check_seed, _check_stable
 
 __all__ = ["main", "build_parser"]
 
+# The --max-n default: --random draws periods of 2..10 customers.
+DEFAULT_MAX_N = 10
 # Largest --random period size.  The bound is the CLI's, not the exact
 # oracle's, which takes about 0.1 ms on a period of 14 customers.
 RANDOM_MAX_N = 14

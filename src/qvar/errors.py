@@ -69,10 +69,6 @@ class NotRealizableError(ValidationError):
     """
 
 
-class TooLargeError(ValidationError):
-    """A busy period has more customers than the caller's ``max_n`` allows."""
-
-
 class InvalidRateError(ValidationError):
     """A rate parameter is not a positive finite number."""
 
@@ -100,10 +96,6 @@ class MalformedTraceError(QvarError):
 
 class EmptyAfterWarmupError(QvarError):
     """Discarding the warm-up prefix left no customers to summarize."""
-
-
-class NoBadPairsError(QvarError):
-    """A descent step was requested but the service order admits no swap."""
 
 
 class ExtremalityViolationError(QvarError):

@@ -1,12 +1,12 @@
 """Random busy periods and random realizable service orders, for search.
 
-These feed the exhaustive and descent checks with instances that are
-uniform in the combinatorial sense that matters: which arrivals interleave
-with which service starts.  Timestamps are i.i.d. uniform draws, so every
-interleaving pattern of the 2(n-1) free timestamps is equally likely and
-all timestamps are distinct with probability one.  Service orders are
-uniform over the realizable orders of a period, placed from the last
-customer to the first by the rule of :mod:`qvar.permutations`.
+These feed the extremality certificate and the descent with instances
+that are uniform in the combinatorial sense that matters: which arrivals
+interleave with which service starts.  Timestamps are i.i.d. uniform
+draws, so every interleaving pattern of the 2(n-1) free timestamps is
+equally likely and all timestamps are distinct with probability one.
+Service orders are uniform over the realizable orders of a period, placed
+from the last customer to the first by the rule of :mod:`qvar.permutations`.
 """
 
 from __future__ import annotations

@@ -6,11 +6,9 @@ provides
 
 * the two closed-form extremes -- arrival order (first-come-first-served)
   and the stack order produced by last-come-first-served,
-* exhaustive enumeration of every realizable order for small periods,
-* the *bad pair* certificate and a descent that walks any order down to
-  the stack order in one pass over the slots, each swap removing an odd
-  number of bad pairs (the exchange lemma) while the objective strictly
-  falls, and
+* a descent that walks any order down to the stack order in one pass over
+  the slots, each swap removing an odd number of *bad pairs* (the exchange
+  lemma) while the objective strictly falls, and
 * :func:`check_extremality`, which proves in exact arithmetic that the
   closed forms attain the minimum and maximum over every realizable order
   -- the maximum by the rearrangement inequality, the minimum by an
@@ -21,9 +19,9 @@ Orders are grown from the last customer to the first.  Customer ``i``
 and the floors never fall, so every later customer holds a slot at or
 above ``floor_i``: whatever they took, exactly ``i + 1 - floor_i`` allowed
 slots are still free.  So every pick completes and each order is one
-sequence of picks: enumeration never reaches a dead end, a uniform pick
-per customer (the sampler in :mod:`qvar.instances`) is uniform over
-realizable orders, and the product of the counts is their number.
+sequence of picks: a uniform pick per customer (the sampler in
+:mod:`qvar.instances`) is uniform over realizable orders, and the product
+of the counts is their number.
 
 The stack order is computed by bracket matching: interleave the arrival and
 service-start timestamps on the time axis, read arrivals as ``(`` and
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -48,22 +45,14 @@ from .busy_period import (
     _int_objective,
     _require_realizable,
 )
-from .errors import (
-    ExtremalityViolationError,
-    NoBadPairsError,
-    TooLargeError,
-)
+from .errors import ExtremalityViolationError
 
 __all__ = [
-    "BadPair",
     "DescentStep",
     "DescentTrace",
     "ExtremalityReport",
     "fcfs_permutation",
     "lcfs_permutation",
-    "enumerate_realizable",
-    "bad_pairs",
-    "descent_swap",
     "descent_to_lcfs",
     "check_extremality",
 ]
@@ -116,72 +105,20 @@ def _slot_floors(bp: BusyPeriod) -> list[int]:
     return floors
 
 
-# Largest period enumerated unless the caller raises the limit: 10
-# customers have at most 9! = 362,880 realizable orders.
-DEFAULT_MAX_N = 10
+def _bad_pair_count(bp: BusyPeriod, perm: Permutation) -> int:
+    """The number of bad pairs of a realizable order.
 
-
-def enumerate_realizable(
-    bp: BusyPeriod, max_n: int = DEFAULT_MAX_N
-) -> list[Permutation]:
-    """Every realizable service order, in lexicographic mapping order.
-
-    Backtracking over customers from the last to the first by the rule of
-    the module docstring, so every branch ends in an order; the orders are
-    then sorted.  Refuses periods with more than ``max_n`` customers (the
-    count can grow factorially).
+    Customers ``i < j`` (so ``a_i < a_j``) form a bad pair when ``a_j <
+    b_{p(i)} < b_{p(j)}``: customer j was already waiting when i entered
+    service, yet i was served first.  A last-come-first-served server never
+    does this, and swapping the two slots strictly lowers the pairing
+    objective.  Raises :class:`~qvar.errors.NotRealizableError` for an
+    order no discipline could produce.  O(n**2).
     """
-    if bp.n > max_n:
-        raise TooLargeError(
-            f"refusing a busy period of {bp.n} customers "
-            f"(limit {max_n}); raise max_n explicitly if you mean it"
-        )
-    floors = _slot_floors(bp)
-    free, mapping = list(range(1, bp.n)), [1] * bp.n
-    out: list[tuple[int, ...]] = []
-
-    def place(i: int) -> None:
-        if i == 0:
-            out.append(tuple(mapping))
-            return
-        for k in range(bisect_left(free, floors[i]), len(free)):
-            j = free.pop(k)
-            mapping[i] = j + 1
-            place(i - 1)
-            free.insert(k, j)
-
-    place(bp.n - 1)
-    return [Permutation._trusted(m) for m in sorted(out)]
-
-
-@dataclass(frozen=True)
-class BadPair:
-    """Witness that a realizable order is not yet the stack order.
-
-    Customers ``i < j`` (1-based, so ``a_i < a_j``) form a bad pair when
-    ``a_j < b_{p(i)} < b_{p(j)}``: customer j was already waiting when i
-    entered service, yet i was served first.  A last-come-first-served
-    server never does this, and swapping the two slots strictly lowers the
-    pairing objective.
-    """
-
-    i: int
-    j: int
-
-
-def _bad_indices(bp: BusyPeriod, perm: Permutation) -> Iterator[tuple[int, int]]:
-    """The bad pairs of the order as 1-based ``(i, j)``, lexicographically.
-
-    Realizability is checked at the call, before the first pair is drawn."""
     _require_realizable(bp, perm)
     a, n = bp.arrivals, bp.n
     t = [bp.service_starts[m - 1] for m in perm.mapping]  # each customer's slot
-    return ((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if a[j] < t[i] < t[j])
-
-
-def bad_pairs(bp: BusyPeriod, perm: Permutation) -> list[BadPair]:
-    """All bad pairs of the order, lexicographically by (i, j)."""
-    return [BadPair(i, j) for i, j in _bad_indices(bp, perm)]
+    return sum(1 for i in range(n) for j in range(i + 1, n) if a[j] < t[i] < t[j])
 
 
 def _swaps(
@@ -214,23 +151,6 @@ def _swaps(
 def _stack_owners(bp: BusyPeriod) -> list[int]:
     """The stack order as slot -> customer (0-based)."""
     return sorted(range(bp.n), key=lcfs_permutation(bp).mapping.__getitem__)
-
-
-def descent_swap(
-    bp: BusyPeriod, perm: Permutation
-) -> tuple[Permutation, tuple[int, int]]:
-    """One descent step: swap the slots of a canonical bad pair.
-
-    Returns the new order and the swapped customers ``(i, k)``, ``i < k``.
-    The new order is realizable, its pairing objective is strictly smaller,
-    and its bad-pair count is strictly smaller.  Raises
-    :class:`NoBadPairsError` at the stack order, the one realizable order
-    with no bad pair, which admits no step.
-    """
-    _require_realizable(bp, perm)
-    for i, k, order in _swaps(perm, _stack_owners(bp)):
-        return Permutation._trusted(order), (i, k)
-    raise NoBadPairsError("the order has no bad pairs; it is already the stack order")
 
 
 @dataclass(frozen=True)
@@ -312,7 +232,7 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
     for the lemma's count and the order's copy.  The trace has one step
     per swap, each holding two full orders.
     """
-    nbad = sum(1 for _ in _bad_indices(bp, perm))  # raises NotRealizableError
+    nbad = _bad_pair_count(bp, perm)
     a, b, scale = _exact_times(bp)
     unit = scale * scale
     order, obj = perm.mapping, _int_objective(a, b, perm.mapping)

@@ -761,18 +761,17 @@ def _check_block(
 def per_period_wait_sums(trace: SimTrace) -> np.ndarray:
     """Total wait in each busy period, summed in a discipline-free order.
 
-    Within a period the k-th smallest service start is never earlier than
-    the k-th arrival, so the sorted-start-minus-arrival differences are
-    small and nonnegative; summing those (instead of differencing two
-    large timestamp sums) avoids cancellation.  The sums read only the
-    trajectory, so traces sharing it agree bitwise whatever their offsets.
-    Periods must not interleave, as in every work-conserving trace, so that
-    each block of whole periods can be sorted on its own.
+    Within a period the k-th slot, in slot order as the trace stores it,
+    never opens before the k-th arrival, so the slot-start-minus-arrival
+    differences are small and nonnegative; summing those (instead of
+    differencing two large timestamp sums) avoids cancellation.  The sums
+    read only the trajectory, so traces sharing it agree bitwise whatever
+    their offsets.
     """
     bounds = np.append(trace.period_starts, trace.n)
     sums = np.empty(trace.num_periods)
     for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
-        gaps = np.sort(trace.slot_starts[lo:hi]) - trace.arrivals[lo:hi]
+        gaps = trace.slot_starts[lo:hi] - trace.arrivals[lo:hi]
         sums[p:q] = np.add.reduceat(gaps, bounds[p:q] - lo)
     return sums
 

@@ -9,16 +9,15 @@ import math
 
 import numpy as np
 
+from brute_force import bad_pairs, enumerate_realizable
 from qvar import (
     ExtremalityViolationError,
     MM1Prediction,
     SimConfig,
-    bad_pairs,
     check_extremality,
     compare_disciplines,
     consistency_check,
     descent_to_lcfs,
-    enumerate_realizable,
     lcfs_permutation,
     mm1_predict,
     random_busy_period,

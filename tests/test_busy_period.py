@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import enumerate_realizable, mean_square_wait, waiting_times
 from qvar import (
     BusyPeriod,
     FirstServiceNotImmediateError,
@@ -19,15 +20,13 @@ from qvar import (
     Permutation,
     SizeMismatchError,
     ValidationError,
-    enumerate_realizable,
+    check_extremality,
     fcfs_permutation,
     is_realizable,
     lcfs_permutation,
-    mean_square_wait,
     pairing_objective,
     random_busy_period,
     validate_busy_period,
-    waiting_times,
 )
 
 # One busy period used throughout: three arrivals at 0,1,2 and service
@@ -71,6 +70,25 @@ def test_not_sorted():
         validate_busy_period([0, 2, 1], [0, 3, 4])
     with pytest.raises(NotSortedError):
         validate_busy_period([0, 1, 2], [0, 3, 3])
+
+
+def test_fields_are_copied_into_tuples():
+    # A list passed in and changed later cannot change the validated period.
+    arrivals, mapping = [0.0, 1.0, 2.0], [1, 3, 2]
+    bp, perm = BusyPeriod(arrivals, [0.0, 2.5, 3.0]), Permutation(mapping)
+    arrivals[2], mapping[1] = 0.5, 2
+    assert bp.arrivals == (0.0, 1.0, 2.0) and perm.mapping == (1, 3, 2)
+    assert bp == BP and hash(bp) == hash(BP)
+    assert perm == SWAPPED and hash(perm) == hash(SWAPPED)
+    with pytest.raises(TypeError):
+        bp.arrivals[2] = 0.5
+    assert check_extremality(bp).argmin == perm.mapping
+    # Arrays are copied too, so they are checked like any other sequence.
+    assert BusyPeriod(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.5, 3.0])) == BP
+    with pytest.raises(NotSortedError):
+        BusyPeriod(np.array([0.0, 2.0, 1.0]), np.array([0.0, 2.5, 3.0]))
+    with pytest.raises(ValidationError):
+        BusyPeriod(np.array([]), np.array([]))
 
 
 def test_first_service_not_immediate():

@@ -4,10 +4,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from brute_force import enumerate_realizable
 from qvar import (
     BusyPeriod,
     ConfigError,
-    enumerate_realizable,
     is_realizable,
     random_busy_period,
     random_realizable_permutation,

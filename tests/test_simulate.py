@@ -174,6 +174,9 @@ def test_per_period_wait_sums_by_blocks_equal_one_sort(monkeypatch, discipline, 
     if block is not None:
         monkeypatch.setattr(simulate, "_BLOCK", block)
     assert per_period_wait_sums(trace).tobytes() == whole.tobytes()
+    # The constructor stores each period's starts sorted, as the simulator does.
+    rebuilt = SimTrace(trace.arrivals, trace.service_starts, trace.departures, trace.period_starts)
+    assert per_period_wait_sums(rebuilt).tobytes() == whole.tobytes()
 
 
 def test_per_period_wait_sums_identical_across_disciplines():
@@ -183,6 +186,16 @@ def test_per_period_wait_sums_identical_across_disciplines():
     ]
     assert np.array_equal(sums[0], sums[1])
     assert np.array_equal(sums[0], sums[2])
+
+
+def test_per_period_wait_sums_keep_each_period_apart():
+    # The second period opens at t=2, while the first is still in service.
+    # The constructor takes the overlap, and each period sums its own waits:
+    # 0 + (5 - 1) and 0 + (3.5 - 3).
+    trace = SimTrace(
+        [0.0, 1.0, 2.0, 3.0], [0.0, 5.0, 2.0, 3.5], [5.0, 6.0, 3.5, 4.0], [0, 2]
+    )
+    assert per_period_wait_sums(trace).tolist() == [4.0, 0.5]
 
 
 def test_unstable_config_still_terminates():
