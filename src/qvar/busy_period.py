@@ -28,7 +28,7 @@ smallest second moment, and vice versa.
 Invariants enforced at construction:
 
 * equal lengths, at least one customer,
-* all timestamps finite,
+* all timestamps real numbers (not bools) and finite,
 * both sequences strictly increasing,
 * ``arrivals[0] == service_starts[0]``,
 * ``arrivals[i] < service_starts[i]`` for every later ``i`` (otherwise no
@@ -81,18 +81,20 @@ def _check_strictly_increasing(values: tuple[float, ...], label: str) -> None:
 class BusyPeriod:
     """Validated arrival and service-start times of one busy period.
 
-    Both sequences are strictly increasing tuples of floats of equal length
-    with a shared first element; an arrival may equal a later slot, which
-    it then cannot take.  See the module docstring for the full set of
-    invariants.  Any sequences given are copied into tuples before the
-    checks, so instances are immutable, hashable and safe to share.
+    Both sequences are strictly increasing tuples of real numbers of equal
+    length with a shared first element; an arrival may equal a later slot,
+    which it then cannot take.  See the module docstring for the full set
+    of invariants.  Any sequences given are copied into tuples before the
+    checks, so instances are immutable, hashable and safe to share.  A
+    field that is not a sequence, or a timestamp that is not a real number
+    (a bool included), raises :class:`MalformedInputError`.
     """
 
     arrivals: tuple[float, ...]
     service_starts: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        a, b = tuple(self.arrivals), tuple(self.service_starts)
+        a, b = _real_times(self.arrivals), _real_times(self.service_starts)
         object.__setattr__(self, "arrivals", a)
         object.__setattr__(self, "service_starts", b)
         if len(a) != len(b):
@@ -160,6 +162,21 @@ class BusyPeriod:
         return validate_busy_period(raw_a, raw_b)
 
 
+def _real_times(values: object) -> tuple:
+    """``values`` as a tuple of real numbers, refusing anything else, bools
+    and ints beyond the float range included, with :class:`MalformedInputError`."""
+    try:
+        times = tuple(values)
+        for t in times:
+            if type(t) is not float:  # else a real number, without the slow Real ABC check
+                if isinstance(t, bool) or not isinstance(t, Real):
+                    raise TypeError(f"got {t!r}")
+                float(t)  # an int beyond the float range overflows
+    except (TypeError, OverflowError) as exc:
+        raise MalformedInputError(f"timestamps must be numbers: {exc}") from None
+    return times
+
+
 def _exact_times(bp: BusyPeriod) -> tuple[list[int], list[int], int]:
     """The period's timestamps as ints over one common power of two, and that power.
 
@@ -184,24 +201,16 @@ def _int_objective(a: list[int], b: list[int], mapping: Sequence[int]) -> int:
 def validate_busy_period(
     arrivals: Sequence[float], service_starts: Sequence[float]
 ) -> BusyPeriod:
-    """Coerce two timestamp sequences into a validated :class:`BusyPeriod`.
+    """Coerce two timestamp sequences into a validated :class:`BusyPeriod`
+    of floats.
 
     A timestamp that is not a real number, or is a bool, raises
-    :class:`MalformedInputError`; else the :class:`~qvar.errors.ValidationError`
-    subclass naming the first violated invariant is raised.
+    :class:`MalformedInputError`, as in the constructor; else the
+    :class:`~qvar.errors.ValidationError` subclass naming the first violated
+    invariant is raised.
     """
-    try:
-        a, b = tuple(arrivals), tuple(service_starts)
-        for t in a + b:
-            if type(t) is float:
-                continue  # a real number, without the slow Real ABC check
-            if isinstance(t, bool) or not isinstance(t, Real):
-                raise TypeError(f"got {t!r}")
-        # float() of an int beyond the float range overflows.
-        a, b = tuple(map(float, a)), tuple(map(float, b))
-    except (TypeError, OverflowError) as exc:
-        raise MalformedInputError(f"timestamps must be numbers: {exc}") from None
-    return BusyPeriod(a, b)
+    a, b = _real_times(arrivals), _real_times(service_starts)
+    return BusyPeriod(tuple(map(float, a)), tuple(map(float, b)))
 
 
 @dataclass(frozen=True)
@@ -243,8 +252,16 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        """Arrival order on ``n`` customers.
+
+        For an int ``1 <= n < 64`` every call returns the same shared
+        instance, built at import; a longer order is built afresh on each
+        call, so the shared ones stay a few kB whatever lengths are asked for.
+        """
         if n < 1:
             raise ValidationError("a permutation needs at least one element")
+        if type(n) is int and n < len(_IDENTITIES):
+            return _IDENTITIES[n]
         return cls._trusted(tuple(range(1, n + 1)))
 
     def __len__(self) -> int:
@@ -254,14 +271,15 @@ class Permutation:
         """Slot taken by customer ``i`` (1-based)."""
         return self.mapping[i - 1]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.mapping)
-        for i, v in enumerate(self.mapping):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
-
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.mapping))
+
+
+# Arrival orders of 1 to 63 customers, shared: half the busy periods at
+# rho=0.95 hold one customer, and iterating a first-come view or taking a
+# closed form on a short period returns one of these.  Sharing every length
+# would keep O(n**2) ints alive for the longest period ever seen.
+_IDENTITIES = (None, *(Permutation._trusted(tuple(range(1, n + 1))) for n in range(1, 64)))
 
 
 def _check_sizes(bp: BusyPeriod, perm: Permutation) -> None:

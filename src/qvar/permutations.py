@@ -37,6 +37,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import mul
 
 from .busy_period import (
     BusyPeriod,
@@ -62,7 +63,9 @@ def fcfs_permutation(bp: BusyPeriod) -> Permutation:
     """Arrival order: customer ``i`` takes slot ``i``.
 
     This is the order that pairs the sorted arrivals with the sorted slots,
-    so it maximizes the pairing objective over all realizable orders.
+    so it maximizes the pairing objective over all realizable orders.  It
+    is :meth:`Permutation.identity`, so a period of fewer than 64 customers
+    gets that length's shared instance.
     """
     return Permutation.identity(bp.n)
 
@@ -70,22 +73,32 @@ def fcfs_permutation(bp: BusyPeriod) -> Permutation:
 def lcfs_permutation(bp: BusyPeriod) -> Permutation:
     """Stack order: each service slot goes to the latest-arrived waiter.
 
-    Runs the bracket matching described in the module docstring in one merge
-    pass over the two timestamp sequences: each slot after the first, in
-    time order, goes to the latest arrival still unmatched when it opens.
-    Only arrivals strictly before the slot count.  Each customer is pushed
-    and popped once, so the result is a bijection.
+    Runs the bracket matching described in the module docstring in one walk
+    over the arrivals after the first: before each arrival is pushed, every
+    slot opening no later than it is popped, each going to the latest
+    arrival still unmatched; after the last arrival the remaining slots pop
+    the rest.  A slot opening at an arrival's instant so opens first.  Each
+    customer is pushed and popped once, so the result is a bijection.
+
+    With one or two customers every realizable order is arrival order, so
+    those periods get :meth:`Permutation.identity`'s shared instance.
     """
     n = bp.n
+    if n < 3:
+        return Permutation.identity(n)
     a, b = bp.arrivals, bp.service_starts
     mapping = [1] * n
     stack: list[int] = []
-    ai = 1
-    for bi in range(1, n):
-        while ai < n and a[ai] < b[bi]:
-            stack.append(ai)
-            ai += 1
-        mapping[stack.pop()] = bi + 1
+    push, pop = stack.append, stack.pop
+    j = 1  # the next slot to open, 0-based; j < i, as a[i] < b[i]
+    for i in range(1, n):
+        t = a[i]
+        while b[j] <= t:
+            j += 1
+            mapping[pop()] = j
+        push(i)
+    for j in range(j + 1, n + 1):
+        mapping[pop()] = j
     return Permutation._trusted(tuple(mapping))
 
 
@@ -342,7 +355,7 @@ def check_extremality(bp: BusyPeriod) -> ExtremalityReport:
     a, b, scale = _exact_times(bp)
     # int / int is correctly rounded, so the two floats keep their order.
     unit = scale * scale
-    arrival = _int_objective(a, b, range(1, n + 1))
+    arrival = sum(map(mul, a, b))  # _int_objective of arrival order
     for k in range(1, n):
         if not (a[k - 1] < a[k] and b[k - 1] < b[k]):
             swapped = (*range(1, k), k + 1, k, *range(k + 2, n + 1))
@@ -361,10 +374,15 @@ def check_extremality(bp: BusyPeriod) -> ExtremalityReport:
             f"{_int_objective(a, b, better) / unit!r}; stack order is not the "
             f"minimizer on {bp.to_dict()}"
         )
-    return ExtremalityReport(
+    # Filled past the frozen guard, as BusyPeriod._trusted is: the dataclass
+    # __init__ sets each field through object.__setattr__, which costs more
+    # than twice as much per report.
+    report = object.__new__(ExtremalityReport)
+    report.__dict__.update(
         num_realizable=math.prod(i + 1 - floors[i] for i in range(1, n)),
         min_objective=stacked / unit,
         max_objective=arrival / unit,
         argmin=stack,
-        argmax=tuple(range(1, n + 1)),
+        argmax=Permutation.identity(n).mapping,
     )
+    return report

@@ -180,7 +180,8 @@ class SimTrace:
     customer order) with the departures alongside, and points each
     customer's offset at its own start; so ``service_starts`` and
     ``departures`` give back the values passed, bitwise.  Period starts
-    that are not integers (floats, strings, bools) raise
+    that are not integers (floats, strings, bools), and a period opening
+    before the previous period's last slot (by start) ends, raise
     :class:`MalformedTraceError`.  A first-come trace from
     :func:`run_simulation` is the config's trajectory, whose arrays its
     other disciplines' traces share while it lives.
@@ -226,6 +227,14 @@ class SimTrace:
             offsets = np.empty(n, dtype=_offset_dtype(np.append(heads, n)))
             offsets[served] = np.arange(n) - served
             starts, deps = starts[served], deps[served]
+        ends = deps[heads[1:] - 1]
+        overlap = arrivals[heads[1:]] < ends
+        if overlap.any():
+            p = int(overlap.argmax())
+            raise MalformedTraceError(
+                f"busy period opening at t={float(arrivals[heads[p + 1]])!r} overlaps "
+                f"the previous period ending at t={float(ends[p])!r}"
+            )
         self._set(arrivals, starts, deps, offsets, heads, config)
 
     @classmethod
@@ -612,7 +621,10 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
     arrivals, slots and 1-based ranks are read off these arrays on access:
     for one period when indexed, and when iterated for blocks of whole
     periods of about ``_TUPLE_BLOCK`` customers, one block's tuples at a
-    time.  A pair's objects live only as long as the caller keeps them.
+    time.  Without offsets every order is arrival order: no ranks are read,
+    and each pair holds :meth:`Permutation.identity`, shared for periods of
+    fewer than 64 customers.  A period's objects live only as long as the
+    caller keeps them.
     """
 
     # A plain class: a dataclass would add about 1 ms to importing qvar.
@@ -635,30 +647,36 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
             return [self[p] for p in range(len(self))[index]]
         p = range(len(self))[index]
         a, slots, ranks = self._columns(p, p + 1)
-        return BusyPeriod._trusted(a, slots), Permutation._trusted(ranks)
+        perm = Permutation.identity(len(a)) if ranks is None else Permutation._trusted(ranks)
+        return BusyPeriod._trusted(a, slots), perm
 
     def __iter__(self) -> Iterator[tuple[BusyPeriod, Permutation]]:
         # Each block's arrays become tuples once; a pair gets their slices.
-        bp, perm = BusyPeriod._trusted, Permutation._trusted
+        bp, perm, identity = BusyPeriod._trusted, Permutation._trusted, Permutation.identity
         for p, q, lo, hi in _period_blocks(self.bounds, _TUPLE_BLOCK):
             cuts = (self.bounds[p : q + 1] - lo).tolist()
             a, slots, ranks = self._columns(p, q)
-            for i, j in zip(cuts, cuts[1:]):
-                yield bp(a[i:j], slots[i:j]), perm(ranks[i:j])
+            if ranks is None:
+                for i, j in zip(cuts, cuts[1:]):
+                    yield bp(a[i:j], slots[i:j]), identity(j - i)
+            else:
+                for i, j in zip(cuts, cuts[1:]):
+                    yield bp(a[i:j], slots[i:j]), perm(ranks[i:j])
             del a, slots, ranks  # before the next block's are built
 
-    def _columns(self, p: int, q: int) -> tuple[tuple, ...]:
+    def _columns(self, p: int, q: int) -> tuple[tuple, tuple, tuple | None]:
         """The arrivals, slots and ranks of periods ``[p, q)`` as tuples of
         Python floats and ints: a customer's rank is its index less its
-        period's head, plus its offset, plus one."""
+        period's head, plus its offset, plus one.  Without offsets the ranks
+        are None."""
         bounds = self.bounds[p : q + 1]
         lo, hi = int(bounds[0]), int(bounds[-1])
+        a, slots = tuple(self.arrivals[lo:hi].tolist()), tuple(self.starts[lo:hi].tolist())
+        if self.offsets is None:
+            return a, slots, None
         ranks = np.arange(1, hi - lo + 1) - _heads_of(bounds)
-        if self.offsets is not None:
-            ranks += self.offsets[lo:hi]
-        return tuple(
-            tuple(c.tolist()) for c in (self.arrivals[lo:hi], self.starts[lo:hi], ranks)
-        )
+        ranks += self.offsets[lo:hi]
+        return a, slots, tuple(ranks.tolist())
 
 
 def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
@@ -804,7 +822,10 @@ def read_trace_jsonl(path: str | Path) -> SimTrace:
     ``service_start == arrival``.  In a simulated trace it holds exactly for
     the customers who open a period: every other slot serves someone who
     arrived strictly before it opened, since a customer arriving at the
-    instant a slot opens waits for a later one.
+    instant a slot opens waits for a later one.  A file that is not such a
+    record raises :class:`MalformedInputError`; one whose periods overlap
+    in time, :class:`MalformedTraceError` from the :class:`SimTrace`
+    constructor.
     """
     arrivals: list[float] = []
     starts: list[float] = []

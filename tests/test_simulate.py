@@ -189,13 +189,36 @@ def test_per_period_wait_sums_identical_across_disciplines():
 
 
 def test_per_period_wait_sums_keep_each_period_apart():
-    # The second period opens at t=2, while the first is still in service.
-    # The constructor takes the overlap, and each period sums its own waits:
-    # 0 + (5 - 1) and 0 + (3.5 - 3).
+    # A second period opening at t=2, while the first is in service until
+    # t=6, is refused; opening at t=6, as the first ends, each period sums
+    # its own waits: 0 + (5 - 1) and 0 + (6.5 - 6).
+    with pytest.raises(MalformedTraceError, match="overlaps the previous period"):
+        SimTrace([0.0, 1.0, 2.0, 3.0], [0.0, 5.0, 2.0, 3.5], [5.0, 6.0, 3.5, 4.0], [0, 2])
     trace = SimTrace(
-        [0.0, 1.0, 2.0, 3.0], [0.0, 5.0, 2.0, 3.5], [5.0, 6.0, 3.5, 4.0], [0, 2]
+        [0.0, 1.0, 6.0, 7.0], [0.0, 5.0, 6.0, 7.5], [5.0, 6.0, 7.5, 8.0], [0, 2]
     )
     assert per_period_wait_sums(trace).tolist() == [4.0, 0.5]
+
+
+def test_trace_refuses_overlapping_periods(tmp_path):
+    # A period's end is its last slot's end, the slots sorted by start:
+    # customer 2's slot starts last and ends at 7, after customer 3 arrives.
+    arrays = ([0.0, 1.0, 6.5], [0.0, 5.0, 6.5], [5.0, 7.0, 8.0])
+    with pytest.raises(MalformedTraceError, match=r"at t=6\.5 overlaps .* ending at t=7\.0"):
+        SimTrace(*arrays, [0, 2])
+    # Read back, customer 3's zero wait opens the overlapping period.
+    path = tmp_path / "overlap.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"customer": c, "arrival": a, "service_start": s, "departure": d}) + "\n"
+            for c, (a, s, d) in enumerate(zip(*arrays), start=1)
+        )
+    )
+    with pytest.raises(MalformedTraceError, match="overlaps"):
+        read_trace_jsonl(path)
+    # A period opening as the previous one ends does not overlap it.
+    trace = SimTrace([0.0, 1.0, 7.0], [0.0, 5.0, 7.0], [5.0, 7.0, 8.0], [0, 2])
+    assert trace.num_periods == 2
 
 
 def test_unstable_config_still_terminates():
@@ -548,7 +571,8 @@ def hand_trace(arrivals, starts, departures, period_starts=(0,)):
 
 # One hand-built trace per way extraction can fail, in the order the checks
 # apply within a period; each trace is (arrivals, service starts,
-# departures[, period starts]).
+# departures[, period starts]).  The constructor refuses the overlap before
+# extraction sees it.
 TAMPERED = {
     "overlap": (([0, 1], [0, 1], [2, 3], [0, 1]), MalformedTraceError, "overlaps"),
     "first-slot": (([0, 1], [0.5, 2], [2, 3]), MalformedTraceError, "does not coincide"),
@@ -587,12 +611,13 @@ def test_extract_accepts_an_arrival_at_a_slot_instant():
 
 
 def test_extract_first_offending_period_raises():
-    # Period 2 is unrealizable, the last check; period 3 overlaps it, the
-    # first check.  Period order decides.
+    # Period 2 is unrealizable, the last check; period 3's first slot does
+    # not coincide with its opening arrival, an earlier check.  Period order
+    # decides.
     trace = hand_trace(
-        [0, 10, 11, 12, 13],
-        [0, 10, 12.5, 11.5, 13],
-        [1, 11.5, 13.5, 12.5, 14],
+        [0, 10, 11, 12, 13.5],
+        [0, 10, 12.5, 11.5, 14],
+        [1, 11.5, 13.5, 12.5, 15],
         [0, 1, 4],
     )
     with pytest.raises(MalformedTraceError, match="no later than it arrives"):
@@ -780,14 +805,34 @@ def test_ranks_are_int16_below_two_to_the_fifteen(longest, dtype):
 
 def test_extract_overlap_found_across_blocks(monkeypatch):
     # Ten one-customer periods; customer 5 is still in service when 6 arrives.
+    # The constructor refuses that trace, so it is built as the simulator
+    # builds its own, and extraction still finds the overlap.
     trace = run_simulation(det_config(2.0, 1.0, 10))
     deps = trace.departures.copy()
     deps[4] = trace.arrivals[5] + 0.5
-    tampered = hand_trace(trace.arrivals, trace.service_starts, deps, trace.period_starts)
+    with pytest.raises(MalformedTraceError, match="overlaps"):
+        hand_trace(trace.arrivals, trace.service_starts, deps, trace.period_starts)
+    tampered = SimTrace._trusted(
+        trace.arrivals, trace.slot_starts, deps, None, trace.period_starts, None
+    )
     for block in (1, 2, 5, 10):
         monkeypatch.setattr(simulate, "_BLOCK", block)
         with pytest.raises(MalformedTraceError, match="overlaps"):
             extract_busy_periods(tampered)
+
+
+def test_first_come_view_yields_arrival_order():
+    # A first-come view reads no ranks: every pair holds arrival order, by
+    # iteration and by index, the shared instance below 64 customers.
+    view = extract_busy_periods(run_simulation(mm1(0.95, 20_000, seed=3)))
+    assert view.offsets is None
+    sizes = []
+    for k, (bp, perm) in enumerate(view):
+        assert perm == fcfs_permutation(bp), k
+        assert (perm is fcfs_permutation(bp)) == (bp.n < 64), k
+        assert view[k][1] == perm, k
+        sizes.append(bp.n)
+    assert min(sizes) == 1 and max(sizes) >= 64
 
 
 def test_extract_view_is_a_sequence():
