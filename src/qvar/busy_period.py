@@ -88,15 +88,29 @@ class BusyPeriod:
     checks, so instances are immutable, hashable and safe to share.  A
     field that is not a sequence, or a timestamp that is not a real number
     (a bool included), raises :class:`MalformedInputError`.
+
+    A period that a first-come :class:`~qvar.simulate.BusyPeriodView`
+    hands out reads its times on first use: until then it holds only its
+    trace's arrival and slot arrays and its own bounds, and answers ``n``
+    from the bounds.  The first read of either field builds both tuples,
+    keeps them and drops the arrays.  So an unread period keeps its trace's
+    arrays alive, and a period that has been read does not.  Either way it
+    is the same value: it compares, hashes, prints and pickles as the
+    period built from its times.
     """
+
+    # The two fields, the customer count, and while a window is unread its
+    # trace's (arrivals, slot starts) pair and its first customer there.
+    __slots__ = ("arrivals", "service_starts", "n", "_trace", "_lo")
 
     arrivals: tuple[float, ...]
     service_starts: tuple[float, ...]
 
     def __post_init__(self) -> None:
         a, b = _real_times(self.arrivals), _real_times(self.service_starts)
-        object.__setattr__(self, "arrivals", a)
-        object.__setattr__(self, "service_starts", b)
+        _set_arrivals(self, a)
+        _set_starts(self, b)
+        _set_n(self, len(a))
         if len(a) != len(b):
             raise LengthMismatchError(
                 f"got {len(a)} arrivals but {len(b)} service starts"
@@ -129,13 +143,38 @@ class BusyPeriod:
         arrays; anything else goes through the constructor.
         """
         bp = object.__new__(cls)
-        fields = bp.__dict__  # past the frozen guard, cheaper than object.__setattr__
-        fields["arrivals"], fields["service_starts"] = arrivals, service_starts
+        _set_arrivals(bp, arrivals)
+        _set_starts(bp, service_starts)
+        _set_n(bp, len(arrivals))
         return bp
 
-    @property
-    def n(self) -> int:
-        return len(self.arrivals)
+    @classmethod
+    def _window(cls, trace: tuple, lo: int, hi: int) -> "BusyPeriod":
+        """The period of customers ``[lo, hi)`` of ``trace``, an (arrivals,
+        slot starts) pair of float arrays, read on first use; same contract
+        as :meth:`_trusted`."""
+        bp = object.__new__(cls)
+        _set_trace(bp, trace)
+        _set_lo(bp, lo)
+        _set_n(bp, hi - lo)
+        return bp
+
+    def __getattr__(self, name: str):
+        # Called only for an attribute that is not set: the times of a
+        # window not yet read, else a name the instance lacks.
+        if name in ("arrivals", "service_starts") and self._trace is not None:
+            arrivals, starts = self._trace
+            lo = self._lo
+            hi = lo + self.n
+            # Both fields before the arrays go, for a thread reading alongside.
+            _set_arrivals(self, tuple(arrivals[lo:hi].tolist()))
+            _set_starts(self, tuple(starts[lo:hi].tolist()))
+            _set_trace(self, None)
+        return object.__getattribute__(self, name)
+
+    def __reduce__(self):
+        # Frozen and without a __dict__: pickled and copied as its times.
+        return type(self), (self.arrivals, self.service_starts)
 
     def to_dict(self) -> dict[str, list[float]]:
         """JSON-friendly form: ``{"arrivals": [...], "service_starts": [...]}``."""
@@ -160,6 +199,12 @@ class BusyPeriod:
             if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
                 raise MalformedInputError(f"{key!r} must be an array of numbers")
         return validate_busy_period(raw_a, raw_b)
+
+
+# Slot setters past the frozen guard, for the construction paths above.
+_set_arrivals, _set_starts, _set_n, _set_trace, _set_lo = (
+    getattr(BusyPeriod, name).__set__ for name in BusyPeriod.__slots__
+)
 
 
 def _real_times(values: object) -> tuple:
@@ -213,7 +258,7 @@ def validate_busy_period(
     return BusyPeriod(tuple(map(float, a)), tuple(map(float, b)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A service order: customer ``i`` takes service slot ``mapping[i-1]``.
 
@@ -247,7 +292,7 @@ class Permutation:
         """Build without checking that ``mapping`` is a bijection on ``1..n``;
         same contract as :meth:`BusyPeriod._trusted`."""
         perm = object.__new__(cls)
-        perm.__dict__["mapping"] = mapping
+        _set_mapping(perm, mapping)
         return perm
 
     @classmethod
@@ -274,6 +319,8 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.mapping))
 
+
+_set_mapping = Permutation.mapping.__set__
 
 # Arrival orders of 1 to 63 customers, shared: half the busy periods at
 # rho=0.95 hold one customer, and iterating a first-come view or taking a

@@ -263,7 +263,7 @@ def descent_to_lcfs(bp: BusyPeriod, perm: Permutation) -> DescentTrace:
     return DescentTrace(start=perm.mapping, final=order, steps=tuple(steps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtremalityReport:
     """Result of checking one busy period exactly.
 
@@ -346,7 +346,9 @@ def check_extremality(bp: BusyPeriod) -> ExtremalityReport:
     by the duality certificate of :func:`_improvement`, which does not use
     the bracket matching it audits, at any length.  ``num_realizable`` is
     the product of the counts ``i + 1 - floor_i`` of the last-to-first
-    rule in the module docstring.  Raises
+    rule in the module docstring.  When that product is 1 (every floor is
+    its own customer's slot) and the stack order is arrival order, the one
+    realizable order attains both extremes and needs no certificate.  Raises
     :class:`ExtremalityViolationError`, naming a strictly better order, on
     any violation -- a counterexample to the theorem, not a data problem.
     """
@@ -365,24 +367,20 @@ def check_extremality(bp: BusyPeriod) -> ExtremalityReport:
                 f"{(arrival + gain) / unit!r}; arrival order is not the maximizer "
                 f"on {bp.to_dict()}"
             )
+    count = math.prod(i + 1 - floors[i] for i in range(1, n))
+    arrival_order = Permutation.identity(n).mapping
     stack = lcfs_permutation(bp).mapping
-    stacked = _int_objective(a, b, stack)
-    better = _improvement(floors, a, b, stack)
-    if better is not None:
-        raise ExtremalityViolationError(
-            f"stack order scores {stacked / unit!r} but {better} scores "
-            f"{_int_objective(a, b, better) / unit!r}; stack order is not the "
-            f"minimizer on {bp.to_dict()}"
-        )
-    # Filled past the frozen guard, as BusyPeriod._trusted is: the dataclass
-    # __init__ sets each field through object.__setattr__, which costs more
-    # than twice as much per report.
-    report = object.__new__(ExtremalityReport)
-    report.__dict__.update(
-        num_realizable=math.prod(i + 1 - floors[i] for i in range(1, n)),
-        min_objective=stacked / unit,
-        max_objective=arrival / unit,
-        argmin=stack,
-        argmax=Permutation.identity(n).mapping,
-    )
-    return report
+    if count == 1 and stack == arrival_order:
+        # Every customer's floor is its own slot: arrival order is the only
+        # realizable order, and the stack order is it.
+        stacked = arrival
+    else:
+        stacked = _int_objective(a, b, stack)
+        better = _improvement(floors, a, b, stack)
+        if better is not None:
+            raise ExtremalityViolationError(
+                f"stack order scores {stacked / unit!r} but {better} scores "
+                f"{_int_objective(a, b, better) / unit!r}; stack order is not the "
+                f"minimizer on {bp.to_dict()}"
+            )
+    return ExtremalityReport(count, stacked / unit, arrival / unit, stack, arrival_order)

@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .busy_period import BusyPeriod, Permutation, validate_busy_period
+from .busy_period import _IDENTITIES, BusyPeriod, Permutation, validate_busy_period
 from .errors import ConfigError, MalformedInputError, MalformedTraceError
 from .variates import (
     Distribution,
@@ -617,13 +617,16 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
 
     Holds the trace's own arrivals, slot starts and slot offsets (None when
     every customer takes its own slot), and the period bounds (each
-    period's first customer, then the number of customers).  A period's
-    arrivals, slots and 1-based ranks are read off these arrays on access:
-    for one period when indexed, and when iterated for blocks of whole
-    periods of about ``_TUPLE_BLOCK`` customers, one block's tuples at a
-    time.  Without offsets every order is arrival order: no ranks are read,
-    and each pair holds :meth:`Permutation.identity`, shared for periods of
-    fewer than 64 customers.  A period's objects live only as long as the
+    period's first customer, then the number of customers).  Without
+    offsets every order is arrival order: no ranks are read, each pair
+    holds :meth:`Permutation.identity`, shared for periods of fewer than
+    64 customers, and each period reads its times on first use (see
+    :class:`BusyPeriod`).  Such a period keeps the trace's arrivals and
+    slot starts alive until its times are read, and not after.  With
+    offsets, a period's arrivals, slots and 1-based ranks are read off the
+    arrays on access: for one period when indexed, and when iterated for
+    blocks of whole periods of about ``_TUPLE_BLOCK`` customers, one
+    block's tuples at a time.  A period's objects live only as long as the
     caller keeps them.
     """
 
@@ -646,37 +649,47 @@ class BusyPeriodView(Sequence[tuple[BusyPeriod, Permutation]]):
         if isinstance(index, slice):
             return [self[p] for p in range(len(self))[index]]
         p = range(len(self))[index]
+        if self.offsets is None:
+            lo, hi = self.bounds[p : p + 2].tolist()
+            window = BusyPeriod._window((self.arrivals, self.starts), lo, hi)
+            return window, Permutation.identity(hi - lo)
         a, slots, ranks = self._columns(p, p + 1)
-        perm = Permutation.identity(len(a)) if ranks is None else Permutation._trusted(ranks)
-        return BusyPeriod._trusted(a, slots), perm
+        return BusyPeriod._trusted(a, slots), Permutation._trusted(ranks)
 
     def __iter__(self) -> Iterator[tuple[BusyPeriod, Permutation]]:
+        if self.offsets is None:
+            # Windows onto the trace, with the shared arrival orders.
+            window, trace = BusyPeriod._window, (self.arrivals, self.starts)
+            shared, identity = _IDENTITIES, Permutation.identity
+            cap = len(shared)
+            for p, q, _, _ in _period_blocks(self.bounds, _TUPLE_BLOCK):
+                cuts = self.bounds[p : q + 1].tolist()
+                for lo, hi in zip(cuts, cuts[1:]):
+                    m = hi - lo
+                    yield window(trace, lo, hi), shared[m] if m < cap else identity(m)
+            return
         # Each block's arrays become tuples once; a pair gets their slices.
-        bp, perm, identity = BusyPeriod._trusted, Permutation._trusted, Permutation.identity
-        for p, q, lo, hi in _period_blocks(self.bounds, _TUPLE_BLOCK):
+        bp, perm = BusyPeriod._trusted, Permutation._trusted
+        for p, q, lo, _ in _period_blocks(self.bounds, _TUPLE_BLOCK):
             cuts = (self.bounds[p : q + 1] - lo).tolist()
             a, slots, ranks = self._columns(p, q)
-            if ranks is None:
-                for i, j in zip(cuts, cuts[1:]):
-                    yield bp(a[i:j], slots[i:j]), identity(j - i)
-            else:
-                for i, j in zip(cuts, cuts[1:]):
-                    yield bp(a[i:j], slots[i:j]), perm(ranks[i:j])
+            for i, j in zip(cuts, cuts[1:]):
+                yield bp(a[i:j], slots[i:j]), perm(ranks[i:j])
             del a, slots, ranks  # before the next block's are built
 
-    def _columns(self, p: int, q: int) -> tuple[tuple, tuple, tuple | None]:
+    def _columns(self, p: int, q: int) -> tuple[tuple, tuple, tuple]:
         """The arrivals, slots and ranks of periods ``[p, q)`` as tuples of
         Python floats and ints: a customer's rank is its index less its
-        period's head, plus its offset, plus one.  Without offsets the ranks
-        are None."""
+        period's head, plus its offset, plus one."""
         bounds = self.bounds[p : q + 1]
         lo, hi = int(bounds[0]), int(bounds[-1])
-        a, slots = tuple(self.arrivals[lo:hi].tolist()), tuple(self.starts[lo:hi].tolist())
-        if self.offsets is None:
-            return a, slots, None
         ranks = np.arange(1, hi - lo + 1) - _heads_of(bounds)
         ranks += self.offsets[lo:hi]
-        return a, slots, tuple(ranks.tolist())
+        return (
+            tuple(self.arrivals[lo:hi].tolist()),
+            tuple(self.starts[lo:hi].tolist()),
+            tuple(ranks.tolist()),
+        )
 
 
 def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
@@ -702,17 +715,51 @@ def extract_busy_periods(trace: SimTrace) -> BusyPeriodView:
     :func:`validate_busy_period`; an unrealizable order raises
     :class:`MalformedTraceError`.
 
+    Extraction trusts read-only arrays it has already checked, as
+    :attr:`SimTrace.queue` does: once a trace holding a live first-come
+    trace's four trajectory arrays (arrivals, slot starts, slot ends,
+    period starts) has passed, a later trace holding those same four
+    objects gets only the realizability check of its offsets.  What it
+    remembers is that first-come trace, weakly, so nothing is kept alive.
+
     The result is a lazy :class:`BusyPeriodView` over the trace's own
     arrivals, slot starts and offsets, which keeps only the period bounds
     beside them and builds each pair only when it is indexed or iterated.
     """
     bounds = np.append(trace.period_starts, trace.n)
     offsets = trace.offsets
-    prev_end = -inf
-    for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
-        block = None if offsets is None else offsets[lo:hi]
-        prev_end = _check_block(trace, bounds[p : q + 1], block, prev_end)
+    trajectory = _trajectory_of(trace)
+    if trajectory in _checked:
+        if offsets is not None:
+            for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
+                _check_offsets(trace, bounds[p : q + 1], offsets[lo:hi])
+    else:
+        prev_end = -inf
+        for p, q, lo, hi in _period_blocks(bounds, _BLOCK):
+            block = None if offsets is None else offsets[lo:hi]
+            prev_end = _check_block(trace, bounds[p : q + 1], block, prev_end)
+        if trajectory is not None:
+            _checked.add(trajectory)
     return BusyPeriodView(trace.arrivals, trace.slot_starts, offsets, bounds)
+
+
+# First-come traces whose trajectory extraction has checked; held weakly,
+# as :data:`_drawn` holds them.
+_checked: weakref.WeakSet[SimTrace] = weakref.WeakSet()
+
+
+def _trajectory_of(trace: SimTrace) -> SimTrace | None:
+    """The live first-come trace of ``trace``'s config whose four trajectory
+    arrays ``trace`` holds, the very objects; else None."""
+    if trace.config is None:
+        return None
+    held = _drawn.get(replace(trace.config, discipline=Discipline.FCFS))
+    if held is None or not all(
+        getattr(held, name) is getattr(trace, name)
+        for name in ("arrivals", "slot_starts", "slot_ends", "period_starts")
+    ):
+        return None
+    return held
 
 
 def _check_block(
@@ -768,12 +815,31 @@ def _check_block(
             )
         # Raises the broken invariant's own error, if there is one.
         validate_busy_period(a[i:j].tolist(), slots[i:j].tolist())
-        ranks = np.arange(1, j - i + 1) + offsets[i:j]
-        raise MalformedTraceError(
-            f"period opening at t={a[i]!r} serves a customer no later than "
-            f"it arrives under the recorded order {tuple(ranks.tolist())}"
-        )
+        raise _unrealizable(a[i], offsets[i:j])
     return float(deps[-1])
+
+
+def _check_offsets(trace: SimTrace, bounds: np.ndarray, offsets: np.ndarray) -> None:
+    """The realizability check of :func:`_check_block` alone, for the periods
+    with bounds ``bounds`` of a trajectory already checked."""
+    lo, hi = int(bounds[0]), int(bounds[-1])
+    a = trace.arrivals[lo:hi]
+    own = np.arange(hi - lo)
+    late = (own > _heads_of(bounds)) & ~(a < trace.slot_starts[lo:hi][own + offsets])
+    if late.any():
+        p = int(np.searchsorted(bounds, lo + int(late.argmax()), side="right")) - 1
+        i, j = int(bounds[p]) - lo, int(bounds[p + 1]) - lo
+        raise _unrealizable(a[i], offsets[i:j])
+
+
+def _unrealizable(opening: float, offsets: np.ndarray) -> MalformedTraceError:
+    """The error for a period opening at ``opening`` whose customers take
+    the slots ``offsets`` name, one of them no later than it arrives."""
+    ranks = np.arange(1, len(offsets) + 1) + offsets
+    return MalformedTraceError(
+        f"period opening at t={opening!r} serves a customer no later than "
+        f"it arrives under the recorded order {tuple(ranks.tolist())}"
+    )
 
 
 def per_period_wait_sums(trace: SimTrace) -> np.ndarray:

@@ -58,10 +58,16 @@ EXTRACT_BUDGET = 0.42
 # The three traces of one config and their extracted views: each view
 # adds only its period bounds.
 AUDIT_BUDGET = 36.9
-# Iterating a view turns one block of whole periods (about
-# ``_TUPLE_BLOCK`` = 8,192 customers) at a time into tuples of Python floats
-# and ints.  Turning a ``_BLOCK`` of 65,536 at a time reads 36.7 and fails.
+# Iterating a last-come or random-order view turns one block of whole
+# periods (about ``_TUPLE_BLOCK`` = 8,192 customers) at a time into tuples
+# of Python floats and ints.  Turning a ``_BLOCK`` of 65,536 at a time reads
+# 36.7 and fails.  A first-come view builds no tuples until a period's
+# times are read.
 ITER_BUDGET = 5.5
+# Reading only each period's size across a first-come view builds no
+# tuples of times: the peak is the arrival order of the longest period,
+# built afresh above 63 customers.
+SIZES_BUDGET = 1.17
 
 
 def traced(fn, *args):
@@ -117,6 +123,38 @@ def test_iterating_extracted_periods_holds_one_block():
     deque(view[:3], maxlen=0)  # first-call set-up
     _, peak, _ = traced(deque, view, 0)
     assert peak <= ITER_BUDGET, peak
+
+
+def test_iterating_a_last_come_view_holds_one_block():
+    view = extract_busy_periods(run_simulation(replace(CONFIG, discipline="lcfs")))
+    deque(view[:3], maxlen=0)  # first-call set-up
+    _, peak, _ = traced(deque, view, 0)
+    assert peak <= ITER_BUDGET, peak
+
+
+def test_reading_sizes_builds_no_tuples():
+    view = extract_busy_periods(run_simulation(CONFIG))
+    sum(bp.n for bp, _ in view[:3])  # first-call set-up
+    total, peak, _ = traced(lambda: sum(bp.n for bp, _ in view))
+    assert total == N
+    assert peak <= SIZES_BUDGET, peak
+
+
+def test_a_read_period_keeps_no_trace():
+    # A first-come period keeps its trace's arrivals and slot starts alive,
+    # 16 bytes per customer, until its times are read, and then only those.
+    def first_period(seed, read):
+        bp, _ = extract_busy_periods(run_simulation(replace(CONFIG, seed=seed)))[0]
+        if read:
+            bp.service_starts
+        return bp
+
+    first_period(2, True)  # first-call set-up
+    _, _, unread = traced(first_period, 3, False)
+    bp, _, read = traced(first_period, 4, True)
+    assert unread >= 16, unread
+    assert read < 0.01 * 16, read
+    assert bp == BusyPeriod(bp.arrivals, bp.service_starts)
 
 
 @pytest.mark.parametrize("discipline", ["lcfs", "random"])

@@ -4,6 +4,7 @@ import json
 import math
 import pkgutil
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -285,7 +286,7 @@ def test_check_extremality_audits_the_stack_order(monkeypatch):
 
 
 @st.composite
-def busy_periods(draw, lattice: bool, max_n: int = 8):
+def busy_periods(draw, lattice: bool, max_n: int = 8, single: bool = False):
     """A busy period of 2..max_n customers.
 
     The 2n - 2 instants after the opening one are labelled arrival or
@@ -293,12 +294,15 @@ def busy_periods(draw, lattice: bool, max_n: int = 8):
     instants are distinct floats near a drawn origin, or points of a k/4
     grid.  On the grid an arrival may share the instant of the start just
     before it, so it equals a slot it cannot take, never its own-rank slot.
+    With ``single`` the labels alternate, so each customer arrives no
+    earlier than the slot before its own opens: arrival order is the only
+    realizable order.
     """
     n = draw(st.integers(2, max_n))
     labels = []
     arrived = started = 0
     while started < n - 1:
-        if arrived < n - 1 and (started == arrived or draw(st.booleans())):
+        if arrived < n - 1 and (started == arrived or not single and draw(st.booleans())):
             arrived += 1
             labels.append(False)
         else:
@@ -385,6 +389,58 @@ def test_extreme_orders_match_exact_exhaustive_reference(bp):
 @settings(max_examples=100, deadline=None)
 def test_extreme_orders_match_reference_on_a_lattice(bp):
     _assert_matches_reference(bp)
+
+
+# Periods whose only realizable order is arrival order: apart, tied (the
+# third customer arrives as slot 2 opens), one customer, and near 10^6.
+SINGLE_ORDER = [
+    validate_busy_period([0, 1, 2], [0, 1.5, 2.5]),
+    validate_busy_period([0, 1, 2], [0, 2, 3]),
+    validate_busy_period([5.0], [5.0]),
+    validate_busy_period(
+        [854161.3166161182, 854161.8127211194, 854162.5797050659],
+        [854161.3166161182, 854162.5797050659, 854162.5807999901],
+    ),
+]
+
+
+def _assert_single_order_report(bp):
+    # One realizable order attains both extremes: the report is the one
+    # the certificate path gives, field by field, without the certificate.
+    with mock.patch.object(permutations, "_improvement") as improvement:
+        report = check_extremality(bp)
+    assert not improvement.called
+    order = Permutation.identity(bp.n)
+    objective = pairing_objective(bp, order)
+    assert report == permutations.ExtremalityReport(
+        1, objective, objective, order.mapping, order.mapping
+    )
+    _assert_matches_reference(bp)
+
+
+def test_single_order_periods_skip_the_certificate(monkeypatch):
+    for bp in SINGLE_ORDER:
+        _assert_single_order_report(bp)
+    # A stack order other than arrival order still goes through it.
+    calls = []
+    improvement = permutations._improvement
+    monkeypatch.setattr(
+        permutations, "_improvement", lambda *args: calls.append(args[3]) or improvement(*args)
+    )
+    monkeypatch.setattr(
+        permutations, "lcfs_permutation", lambda bp: Permutation._trusted((1, 3, 2))
+    )
+    check_extremality(SINGLE_ORDER[0])
+    assert calls == [(1, 3, 2)]
+
+
+@pytest.mark.parametrize("lattice", [False, True])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_single_order_periods_match_the_exhaustive_reference(lattice, data):
+    bp = data.draw(busy_periods(lattice=lattice, single=True))
+    assert len(enumerate_realizable(bp)) == 1
+    _assert_single_order_report(bp)
 
 
 @pytest.mark.parametrize("lattice", [False, True])

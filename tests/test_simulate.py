@@ -2,7 +2,9 @@ import gc
 import hashlib
 import json
 import math
-from dataclasses import replace
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qvar import (
+    BusyPeriod,
     ConfigError,
     Distribution,
     InfeasibleError,
@@ -864,6 +867,108 @@ def test_extracted_pairs_pass_public_constructors(discipline):
             assert validate_busy_period(bp.arrivals, bp.service_starts) == bp
             assert Permutation(perm.mapping) == perm
             assert is_realizable(bp, perm)
+
+
+# Each way of reading a period; every pass over a view hands out new
+# periods, so each read below is a first-come period's first.
+PERIOD_READS = {
+    "size": lambda bp: bp.n,
+    "hash": hash,
+    "repr": repr,
+    "to_dict": lambda bp: bp.to_dict(),
+    "pickle": lambda bp: pickle.loads(pickle.dumps(bp)),
+    "replace": replace,
+    "replace-field": lambda bp: replace(bp, service_starts=bp.service_starts),
+}
+
+
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs"])
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_extracted_periods_are_their_values(run, discipline):
+    # A first-come view's periods read their times on first use, a
+    # last-come view's get them whole; either way each is the period that
+    # validate_busy_period makes of its times, whatever reads it first.
+    view = extract_busy_periods(run_simulation(replace(GOLDEN_RUNS[run], discipline=discipline)))
+    wanted = [validate_busy_period(bp.arrivals, bp.service_starts) for bp, _ in view]
+    assert [bp == want for (bp, _), want in zip(view, wanted)] == [True] * len(view)
+    assert [want == bp for (bp, _), want in zip(view, wanted)] == [True] * len(view)
+    for name, read in PERIOD_READS.items():
+        got = [read(bp) for bp, _ in view]
+        assert got == [read(want) for want in wanted], name
+        if name not in ("size", "hash", "repr", "to_dict"):
+            assert {type(bp) for bp in got} == {BusyPeriod}, name
+    for p in (0, -1):
+        bp = view[p][0]
+        assert (bp.arrivals, bp.service_starts, bp.n) == (
+            wanted[p].arrivals,
+            wanted[p].service_starts,
+            wanted[p].n,
+        )
+        with pytest.raises(FrozenInstanceError):
+            bp.arrivals = wanted[p].arrivals
+        assert not hasattr(bp, "__dict__")
+
+
+def test_extract_checks_a_shared_trajectory_once(monkeypatch):
+    # The trajectory is checked for the first trace holding it; the
+    # config's other traces, holding the very same arrays, get only their
+    # offsets checked, and give the views a full check gives.
+    swept = []
+    check_block = simulate._check_block
+    monkeypatch.setattr(
+        simulate, "_check_block", lambda *args: swept.append(1) or check_block(*args)
+    )
+    cfg = mm1(0.95, 20_000, seed=13)
+    traces = [run_simulation(replace(cfg, discipline=d)) for d in ("fcfs", "lcfs", "random")]
+    lcfs = extract_busy_periods(traces[1])
+    views = [extract_busy_periods(traces[0]), lcfs, extract_busy_periods(traces[2])]
+    assert len(swept) == 1
+    for trace, view in zip(traces, views):
+        untrusted = SimTrace._trusted(
+            trace.arrivals, trace.slot_starts, trace.slot_ends, trace.offsets,
+            trace.period_starts, None,
+        )
+        assert list(extract_busy_periods(untrusted)) == list(view)
+    assert len(swept) == 4
+    # Nothing is kept for it once the traces and views are gone.
+    arrivals = weakref.ref(traces[0].arrivals)
+    del traces, views, lcfs, trace, view, untrusted
+    gc.collect()
+    assert arrivals() is None
+    assert not [t for t in simulate._checked if t.config == cfg]
+
+
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_extract_refuses_a_bad_order_on_a_checked_trajectory(monkeypatch, block):
+    # Offsets that serve a customer before it arrives are refused with the
+    # full check's error, in period order, on a trajectory already checked;
+    # a trace whose own trajectory arrays differ gets the full check.
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+    fcfs = run_simulation(mm1(0.95, 300, seed=2))
+    extract_busy_periods(fcfs)
+    heads = fcfs.period_starts.tolist() + [fcfs.n]
+    pairs = [h for h, nxt in zip(heads, heads[1:]) if nxt - h >= 2][1:3]
+    offsets = np.zeros(fcfs.n, dtype=np.int16)
+    for h in pairs:  # the second customer takes the head's slot
+        offsets[h : h + 2] = (1, -1)
+    cfg = replace(fcfs.config, discipline="lcfs")
+    arrays = (fcfs.arrivals, fcfs.slot_starts, fcfs.slot_ends)
+    errors = []
+    for config in (cfg, None):
+        trace = SimTrace._trusted(*arrays, offsets, fcfs.period_starts, config)
+        with pytest.raises(MalformedTraceError, match="no later than it arrives") as info:
+            extract_busy_periods(trace)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert f"opening at t={fcfs.arrivals[pairs[0]]!r} " in errors[0]
+    ends = fcfs.slot_ends.copy()
+    ends[heads[-2] - 1] += 1e9  # the last period opens while the one before is busy
+    overlapping = SimTrace._trusted(
+        fcfs.arrivals, fcfs.slot_starts, ends, None, fcfs.period_starts, cfg
+    )
+    with pytest.raises(MalformedTraceError, match="overlaps"):
+        extract_busy_periods(overlapping)
 
 
 def slot_loop_reference(cfg, found=None):
