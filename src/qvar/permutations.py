@@ -45,6 +45,7 @@ from .busy_period import (
     _exact_times,
     _int_objective,
     _require_realizable,
+    is_realizable,
 )
 from .errors import ExtremalityViolationError
 
@@ -303,26 +304,22 @@ def _improvement(
     and may take slot ``j`` (``j >= floors[i]``).  Those are shortest-path
     conditions on the slots, with an edge ``l -> j`` of that weight for
     moving ``l``'s owner to ``j``, so Bellman-Ford from ``v = 0`` finds
-    them, sweeping the slots downwards: a sweep that changes nothing has
-    checked every allowed cell.  A change in the ``n``-th sweep means a
-    negative cycle; moving each owner along it keeps every customer in an
-    allowed slot and lowers the objective by the cycle's weight.  Customer
-    0 keeps slot 0.  O(n**2) per sweep.
+    them, sweeping the slots downwards (:func:`_sweep`).  A sweep that
+    lowers no potential through an edge to a higher slot (``j > l``) ends
+    the proof: each slot's potential then fell only through edges from
+    higher slots, swept before it, so every edge was relaxed from, and
+    checked against, final values, and the potentials are feasible.  A
+    change in the ``n``-th sweep means a negative cycle; moving each owner
+    along it keeps every customer in an allowed slot and lowers the
+    objective by the cycle's weight.  Customer 0 keeps slot 0.  O(n**2)
+    per sweep.
     """
     n = len(floors)
     owner = sorted(range(n), key=order.__getitem__)  # slot -> customer
     v, pred = [0] * n, [0] * n
     for _ in range(n):
-        last = None
-        for l in range(n - 1, 0, -1):
-            i = owner[l]
-            x = a[i]
-            base = v[l] - x * b[l]
-            for j in range(floors[i], n):
-                t = base + x * b[j]
-                if t < v[j]:
-                    v[j], pred[j], last = t, l, j
-        if last is None:
+        last, up = _sweep(owner, floors, a, b, v, pred)
+        if not up:
             return None
     # n steps back along pred from a slot changed in the n-th sweep land on
     # a cycle of pred, and every such cycle is negative.
@@ -336,21 +333,49 @@ def _improvement(
             return tuple(moved)
 
 
+def _sweep(
+    owner: list[int], floors: list[int], a: list[int], b: list[int], v: list[int], pred: list[int]
+) -> tuple[int | None, bool]:
+    """One Bellman-Ford sweep of :func:`_improvement`, relaxing in place the
+    edges out of slots ``n - 1`` down to 1, each slot's edges to lower slots
+    and then to higher ones (an edge to its own slot weighs 0).  Returns the
+    last slot whose potential fell (None if none did) and whether one fell
+    through an edge to a higher slot."""
+    n = len(v)
+    last, up = None, False
+    for l in range(n - 1, 0, -1):
+        i = owner[l]
+        x = a[i]
+        base = v[l] - x * b[l]
+        for j in range(floors[i], l):
+            t = base + x * b[j]
+            if t < v[j]:
+                v[j], pred[j], last = t, l, j
+        for j in range(l + 1, n):
+            t = base + x * b[j]
+            if t < v[j]:
+                v[j], pred[j], last, up = t, l, j, True
+    return last, up
+
+
 def check_extremality(bp: BusyPeriod) -> ExtremalityReport:
     """Verify exactly that the closed forms attain both extremes of a period.
 
     In the ints of :func:`~qvar.busy_period._exact_times`, made once.  Both
     timestamp sequences strictly rise (checked), so by the rearrangement
     inequality arrival order is the unique maximizer over all ``n!``
-    orders, and it is realizable.  The stack order is proved the minimizer
-    by the duality certificate of :func:`_improvement`, which does not use
-    the bracket matching it audits, at any length.  ``num_realizable`` is
-    the product of the counts ``i + 1 - floor_i`` of the last-to-first
-    rule in the module docstring.  When that product is 1 (every floor is
-    its own customer's slot) and the stack order is arrival order, the one
-    realizable order attains both extremes and needs no certificate.  Raises
-    :class:`ExtremalityViolationError`, naming a strictly better order, on
-    any violation -- a counterexample to the theorem, not a data problem.
+    orders, and it is realizable.  The stack order is checked realizable
+    and then proved the minimizer by the duality certificate of
+    :func:`_improvement`, which does not use the bracket matching it
+    audits, at any length.  ``num_realizable`` is the product of the
+    counts ``i + 1 - floor_i`` of the last-to-first rule in the module
+    docstring.  When that product is 1 (every floor is its own customer's
+    slot) and the stack order is arrival order, the one realizable order
+    attains both extremes and needs no certificate.  Raises
+    :class:`ExtremalityViolationError` on any violation, naming the stack
+    order if it is not realizable and otherwise a strictly better order --
+    a counterexample to the theorem or a fault of the closed forms, not a
+    data problem.
     """
     n = bp.n
     floors = _slot_floors(bp)
@@ -369,11 +394,16 @@ def check_extremality(bp: BusyPeriod) -> ExtremalityReport:
             )
     count = math.prod(i + 1 - floors[i] for i in range(1, n))
     arrival_order = Permutation.identity(n).mapping
-    stack = lcfs_permutation(bp).mapping
+    stack_order = lcfs_permutation(bp)
+    stack = stack_order.mapping
     if count == 1 and stack == arrival_order:
         # Every customer's floor is its own slot: arrival order is the only
         # realizable order, and the stack order is it.
         stacked = arrival
+    elif not is_realizable(bp, stack_order):
+        raise ExtremalityViolationError(
+            f"stack order {stack} is not realizable on {bp.to_dict()}"
+        )
     else:
         stacked = _int_objective(a, b, stack)
         better = _improvement(floors, a, b, stack)

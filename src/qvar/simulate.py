@@ -28,12 +28,14 @@ computed once with array operations; the service durations are summed into
 the slots and not kept.  First come serves each slot's own customer, so the
 trajectory is its trace.  The waiters each slot finds follow from the slots
 alone, so every trace counts them alike (:attr:`SimTrace.queue`).  Last come
-(bracket matching) and random order (all runs of a block walked in
-lockstep) assign customers only on contested runs: slots finding two or
-more waiters and the slot emptying the list after them; any other slot
-serves its own customer.  Random order makes the seed's decision stream
-afresh and reads it block by block, one draw per slot, so no run keeps a
-full-length array of decisions.  Every trace holds the trajectory's arrays,
+(bracket matching) and random order (runs walked in lockstep, the long ones
+longest first after the last block) assign customers only on contested
+runs: slots finding two or more waiters and the slot emptying the list
+after them; any other slot serves its own customer.  Random order makes the
+seed's decision stream afresh and reads it block by block, one draw per
+slot, so no run keeps an array of decisions: only the long runs' pick
+indices wait for their walk, in the smallest unsigned type that holds the
+peak queue.  Every trace holds the trajectory's arrays,
 in slot order; one that is not first-come adds only each customer's slot
 offset: customer ``c`` takes slot ``c + offsets[c]``.  So the runs of a
 config share one trajectory, buffers and all, while something holds its
@@ -483,24 +485,60 @@ def _slot_offsets(
     is None, else random order, drawing one decision per slot of each block
     in turn.  Each rule sees only a block's contested slots, numbered
     consecutively; any other slot serves its own customer.  None when every
-    slot does."""
+    slot does.
+
+    Random order walks a block's runs of at most ``_LONG`` slots at once.
+    It sets each longer run aside, as its first slot, its length and its
+    pick indices, and walks those after the last block, longest first, in
+    batches of at most ``_BLOCK`` slots, so that runs of like length share
+    their steps.  A run's walk reads only its own slots, so the order in
+    which runs are walked changes no offset."""
     n = len(queue)
     bounds = np.append(heads, n)
     offsets = np.zeros(n, dtype=_offset_dtype(bounds))
-    moved = False
+    firsts, lengths, long_picks = [], [], []  # the long runs set aside
+    if decisions is not None:
+        # A pick index is below its slot's queue, so below the peak queue.
+        pick_type = np.min_scalar_type(int(queue.max()))
     for _, _, lo, hi in _period_blocks(bounds, _BLOCK):
         block = queue[lo:hi]
         contested = block >= 2
         contested[1:] |= block[:-1] >= 2
         slots = np.flatnonzero(contested)
+        q = block[slots]
         if decisions is None:
-            picked = _stack_match(block[slots])
+            picked = _stack_match(q)
         else:
-            picked = _random_pick(block[slots], decisions.random(hi - lo)[slots])
+            picks = (decisions.random(hi - lo)[slots] * q).astype(pick_type)
+            # A run is consecutive slots, ending at the one emptying the list.
+            ends = np.flatnonzero(q == 1)
+            runs = np.diff(ends, prepend=-1)
+            long = runs > _LONG
+            if long.any():
+                short = np.repeat(~long, runs)
+                firsts.append(lo + slots[(ends - runs + 1)[long]])
+                lengths.append(runs[long])
+                long_picks.append(picks[~short])
+                slots, q, picks = slots[short], q[short], picks[short]
+            picked = _random_pick(q, picks)
         # Slot slots[k] serves customer slots[picked[k]].
         offsets[lo + slots[picked]] = slots - slots[picked]
-        moved = moved or bool((picked != np.arange(len(picked))).any())
-    return offsets if moved else None
+    if lengths:
+        del bounds  # 8 bytes a period, freed before the batches' walk
+        firsts, lengths = np.concatenate(firsts), np.concatenate(lengths)
+        long_picks = np.concatenate(long_picks)
+        at = np.cumsum(lengths) - lengths  # each run's first pick
+        by_length = np.argsort(-lengths, kind="stable")
+        firsts, lengths, at = firsts[by_length], lengths[by_length], at[by_length]
+        cuts = np.append(0, np.cumsum(lengths))
+        for r, s, lo, hi in _period_blocks(cuts, _BLOCK):
+            # Batch position k is step k - cuts[x] of its run x.
+            k = np.arange(lo, hi)
+            slots = np.repeat(firsts[r:s] - cuts[r:s], lengths[r:s]) + k
+            picks = long_picks[np.repeat(at[r:s] - cuts[r:s], lengths[r:s]) + k]
+            picked = _random_pick(queue[slots], picks)
+            offsets[slots[picked]] = slots - slots[picked]
+    return offsets if offsets.any() else None
 
 
 def _stack_match(queue: np.ndarray) -> np.ndarray:
@@ -521,37 +559,40 @@ def _stack_match(queue: np.ndarray) -> np.ndarray:
     return served
 
 
-def _random_pick(queue: np.ndarray, decisions: np.ndarray) -> np.ndarray:
-    """Random order on contested slots: slot ``k`` swaps the waiter at
-    ``int(decisions[k] * queue[k])`` to the end of the waiting list and
-    serves it.  The runs, each ending at the slot that empties the list,
-    are walked in lockstep: step ``t`` takes the ``t``-th slot of every run
-    at once, each run keeping its list in its own stretch of one buffer.
-    The Python steps are the longest run, not the slots walked."""
+def _random_pick(queue: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Random order on whole runs of contested slots: slot ``k`` swaps the
+    waiter at ``picks[k]`` (``int(u * queue[k])`` for its decision ``u``) to
+    the end of the waiting list and serves it.  The runs, each ending at the
+    slot that empties the list, are walked in lockstep: step ``t`` takes the
+    ``t``-th slot of every run at once, each run keeping its list in its own
+    stretch of one buffer.  The Python steps are the longest run, not the
+    slots walked."""
     w = len(queue)
-    # Customers join the waiting list in turn: slot k opens once queue[k] + k
-    # have arrived, ``joins[k]`` of them since the slot before.
-    joins = np.diff(queue + np.arange(w), prepend=0)
+    steps = np.arange(w)
     # Slot ``base + t`` is step ``t`` of the run opening at ``base``, whose
     # waiting list is kept in ``buf[base:]``.
     opens = np.ones(w, dtype=bool)
     opens[1:] = queue[:-1] == 1
-    base = np.maximum.accumulate(np.where(opens, np.arange(w), 0))
-    t = np.arange(w) - base
-    take = base + (decisions * queue).astype(np.int64)
-    last = base + queue - 1
-    # Customer c joins at slot g, after c - base - t[g] others of its run
-    # still wait: it goes to the list's end, entry c - t[g].
-    joined = t[np.repeat(np.arange(w), joins)]
+    base = np.maximum.accumulate(np.where(opens, steps, 0))
+    t = steps - base
+    # Customers join the waiting list in turn: slot k opens once queue[k] + k
+    # have arrived, so customer c joins at the first slot g with queue[g] + g
+    # > c, after c - base - t[g] others of its run still wait: it goes to
+    # the list's end, entry c - t[g].
+    joined = t[np.repeat(steps, np.diff(queue + steps, prepend=0))]
     # Sorted by step, each step's slots and its joiners are one slice
-    # (16-bit keys get numpy's radix sort).
-    key = np.uint16 if w < 1 << 16 else np.int64
+    # (16-bit keys get numpy's radix sort).  Each temporary goes once used,
+    # which keeps a block's peak to about 64 bytes per slot.
+    key = np.uint16 if w <= 1 << 16 else np.int64
     by_step = np.argsort(t.astype(key), kind="stable")
-    joiners = np.argsort(joined.astype(key), kind="stable")
-    take, last = take[by_step], last[by_step]
-    dest = joiners - joined[joiners]
+    take = (base + picks)[by_step]
+    last = (base + queue - 1)[by_step]
     slot_cuts = np.cumsum(np.bincount(t)).tolist()
+    del steps, base, t
+    joiners = np.argsort(joined.astype(key), kind="stable")
+    dest = joiners - joined[joiners]
     join_cuts = np.cumsum(np.bincount(joined, minlength=len(slot_cuts))).tolist()
+    del joined
     buf = np.empty(w, dtype=np.int64)
     picked = np.empty(w, dtype=np.int64)
     i = c = 0
@@ -561,7 +602,7 @@ def _random_pick(queue: np.ndarray, decisions: np.ndarray) -> np.ndarray:
         picked[i:j] = buf[at]
         buf[at] = buf[last[i:j]]  # the swap-pop
         i, c = j, d
-    served = np.empty(w, dtype=np.int64)
+    served = buf  # every list is empty
     served[by_step] = picked
     return served
 
@@ -572,6 +613,9 @@ def _random_pick(queue: np.ndarray, decisions: np.ndarray) -> np.ndarray:
 # hold whole periods (a longer period gets one block to itself), so a
 # block's temporary arrays stay a few MB at any trace length.
 _BLOCK = 1 << 16
+# Contested slots in the longest run that random order walks with its
+# block; it sets every longer run aside for one pass after the last block.
+_LONG = 64
 # Customers per chunk of the passes that fill a full-length result beside
 # the trace: a trace's gathers into customer order, and the tuples that
 # iterating an extracted view builds at once.  A customer's Python floats

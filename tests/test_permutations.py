@@ -1,7 +1,9 @@
+import copy
 import importlib
 import itertools
 import json
 import math
+import pickle
 import pkgutil
 from fractions import Fraction
 from unittest import mock
@@ -235,6 +237,22 @@ def test_check_extremality_report():
     assert d["min_objective"] == 8.0 and d["argmax"] == [1, 2, 3]
 
 
+def test_values_survive_pickle_and_deepcopy():
+    # The period, order and report classes are frozen and slotted; each
+    # copy, at every pickle protocol, is an equal value of the same type.
+    report = check_extremality(BP)
+    copies = [copy.deepcopy]
+    copies += [
+        lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for value in (BP, Permutation((1, 3, 2)), Permutation.identity(3), report):
+        for copy_of in copies:
+            got = copy_of(value)
+            assert type(got) is type(value) and got == value and hash(got) == hash(value)
+    assert pickle.loads(pickle.dumps(report)).to_dict() == report.to_dict()
+
+
 def test_check_extremality_has_no_false_violation_on_large_timestamps():
     # From a rho=0.95 run: the float objectives of (1, 2, 3) and (1, 3, 2)
     # round so that the stack order seems to beat arrival order.
@@ -421,7 +439,8 @@ def _assert_single_order_report(bp):
 def test_single_order_periods_skip_the_certificate(monkeypatch):
     for bp in SINGLE_ORDER:
         _assert_single_order_report(bp)
-    # A stack order other than arrival order still goes through it.
+    # A stack order other than arrival order takes no shortcut; there it is
+    # not realizable, and refused before the certificate.
     calls = []
     improvement = permutations._improvement
     monkeypatch.setattr(
@@ -430,8 +449,29 @@ def test_single_order_periods_skip_the_certificate(monkeypatch):
     monkeypatch.setattr(
         permutations, "lcfs_permutation", lambda bp: Permutation._trusted((1, 3, 2))
     )
-    check_extremality(SINGLE_ORDER[0])
-    assert calls == [(1, 3, 2)]
+    with pytest.raises(ExtremalityViolationError, match=r"\(1, 3, 2\) is not realizable"):
+        check_extremality(SINGLE_ORDER[0])
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "times, stack",
+    [
+        # one realizable order; (1, 3, 2) scores 5.5 against its 6.5
+        (([0, 1, 2], [0, 1.5, 2.5]), (1, 3, 2)),
+        # two realizable orders; the certificate would name (3, 2, 1)
+        (([0, 1, 2], [0, 2.5, 3]), (2, 3, 1)),
+    ],
+)
+def test_check_extremality_refuses_an_unrealizable_stack_order(monkeypatch, times, stack):
+    # A stack order no discipline could produce, even one scoring below
+    # every realizable order, is a violation naming that order.
+    bp = validate_busy_period(*times)
+    assert not is_realizable(bp, Permutation(stack))
+    monkeypatch.setattr(permutations, "lcfs_permutation", lambda bp: Permutation._trusted(stack))
+    with pytest.raises(ExtremalityViolationError) as info:
+        check_extremality(bp)
+    assert str(info.value).startswith(f"stack order {stack} is not realizable on ")
 
 
 @pytest.mark.parametrize("lattice", [False, True])

@@ -5,6 +5,7 @@ import math
 import pickle
 import weakref
 from dataclasses import FrozenInstanceError, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from qvar import (
     validate_busy_period,
     write_trace_jsonl,
 )
-from qvar import simulate
+from qvar import permutations, simulate
 
 
 def det_config(interarrival, service, n, discipline="fcfs", **kw):
@@ -550,6 +551,30 @@ def test_golden_runs_pass_the_audit(run):
         check_extremality(bp)
         checked += 1
     assert (checked, len(extracted["fcfs"])) == ORACLE_REACH[run]
+
+
+@pytest.mark.parametrize("run", [*sorted(GOLDEN_RUNS), "mm1-rho95"])
+def test_stack_orders_are_certified_in_one_sweep(monkeypatch, run):
+    # The certificate stops at the first sweep that lowers no potential
+    # through an edge to a higher slot; on every stack order seen, that is
+    # the first sweep.  The rho=0.95 run's periods of 3 to 150 customers.
+    calls = {"_improvement": 0, "_sweep": 0}
+    for name in calls:
+        inner = getattr(permutations, name)
+
+        def counted(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(permutations, name, counted)
+    if run in GOLDEN_RUNS:
+        periods = [bp for bp, _ in extract_busy_periods(run_simulation(GOLDEN_RUNS[run]))]
+    else:
+        view = extract_busy_periods(run_simulation(mm1(0.95, 200_000, seed=1)))
+        periods = [bp for bp, _ in view if 3 <= bp.n <= 150]
+    for bp in periods:
+        check_extremality(bp)
+    assert calls["_sweep"] == calls["_improvement"] > 0
 
 
 def test_oracle_census_of_every_period():
@@ -1226,7 +1251,7 @@ LAST_PICK = math.nextafter(1.0, 0.0)  # int(u * q) == q - 1 for every q
 
 def assert_random_pick_matches(arrived, decisions):
     queue = queue_of(arrived)
-    got = simulate._random_pick(queue, decisions)
+    got = simulate._random_pick(queue, (decisions * queue).astype(np.int64))
     assert got.tolist() == swap_pop_reference(arrived.tolist(), queue.tolist(), decisions)
     return got
 
@@ -1267,6 +1292,65 @@ def test_random_pick_walks_many_unequal_runs_at_once(lengths, seed, extreme):
     if extreme is not None:
         decisions[rng.random(len(decisions)) < 0.5] = extreme
     assert_random_pick_matches(block_of_runs(lengths, rng), decisions)
+
+
+def periods_of_runs(periods, rng):
+    """``arrived`` and the period heads of a trajectory whose periods each
+    open at a slot finding its own customer alone and then split into runs
+    of the given lengths."""
+    arrived = block_of_runs([m for runs in periods for m in (1, *runs)], rng)
+    sizes = [1 + sum(runs) for runs in periods]
+    return arrived, np.cumsum([0] + sizes[:-1])
+
+
+def assert_slot_offsets_match(periods, seed):
+    # One decision per slot, block after block: the stream's first n draws.
+    arrived, heads = periods_of_runs(periods, np.random.default_rng(seed))
+    queue = queue_of(arrived)
+    n = len(queue)
+    served = np.array(
+        swap_pop_reference(
+            arrived.tolist(), queue.tolist(), np.random.default_rng([seed, 1]).random(n)
+        )
+    )
+    want = np.zeros(n, dtype=np.int64)
+    want[served] = np.arange(n) - served
+    got = simulate._slot_offsets(queue, heads, np.random.default_rng([seed, 1]))
+    assert (np.zeros(n) if got is None else got).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("block, long", [(16, 4), (40, 8), (7, 1)])
+def test_random_order_walks_long_runs_after_the_blocks(monkeypatch, block, long):
+    # Runs longer than _LONG from many blocks, some longer than a block,
+    # walked longest first in batches of at most _BLOCK slots.
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    monkeypatch.setattr(simulate, "_LONG", long)
+    rng = np.random.default_rng(block)
+    periods = [rng.integers(1, 3 * block, size=rng.integers(1, 6)).tolist() for _ in range(40)]
+    runs = [m for p in periods for m in p]
+    assert sum(m > long for m in runs) > 20 and sum(m > block for m in runs) > 5
+    assert_slot_offsets_match(periods, seed=block)
+
+
+@given(
+    periods=st.lists(
+        st.lists(
+            st.one_of(
+                st.integers(1, 4),
+                st.integers(simulate._LONG - 2, simulate._LONG + 2),
+            ),
+            max_size=4,
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    block=st.sampled_from([simulate._BLOCK, 50, 150]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_random_order_on_runs_around_the_long_bound(periods, block, seed):
+    with mock.patch.object(simulate, "_BLOCK", block):
+        assert_slot_offsets_match(periods, seed)
 
 
 def test_random_order_follows_its_exact_law():
